@@ -9,6 +9,15 @@ of the package produces (ranks in the dozens at most).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division. Raises ValueError for n >= 2**31,
+    before any division, so an oversized input fails at once."""
+    if n >= 2 ** 31:
+        raise ValueError("%d is too large; primes must be below 2^31" % n)
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class FieldQ:
@@ -49,10 +58,8 @@ class FieldF:
     """The prime field with p elements, residues stored as ints."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError("%d is not prime" % p)
-        if p >= 2 ** 31:
-            raise ValueError("prime %d too large" % p)
         self.p = p
         self.name = "F%d" % p
 
@@ -116,16 +123,6 @@ def rref(rows, field):
     return rows[:lead], pivots
 
 
-def reduce_against(vec, basis_rows, pivots, field):
-    """Reduce vec against an rref basis; returns the remainder."""
-    vec = list(vec)
-    for row, p in zip(basis_rows, pivots):
-        if not field.is_zero(vec[p]):
-            c = vec[p]
-            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
-    return vec
-
-
 def kernel_basis(columns, nrows, field):
     """Kernel of the linear map sending unit vector j to columns[j]
     (each a dense length-nrows list). Returns kernel basis vectors of
@@ -156,13 +153,19 @@ def char_poly(matrix):
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[n - k + 1]
-        AM = [[sum(matrix[i][t] * M[t][j] for t in range(n))
-               for j in range(n)] for i in range(n)]
+        AM = mat_mul(matrix, M)
         trace = sum(AM[i][i] for i in range(n))
         assert trace % k == 0
         coeffs[n - k] = -trace // k
         M = AM
     return coeffs
+
+
+def mat_mul(a, b):
+    """Product of two square matrices given as lists of rows."""
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def poly_eval(coeffs, x):

@@ -529,8 +529,9 @@ def integral_koszul_check(algebra: GradedAlgebra, l: int,
     force matching Koszul verdicts (a mismatch would be an engine
     bug); differing dimensions mean Ext has l-torsion and the
     rational verdict does not transfer to characteristic l."""
+    field_f = FieldF(l)
     table_q = ext_table(algebra, "Q", i_max)
-    table_f = ext_table(algebra, FieldF(l), i_max)
+    table_f = ext_table(algebra, field_f, i_max)
     kq = table_q.koszul_violation() is None
     kf = table_f.koszul_violation() is None
     match = table_q.dims() == table_f.dims()

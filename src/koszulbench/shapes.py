@@ -4,8 +4,10 @@ Cells are pairs (i, j) with i the column and j the row, both starting
 at 1: the diagram of a partition lam is {(i, j) : 1 <= i <= lam_j}.
 The level of a cell (i, j) is i + j. A skew shape lam - mu is the
 difference of two nested diagrams; the Dyck property and its depth are
-invariant under translating the cell set, so shapes are normalized by
-sliding toward the origin before memoized evaluation.
+invariant under translating the cell set. Dyck depth is evaluated on
+the per-row column intervals (mu_j, lam_j] of the shape as given: the
+evaluator compares levels only within one shape, so no normalization
+is needed.
 """
 
 from __future__ import annotations
@@ -308,108 +310,12 @@ class DyckVerdict:
     depth: int
 
 
-_DP_MEMO = {}
-
-
-def _norm_key(cells):
-    """Normalized cell tuple for memoization, translation removed."""
-    di = min(i for i, _ in cells) - 1
-    dj = min(j for _, j in cells) - 1
-    if di or dj:
-        return tuple(sorted((i - di, j - dj) for i, j in cells))
-    return tuple(sorted(cells))
-
-
-def _dp_cells(cells):
-    """Depth of a normalized cell tuple, or -1 when not Dyck."""
-    if not cells:
-        return 0
-    key = cells
-    hit = _DP_MEMO.get(key)
-    if hit is not None:
-        return hit
-    cs = set(cells)
-    comps = _split_components(cells, cs)
-    if len(comps) > 1:
-        total = 0
-        for comp in comps:
-            d = _dp_cells(_norm_key(comp))
-            if d < 0:
-                total = -1
-                break
-            total += d
-        _DP_MEMO[key] = total
-        return total
-    if not any((i + 1, j) in cs and (i, j + 1) in cs and (i + 1, j + 1) in cs
-               for i, j in cells):
-        # connected border strip
-        d = 1 if _cbs_is_dyck(cells, cs) else -1
-        _DP_MEMO[key] = d
-        return d
-    strip = tuple(c for c in cells if (c[0] + 1, c[1] + 1) not in cs)
-    rest = tuple(c for c in cells if (c[0] + 1, c[1] + 1) in cs)
-    a = _dp_cells(_norm_key(strip))
-    if a < 0:
-        _DP_MEMO[key] = -1
-        return -1
-    b = _dp_cells(_norm_key(rest))
-    d = -1 if b < 0 else a + b
-    _DP_MEMO[key] = d
-    return d
-
-
-def _split_components(cells, cs):
-    remaining = set(cs)
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        remaining.discard(seed)
-        stack = [seed]
-        comp = [seed]
-        while stack:
-            i, j = stack.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    return comps
-
-
-def _cbs_is_dyck(cells, cs):
-    ends = []
-    for i, j in cells:
-        deg = 0
-        if (i + 1, j) in cs:
-            deg += 1
-        if (i - 1, j) in cs:
-            deg += 1
-        if (i, j + 1) in cs:
-            deg += 1
-        if (i, j - 1) in cs:
-            deg += 1
-        if deg <= 1:
-            ends.append((i, j))
-    if len(cells) == 1:
-        lev = cells[0][0] + cells[0][1]
-    else:
-        if len(ends) != 2:
-            return False
-        lev = ends[0][0] + ends[0][1]
-        if lev != ends[1][0] + ends[1][1]:
-            return False
-    return all(i + j >= lev for i, j in cells)
-
-
 def dyck_depth(shape: SkewShape) -> DyckVerdict:
     """The four-rule recursion: empty has depth 0, a Dyck connected
     border strip has depth 1, a disconnected shape sums over its
     components, and a connected shape splits into its outer border
     strip plus the rest, both of which must be Dyck."""
-    if not shape.cells:
-        return DyckVerdict(True, 0)
-    d = _dp_cells(_norm_key(shape.cells))
+    d = _eval_encoded(encode_shape(shape))
     return DyckVerdict(d >= 0, d if d >= 0 else 0)
 
 
@@ -421,23 +327,32 @@ def transpose(shape: SkewShape) -> SkewShape:
 
 
 # ---------------------------------------------------------------------------
-# Flat box scanner.
+# Row-interval evaluator and box scanner.
 #
-# The depth-bound sweep over the 8x8 box visits 12,320,068 normalized
-# shapes; the object-level recursion above costs far too much per shape
-# for that. The scanner below enumerates every normalized shape exactly
-# once as a tuple of per-row column intervals packed into small ints,
-# evaluates the same four-rule recursion iteratively, and never builds
-# cell sets. Tests cross-validate it against dyck_depth on every shape
-# in smaller boxes.
+# The depth-bound sweep over the 8x8 box visits 12,320,068 shapes; the
+# object-level recursion above costs far too much per shape for that.
+# The evaluator below runs the same four-rule recursion iteratively on
+# per-row column intervals and never builds cell sets. It compares
+# levels only within one shape, so it needs neither normalization nor a
+# bound on the width. dyck_depth and scan_box both use it; tests check
+# it against the object-level recursion.
 # ---------------------------------------------------------------------------
 
 
-def _eval_encoded(enc, n):
-    """Dyck depth of an encoded shape, or -1.
+def encode_shape(shape: SkewShape):
+    """The row encoding of a shape, one entry per part of the outer
+    partition: (inner_j, outer_j) for a nonempty row, else None."""
+    outer = shape.outer.parts
+    inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner.parts))
+    return [(a, b) if a < b else None for a, b in zip(inner, outer)]
 
-    enc holds one int per row: (a << 4) | b for the half-open column
-    interval (a, b], or -1 for an empty row.
+
+def _eval_encoded(enc):
+    """Dyck depth of an encoded shape, or -1 when it is not Dyck.
+
+    enc holds one entry per row, as encode_shape builds it: the pair
+    (a, b) for the half-open column interval (a, b], or None for an
+    empty row.
     """
     total = 0
     stack = []
@@ -445,16 +360,14 @@ def _eval_encoded(enc, n):
     curoff = 0
     pa = -1
     pb = 0
-    for j in range(n):
-        e = enc[j]
-        if e < 0:
+    for j, e in enumerate(enc):
+        if e is None:
             if cur:
                 stack.append((curoff, cur))
                 cur = None
             pa = -1
             continue
-        a = e >> 4
-        b = e & 15
+        a, b = e
         if pa >= 0 and (a if a > pa else pa) >= (b if b < pb else pb):
             stack.append((curoff, cur))
             cur = None
@@ -471,21 +384,17 @@ def _eval_encoded(enc, n):
         r = len(arr)
         bs = True
         for i in range(r - 1):
-            e1 = arr[i]
-            e2 = arr[i + 1]
-            a1 = e1 >> 4
-            b1 = e1 & 15
-            a2 = e2 >> 4
-            b2 = e2 & 15
+            a1, b1 = arr[i]
+            a2, b2 = arr[i + 1]
             if (b1 if b1 < b2 else b2) - (a1 if a1 > a2 else a2) >= 2:
                 bs = False
                 break
         if bs:
-            lev = (arr[0] & 15) + rowoff + 1
-            if lev != (arr[-1] >> 4) + 1 + rowoff + r:
+            lev = arr[0][1] + rowoff + 1
+            if lev != arr[-1][0] + 1 + rowoff + r:
                 return -1
             for i in range(r):
-                if (arr[i] >> 4) + 2 + rowoff + i < lev:
+                if arr[i][0] + 2 + rowoff + i < lev:
                     return -1
             total += 1
             continue
@@ -497,11 +406,9 @@ def _eval_encoded(enc, n):
         prevra = -1
         prevrb = 0
         for i in range(r):
-            e = arr[i]
-            a = e >> 4
-            b = e & 15
+            a, b = arr[i]
             if i + 1 < r:
-                nb = arr[i + 1] & 15
+                nb = arr[i + 1][1]
                 hi = b if b < nb - 1 else nb - 1
                 if hi < a:
                     hi = a
@@ -516,7 +423,7 @@ def _eval_encoded(enc, n):
                 if rem is None:
                     rem = []
                     remoff = rowoff + i
-                rem.append((a << 4) | hi)
+                rem.append((a, hi))
                 prevra = a
                 prevrb = hi
             else:
@@ -561,17 +468,6 @@ def _cbs_encoded(sa, sb, lo, hi, rowoff):
     return True
 
 
-def encode_shape(shape: SkewShape, rows: int):
-    """Pack a normalized shape into the scanner's row encoding."""
-    nf = normal_form(shape)
-    enc = [-1] * rows
-    for j in range(1, len(nf.outer.parts) + 1):
-        a, b = nf.inner.part(j), nf.outer.part(j)
-        if b > a:
-            enc[j - 1] = (a << 4) | b
-    return enc
-
-
 @dataclass
 class BoxScan:
     rows: int
@@ -588,8 +484,9 @@ def scan_box(rows: int, cols: int) -> BoxScan:
 
     Counts shapes and Dyck shapes, tallies depths, and counts
     violations of the bound depth <= width. The empty shape is
-    included (depth 0). Column intervals are packed four bits each,
-    so cols must stay below 16.
+    included (depth 0). Box sides must lie in 1..15: the number of
+    shapes grows exponentially with the box, so this bounds the input,
+    not the encoding.
     """
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be positive")
@@ -601,7 +498,8 @@ def scan_box(rows: int, cols: int) -> BoxScan:
     maxdp = 0
     nviol = 0
     depth_counts = {0: 1}
-    buf = [-1] * K
+    buf = [None] * K
+    pairs = [[(a, b) for b in range(M + 1)] for a in range(M)]
     evaluate = _eval_encoded
 
     def rec(depth, la, lb, gap, touched0, minw, maxw):
@@ -609,7 +507,7 @@ def scan_box(rows: int, cols: int) -> BoxScan:
         if depth == K:
             if touched0:
                 count += 1
-                d = evaluate(buf, K)
+                d = evaluate(buf)
                 if d >= 0:
                     ndyck += 1
                     depth_counts[d] = depth_counts.get(d, 0) + 1
@@ -618,33 +516,33 @@ def scan_box(rows: int, cols: int) -> BoxScan:
                     if d > maxw - minw:
                         nviol += 1
             return
-        buf[depth] = -1
+        buf[depth] = None
         rec(depth + 1, la, lb, True, touched0, minw, maxw)
         if gap:
             lim = la if la < M else M
             for a in range(M):
-                e0 = a << 4
+                row = pairs[a]
                 t0 = touched0 or a == 0
                 mw = a if a < minw else minw
                 for b in range(a + 1, lim + 1):
-                    buf[depth] = e0 | b
+                    buf[depth] = row[b]
                     rec(depth + 1, a, b, False, t0, mw, b if b > maxw else maxw)
         else:
             for a in range(la + 1):
-                e0 = a << 4
+                row = pairs[a]
                 t0 = touched0 or a == 0
                 mw = a if a < minw else minw
                 for b in range(a + 1, lb + 1):
-                    buf[depth] = e0 | b
+                    buf[depth] = row[b]
                     rec(depth + 1, a, b, False, t0, mw, b if b > maxw else maxw)
-        buf[depth] = -1
+        buf[depth] = None
 
     for a in range(M):
-        e0 = a << 4
+        row = pairs[a]
         for b in range(a + 1, M + 1):
-            buf[0] = e0 | b
+            buf[0] = row[b]
             rec(1, a, b, False, a == 0, a, b)
-        buf[0] = -1
+        buf[0] = None
     return BoxScan(rows=K, cols=M, shapes=count, dyck=ndyck, max_depth=maxdp,
                    depth_counts=dict(sorted(depth_counts.items())),
                    bound_violations=nviol)

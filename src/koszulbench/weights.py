@@ -161,15 +161,6 @@ class PrimeSearch:
         return out
 
 
-def _primes_up_to(bound: int):
-    sieve = bytearray([1]) * (bound + 1)
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            yield p
-            for m in range(p * p, bound + 1, p):
-                sieve[m] = 0
-
-
 def find_separating_prime(weights, l: int, bound: int = 100) -> PrimeSearch:
     """Search for a prime q <= bound with q^e mod l pairwise distinct.
 
@@ -179,7 +170,7 @@ def find_separating_prime(weights, l: int, bound: int = 100) -> PrimeSearch:
     separates, and such primes exist, so exhausting the bound only
     means the bound is too small.
     """
-    if l < 2 or any(l % d == 0 for d in range(2, int(l ** 0.5) + 1)):
+    if not _linalg.is_prime(l):
         raise ValueError("l = %d is not prime" % l)
     ws = sorted(set(weights))
     seen = {}
@@ -188,8 +179,8 @@ def find_separating_prime(weights, l: int, bound: int = 100) -> PrimeSearch:
         if r in seen:
             return PrimeSearch("none_exists", None, None)
         seen[r] = e
-    for p in _primes_up_to(bound):
-        if p == l:
+    for p in range(2, bound + 1):
+        if p == l or not _linalg.is_prime(p):
             continue
         res = separation_residues(ws, p, l)
         if len(set(res)) == len(res):
@@ -203,20 +194,14 @@ def _mat_sub_scalar(matrix, s):
             for i in range(n)]
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def _mat_pow(matrix, e):
     n = len(matrix)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = [list(r) for r in matrix]
     while e:
         if e & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
+            out = _linalg.mat_mul(out, base)
+        base = _linalg.mat_mul(base, base)
         e >>= 1
     return out
 
@@ -290,7 +275,7 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     The matrix must be invertible mod l (an automorphism of the local
     lattice) and l must be prime and prime to q.
     """
-    if l < 2 or any(l % d == 0 for d in range(2, int(l ** 0.5) + 1)):
+    if not _linalg.is_prime(l):
         raise ValueError("l = %d is not prime" % l)
     if q % l == 0:
         raise ValueError("q = %d is divisible by l = %d" % (q, l))

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -212,6 +213,27 @@ def test_bad_inputs_exit_one(capsys):
         code, out, err = run(argv, capsys)
         assert code == 1, argv
         assert err != "", argv
+
+
+# 2**61 - 1 is prime; trial division up to its square root would run
+# for hours, so the 2**31 limit must reject it before dividing.
+HUGE_PRIME = str(2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--builtin", "p1", "--field", "F:" + HUGE_PRIME],
+    ["primes", "--l", HUGE_PRIME, "--wt", "0,1"],
+    ["phidec", "--matrix", str(REPO / "docs" / "examples" /
+                               "phidec_matrix.json"),
+     "--q", "4", "--l", HUGE_PRIME],
+], ids=["koszul-field", "primes-l", "phidec-l"])
+def test_prime_above_limit_exits_one_at_once(argv, capsys):
+    start = time.monotonic()
+    code, out, err = run(argv, capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "below 2^31" in err
 
 
 def test_unknown_subcommand_prints_usage(capsys):

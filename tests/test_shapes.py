@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulbench.shapes import (
     BoxScan,
@@ -22,6 +23,33 @@ from koszulbench.shapes import (
 
 def sh(outer, inner=()):
     return SkewShape(Partition(outer), Partition(inner))
+
+
+def oracle_depth(shape):
+    """The four-rule recursion on SkewShape objects, or None when the
+    shape is not Dyck. Built only from the object-level primitives, so
+    it shares no code with the row-interval evaluator."""
+    if shape.is_empty():
+        return 0
+    comps = connected_components(shape)
+    if len(comps) > 1:
+        depths = [oracle_depth(c) for c in comps]
+        return None if None in depths else sum(depths)
+    if is_border_strip(shape):
+        return 1 if is_dyck_cbs(shape) else None
+    strip = oracle_depth(outer_border_strip(shape))
+    if strip is None:
+        return None
+    cs = shape.cell_set()
+    rest = oracle_depth(shape_from_cells(
+        (i, j) for i, j in shape.cells if (i + 1, j + 1) in cs))
+    return None if rest is None else strip + rest
+
+
+def assert_matches_oracle(shape):
+    want = oracle_depth(shape)
+    v = dyck_depth(shape)
+    assert (v.is_dyck, v.depth) == (want is not None, want or 0), shape
 
 
 def test_partition_validation():
@@ -193,10 +221,10 @@ def test_scanner_agrees_with_recursion():
         counts = {0: 1}
         for shape in enumerate_box_shapes(rows, cols):
             shapes += 1
-            v = dyck_depth(shape)
-            if v.is_dyck:
+            d = oracle_depth(shape)
+            if d is not None:
                 dyck += 1
-                counts[v.depth] = counts.get(v.depth, 0) + 1
+                counts[d] = counts.get(d, 0) + 1
         scan = scan_box(rows, cols)
         assert scan.shapes == shapes
         assert scan.dyck == dyck
@@ -219,7 +247,105 @@ def test_scan_box_rejects_bad_sizes():
         scan_box(16, 2)
 
 
-def test_encode_shape_matches_enumerator():
-    shape = sh((3, 3, 2), (2, 1))
-    enc = encode_shape(shape, 4)
-    assert len(enc) == 4
+def test_encode_shape_rows():
+    assert encode_shape(sh((3, 3, 2), (2, 1))) == [(2, 3), (1, 3), (0, 2)]
+    # a translate keeps its columns; empty rows, leading or in the
+    # middle, encode as None
+    assert encode_shape(sh((4, 4), (3, 3))) == [(3, 4), (3, 4)]
+    assert encode_shape(sh((5, 5, 4), (5, 3))) == [None, (3, 5), (0, 4)]
+    assert encode_shape(sh((3, 2, 2), (2, 2, 1))) == [(2, 3), None, (1, 2)]
+    assert encode_shape(sh(())) == []
+
+
+@pytest.mark.parametrize("k,m", [(4, 4), (3, 5), (5, 3)])
+def test_dyck_depth_matches_oracle_on_every_skew_pair(k, m):
+    parts = enumerate_partitions_in_box(k, m)
+    for lam in parts:
+        for mu in parts:
+            if lam.contains(mu):
+                assert_matches_oracle(SkewShape(lam, mu))
+
+
+@st.composite
+def wide_skew_shapes(draw):
+    """lam/mu exactly 16-24 columns wide: the first row reaches the
+    last column and the last row starts in the first."""
+    width = draw(st.integers(16, 24))
+    rows = draw(st.integers(1, 6))
+    outer = sorted(draw(st.lists(st.integers(1, width), min_size=rows - 1,
+                                 max_size=rows - 1)) + [width], reverse=True)
+    inner = [draw(st.integers(0, width - 1))]
+    for j in range(1, rows):
+        inner.append(draw(st.integers(0, min(inner[-1], outer[j]))))
+    inner[-1] = 0
+    return sh(outer, inner)
+
+
+SMALL_SHAPES = list(enumerate_box_shapes(3, 3))
+
+
+def dyck_ribbon(choices, n):
+    """Cells of the border strip walked along a Dyck path with n right
+    steps, from its south-west end: a right step raises the level
+    i + j by one and an up step lowers it. choices[t] asks for a right
+    step at step t; the path stays at or above its starting level."""
+    steps = []
+    level = 0
+    for right in choices:
+        if (right or level == 0) and steps.count(True) < n:
+            steps.append(True)
+            level += 1
+        elif level > 0:
+            steps.append(False)
+            level -= 1
+    missing = n - steps.count(True)
+    steps += [True] * missing + [False] * (level + missing)
+    i, j = 1, n + 1
+    cells = [(i, j)]
+    for right in steps:
+        i, j = (i + 1, j) if right else (i, j - 1)
+        cells.append((i, j))
+    return cells
+
+
+@st.composite
+def dyck_piece(draw, room):
+    """Normalized cells of a Dyck ribbon, a square, or any small shape,
+    at most room columns wide."""
+    kind = draw(st.sampled_from(["ribbon", "square", "small"]))
+    if kind == "ribbon":
+        n = draw(st.integers(0, room - 1))
+        return dyck_ribbon(draw(st.lists(st.booleans(), max_size=2 * n)), n)
+    if kind == "square":
+        k = draw(st.integers(1, room))
+        return list(sh((k,) * k).cells)
+    return list(draw(st.sampled_from(
+        [s for s in SMALL_SHAPES if s.width() <= room])).cells)
+
+
+@st.composite
+def wide_assembled_shapes(draw):
+    """Pieces placed from the south-west to the north-east, each one
+    strictly above and to the right of the last, touching it at most
+    at a corner; the result is 16-24 columns wide and translated."""
+    target = draw(st.integers(16, 24))
+    cells = []
+    col = 0
+    top = 1
+    while col < target:
+        gap = draw(st.integers(0, 1)) if 0 < col < target - 1 else 0
+        piece = draw(dyck_piece(target - col - gap))
+        bottom = top - draw(st.integers(1, 2))
+        h = max(j for _, j in piece)
+        cells += [(i + col + gap, j + bottom - h) for i, j in piece]
+        col = max(i for i, _ in cells)
+        top = min(j for _, j in cells)
+    dx, dy = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return shape_from_cells((i + dx, j + 1 - top + dy) for i, j in cells)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(wide_skew_shapes(), wide_assembled_shapes()))
+def test_dyck_depth_matches_oracle_on_wide_shapes(shape):
+    assert 16 <= shape.width() <= 24
+    assert_matches_oracle(shape)
