@@ -155,7 +155,9 @@ def char_poly(matrix):
             M[i][i] += coeffs[n - k + 1]
         AM = mat_mul(matrix, M)
         trace = sum(AM[i][i] for i in range(n))
-        assert trace % k == 0
+        if trace % k:
+            raise ArithmeticError("trace %d of step %d is not divisible by %d"
+                                  % (trace, k, k))
         coeffs[n - k] = -trace // k
         M = AM
     return coeffs
@@ -204,7 +206,9 @@ def det_bareiss(matrix) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 val = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                assert val % prev == 0
+                if val % prev:
+                    raise ArithmeticError("inexact Bareiss step: %d / %d"
+                                          % (val, prev))
                 m[i][j] = val // prev
             m[i][k] = 0
         prev = m[k][k]

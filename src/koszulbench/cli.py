@@ -45,6 +45,11 @@ subcommands:
 every subcommand accepts --json"""
 
 
+# 8x8, the largest box with frozen counts, already scans for about 80 s;
+# the shape count grows exponentially with the number of cells.
+_MAX_BOX_CELLS = 64
+
+
 class _UsageError(Exception):
     pass
 
@@ -116,6 +121,9 @@ def _cmd_dyck_enumerate(args) -> int:
         rows, cols = int(rows_text), int(cols_text)
     except ValueError:
         raise ValueError("cannot parse box %r; expected KxM" % ns.box)
+    if rows * cols > _MAX_BOX_CELLS:
+        raise ValueError("box %dx%d has more than %d cells"
+                         % (rows, cols, _MAX_BOX_CELLS))
     scan = scan_box(rows, cols)
     text = ("box: %dx%d\nshapes: %d\ndyck: %d\nmax_depth: %d\n"
             "bound_violations: %d"

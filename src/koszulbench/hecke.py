@@ -1,15 +1,17 @@
 """Symmetric group combinatorics and Kazhdan-Lusztig polynomials.
 
 A permutation is a tuple of images in one-line notation, so (2, 3, 1)
-sends 1 to 2. KL polynomials are computed by the descent recursion
-with mu corrections, whole Bruhat columns at a time, and are stored as
-polynomials in q (one LaurentPoly exponent per power of q; q is v
-squared everywhere else in the package).
+sends 1 to 2. KL polynomials are computed by KLTable with the descent
+recursion and mu corrections, whole Bruhat columns at a time, on
+per-table integer ids of permutations. They are stored as polynomials
+in q (one LaurentPoly exponent per power of q; q is v squared
+everywhere else in the package).
 
 Three classical facts keep the recursion small: P_{x,w} = 1 whenever
-l(w) - l(x) <= 2, the column of the longest element is identically 1,
-and every column of a permutation avoiding the patterns 3412 and 4231
-is identically 1 (smooth Schubert variety).
+l(w) - l(x) <= 2; every column of a permutation avoiding the patterns
+3412 and 4231 is identically 1 (smooth Schubert variety); and when
+v = ws < w, the interval [e, w] is [e, v] together with [e, v] s
+(lifting property), so a smooth column is read off the column of v.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from bisect import insort
 from .laurent import LaurentPoly
 
 _LEN = {}
-_SMOOTH = {}
 
 
 def parse_permutation(text: str, n=None):
@@ -48,17 +49,16 @@ def render_permutation(w) -> str:
     return ",".join(str(i) for i in w)
 
 
+def _inversions(w) -> int:
+    n = len(w)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
+
+
 def length(w) -> int:
     """Inversion count."""
     r = _LEN.get(w)
     if r is None:
-        r = 0
-        for a in range(len(w)):
-            wa = w[a]
-            for b in range(a + 1, len(w)):
-                if wa > w[b]:
-                    r += 1
-        _LEN[w] = r
+        r = _LEN[w] = _inversions(w)
     return r
 
 
@@ -113,59 +113,47 @@ def bruhat_leq(x, w) -> bool:
 def is_smooth(w) -> bool:
     """Pattern avoidance of 3412 and 4231, which for type A is
     equivalent to every P_{x,w} being 1."""
-    r = _SMOOTH.get(w)
-    if r is not None:
-        return r
-    n = len(w)
-    r = True
-    for pos in itertools.combinations(range(n), 4):
-        a, b, c, d = (w[p] for p in pos)
+    for a, b, c, d in itertools.combinations(w, 4):
         if c < d < a < b or d < b < c < a:
-            r = False
-            break
-    _SMOOTH[w] = r
-    return r
+            return False
+    return True
 
 
-# Polynomials in q inside the engine are plain coefficient tuples,
-# index = power of q, trailing zeros stripped.
-
-_ONE = (1,)
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# Inside the engine a polynomial in q is one int, its value at
+# q = 2^_BITS: coefficient e fills bits [_BITS e, _BITS (e + 1)). This
+# is exact because the coefficients of P_{x,w} are nonnegative and the
+# mu terms only subtract, so each is at most the sum of two entries of
+# the column of v = ws: below 2^l(w) <= 2^36 under the rank cap.
+_BITS = 64
+_MASK = (1 << _BITS) - 1
 
 
-def _pshift(p, k):
-    return (0,) * k + p if p else p
-
-
-def _psubmul(p, q, m, k):
-    """p - m * q^k * q(poly), in place semantics on tuples."""
-    out = list(p) + [0] * max(0, len(q) + k - len(p))
-    for i, c in enumerate(q):
-        out[i + k] -= m * c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _coeffs(p):
+    """Ascending coefficients of an engine polynomial."""
+    out = []
+    while p:
+        out.append(p & _MASK)
+        p >>= _BITS
+    return out
 
 
 class KLTable:
     """Memoized Kazhdan-Lusztig polynomials for one symmetric group.
 
-    The memo holds whole columns keyed by w: a dict from x to the
-    coefficient tuple of P_{x,w}. Growth is bounded by the rank cap
-    (default 7; raising it past 9 is refused). Confine one table to
-    one thread; every computed value is deterministic, so duplicated
-    work between tables is harmless.
+    The public methods take permutation tuples; the engine works on
+    small-int ids, private to the table. A permutation is interned the
+    first time the table touches it, and the table keeps by id its
+    tuple, length, first descent, smoothness flag (worked out when
+    first asked) and neighbour under each right s_i (filled in when
+    first stepped to). Nothing is precomputed, so building a table is
+    O(1) and a query interns only what its recursion reaches.
+
+    The memo holds whole columns keyed by the id of w: a dict from the
+    id of x to P_{x,w} packed into one int (see _BITS), with an entry
+    for every x in [e, w]. Growth is bounded by the rank cap (default 7;
+    raising it past 9 is refused). Confine one table to one thread;
+    every computed value is deterministic, so duplicated work between
+    tables is harmless.
     """
 
     def __init__(self, n: int, cap: int = 7):
@@ -177,6 +165,12 @@ class KLTable:
             raise ValueError("rank must be positive")
         self.n = n
         self.cap = cap
+        self._ids = {}
+        self._perm = []
+        self._len = []
+        self._desc = []
+        self._smooth = []
+        self._nbr = [[] for _ in range(n - 1)]
         self._cols = {}
         self._w0 = longest_element(n)
 
@@ -184,9 +178,8 @@ class KLTable:
 
     def kl_polynomial(self, x, w) -> LaurentPoly:
         """P_{x,w} as a polynomial in q (exponents are q powers)."""
-        check_permutation(x, self.n)
-        check_permutation(w, self.n)
-        return LaurentPoly({e: c for e, c in enumerate(self._value(x, w)) if c})
+        p = self._value(self._id(x), self._id(w))
+        return LaurentPoly({e: c for e, c in enumerate(_coeffs(p)) if c})
 
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}, the inverse KL polynomial."""
@@ -197,12 +190,11 @@ class KLTable:
 
     def mu(self, x, w) -> int:
         """The coefficient of q^((l(w)-l(x)-1)/2) in P_{x,w}."""
-        gap = length(w) - length(x)
-        if gap <= 0 or gap % 2 == 0:
+        x, w = self._id(x), self._id(w)
+        gap = self._len[w] - self._len[x]
+        if gap < 0 or gap % 2 == 0:
             return 0
-        p = self._value(x, w)
-        want = (gap - 1) // 2
-        return p[want] if len(p) == want + 1 else 0
+        return self._value(x, w) >> (_BITS * (gap >> 1))
 
     def export_pairs(self, pairs):
         """JSON-ready list of {x, w, coeffs} for the given pairs."""
@@ -214,106 +206,114 @@ class KLTable:
                         "coeffs": poly.to_json_dict()})
         return out
 
+    # -- ids -------------------------------------------------------------
+
+    def _id(self, w) -> int:
+        check_permutation(w, self.n)
+        return self._intern(w)
+
+    def _intern(self, w, lw=None) -> int:
+        k = self._ids.get(w)
+        if k is None:
+            k = self._ids[w] = len(self._perm)
+            self._perm.append(w)
+            self._len.append(_inversions(w) if lw is None else lw)
+            self._desc.append(first_descent(w))
+            self._smooth.append(None)
+            for nbr in self._nbr:
+                nbr.append(-1)
+        return k
+
+    def _step(self, x, i) -> int:
+        """Id of x * s_{i+1} (0-based i)."""
+        y = self._nbr[i][x]
+        if y < 0:
+            p = self._perm[x]
+            y = self._intern(mul_s(p, i),
+                             self._len[x] + (1 if p[i] < p[i + 1] else -1))
+            self._nbr[i][x] = y
+            self._nbr[i][y] = x
+        return y
+
+    def _is_smooth(self, w) -> bool:
+        if self._smooth[w] is None:
+            self._smooth[w] = is_smooth(self._perm[w])
+        return self._smooth[w]
+
     # -- engine ----------------------------------------------------------
 
     def _value(self, x, w):
-        """Coefficient tuple of P_{x,w}; () when x is not below w."""
-        lw = length(w)
-        lx = length(x)
-        if lx > lw or (lx == lw and x != w):
-            return ()
-        if x == w:
-            return _ONE
-        if lw - lx <= 2 or is_smooth(w):
-            return _ONE if bruhat_leq(x, w) else ()
-        # inversion symmetry: columns are shared between w and w^{-1}
-        if w not in self._cols:
-            wi = inverse(w)
-            if wi in self._cols:
-                return self._cols[wi].get(inverse(x), ())
-        return self._column(w).get(x, ())
+        """P_{x,w} for ids, as an engine polynomial; 0 off [e, w]."""
+        lx = self._len[x]
+        lw = self._len[w]
+        if lx >= lw:
+            return int(x == w)
+        col = self._cols.get(w)
+        if col is not None:
+            return col.get(x, 0)
+        if lw - lx <= 2 or self._is_smooth(w):
+            return int(bruhat_leq(self._perm[x], self._perm[w]))
+        return self._column(w).get(x, 0)
 
     def _column(self, w):
+        """The column of w, built from the column of v = ws < w with s
+        the first right descent of w."""
         col = self._cols.get(w)
         if col is not None:
             return col
-        n = self.n
-        lw = length(w)
-        if w == self._w0:
-            col = {x: _ONE for x in itertools.permutations(range(1, n + 1))}
+        i = self._desc[w]
+        if i < 0:
+            col = self._cols[w] = {w: 1}
+            return col
+        colv = self._column(self._step(w, i))
+        nbr = self._nbr[i]
+        for y in colv:
+            if nbr[y] < 0:
+                self._step(y, i)
+        if self._is_smooth(w):
+            # lifting property: [e, w] is [e, v] together with [e, v] s
+            col = dict.fromkeys(colv, 1)
+            col.update(dict.fromkeys((nbr[y] for y in colv), 1))
             self._cols[w] = col
             return col
-        if is_smooth(w) or lw <= 2:
-            col = self._interval_ones(w)
-            self._cols[w] = col
-            return col
-        i = first_descent(w)
-        v = mul_s(w, i)
-        colv = self._column(v)
-        lv = lw - 1
-        # nonzero mu(z, v) with zs < z
+        L = self._len
+        lw = L[w]
+        # columns of the z < v with zs < z and nonzero mu(z, v)
         muz = []
         for z, pz in colv.items():
-            if z[i] > z[i + 1]:
-                gap = lv - length(z)
-                if gap == 1:
-                    muz.append((z, 1, (lw - length(z)) >> 1, length(z)))
-                elif gap >= 3 and gap % 2 and len(pz) == ((gap - 1) >> 1) + 1:
-                    muz.append((z, pz[-1], (lw - length(z)) >> 1, length(z)))
+            lz = L[z]
+            gap = lw - 1 - lz
+            if L[nbr[z]] < lz and gap % 2:
+                m = pz >> (_BITS * (gap >> 1))
+                if m:
+                    muz.append((self._column(z), m,
+                                _BITS * ((gap + 1) >> 1), lz))
         col = {}
         for y, py in colv.items():
             # x = y: either c = 0 (ys above y) or c = 1 (ys below y)
-            ys = mul_s(y, i)
-            pys = colv.get(ys, ())
-            if length(ys) > length(y):
-                p = _padd(_pshift(pys, 1), py)
+            ys = nbr[y]
+            if L[ys] > L[y]:
+                p = py + (colv.get(ys, 0) << _BITS)
             else:
-                p = _padd(pys, _pshift(py, 1))
-            p = self._corrections(p, y, length(y), muz)
-            if p:
-                col[y] = p
-        for y in colv:
+                p = colv[ys] + (py << _BITS)
+            col[y] = _corrections(p, y, L[y], muz)
+        for y, py in colv.items():
             # x = y s above v: x <= w via lifting, with xs = y
-            x = mul_s(y, i)
-            if x in col or x in colv or length(x) != length(y) + 1:
-                continue
-            p = colv[y]
-            p = self._corrections(p, x, length(x), muz)
-            if p:
-                col[x] = p
+            x = nbr[y]
+            if x not in colv and L[x] == L[y] + 1:
+                col[x] = _corrections(py, x, L[x], muz)
         self._cols[w] = col
         return col
 
-    def _corrections(self, p, x, lx, muz):
-        for z, m, half, lz in muz:
-            if lz < lx or not p:
-                continue
-            pz = self._value(x, z)
-            if pz:
-                p = _psubmul(p, pz, m, half)
-        return p
 
-    def _interval_ones(self, w):
-        """The column of a smooth w: 1 on [e, w], via downward covers."""
-        n = self.n
-        col = {w: _ONE}
-        frontier = [w]
-        while frontier:
-            new = []
-            for u in frontier:
-                lu = length(u)
-                for a in range(n - 1):
-                    ua = u[a]
-                    for b in range(a + 1, n):
-                        if ua > u[b]:
-                            z = list(u)
-                            z[a], z[b] = z[b], z[a]
-                            z = tuple(z)
-                            if z not in col and length(z) == lu - 1:
-                                col[z] = _ONE
-                                new.append(z)
-            frontier = new
-        return col
+def _corrections(p, x, lx, muz):
+    """Subtract the mu terms of the recursion from p, the entry at x."""
+    for colz, m, shift, lz in muz:
+        if lz >= lx:
+            pz = colz.get(x)
+            if pz:
+                p -= m * pz << shift
+    return p
 
 
 def grassmannian_permutations(k: int, n: int):

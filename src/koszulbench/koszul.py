@@ -353,9 +353,9 @@ def _advance(algebra, field, fbasis, pos, blocks):
         if kern:
             for vec in kern:
                 for idx, (j, bname) in enumerate(basis2):
-                    if bname in algebra._idem_names:
-                        assert field.is_zero(vec[idx]), \
-                            "cover is not minimal"
+                    if (bname in algebra._idem_names
+                            and not field.is_zero(vec[idx])):
+                        raise RuntimeError("cover is not minimal")
             new_blocks[key2] = kern
     return new_summands, fbasis2, pos2, new_blocks
 

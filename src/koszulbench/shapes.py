@@ -122,32 +122,38 @@ def jump_sequence(lam: Partition, k: int):
 
 
 class SkewShape:
-    """The skew shape outer - inner, with its derived cell set."""
+    """The skew shape outer - inner; its cell set is built on first use."""
 
-    __slots__ = ("outer", "inner", "cells")
+    __slots__ = ("outer", "inner", "_cells")
 
     def __init__(self, outer, inner=()):
         outer = outer if isinstance(outer, Partition) else Partition(outer)
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
             raise ValueError("inner %s not contained in outer %s" % (inner, outer))
-        cells = []
-        for j in range(1, len(outer.parts) + 1):
-            for i in range(inner.part(j) + 1, outer.part(j) + 1):
-                cells.append((i, j))
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "cells", tuple(sorted(cells)))
+        object.__setattr__(self, "_cells", None)
 
     def __setattr__(self, *a):
         raise AttributeError("SkewShape is immutable")
 
     @property
+    def cells(self):
+        """The cells (i, j), sorted."""
+        if self._cells is None:
+            outer, inner = self.outer, self.inner
+            object.__setattr__(self, "_cells", tuple(sorted(
+                (i, j) for j in range(1, len(outer.parts) + 1)
+                for i in range(inner.part(j) + 1, outer.part(j) + 1))))
+        return self._cells
+
+    @property
     def size(self) -> int:
-        return len(self.cells)
+        return self.outer.size - self.inner.size
 
     def is_empty(self) -> bool:
-        return not self.cells
+        return self.size == 0
 
     def cell_set(self):
         return frozenset(self.cells)

@@ -237,7 +237,9 @@ def has_weights_in(matrix, q: int):
         if root_exp is None:
             return False, None
         rem, r = _linalg.poly_div_linear(rem, q ** root_exp)
-        assert r == 0
+        if r:
+            raise ArithmeticError("root q^%d left remainder %d"
+                                  % (root_exp, r))
         weights[root_exp] = weights.get(root_exp, 0) + 1
     return True, weights
 

@@ -236,6 +236,16 @@ def test_prime_above_limit_exits_one_at_once(argv, capsys):
     assert "below 2^31" in err
 
 
+@pytest.mark.parametrize("box", ["9x9", "5x13"])
+def test_box_above_cell_limit_exits_one_at_once(box, capsys):
+    start = time.monotonic()
+    code, out, err = run(["dyck", "enumerate", "--box", box], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "more than 64 cells" in err
+
+
 def test_unknown_subcommand_prints_usage(capsys):
     code, out, err = run(["frobnicate"], capsys)
     assert code == 1

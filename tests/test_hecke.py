@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulbench import hecke
 from koszulbench.hecke import KLTable
@@ -12,6 +13,103 @@ from koszulbench.shapes import Partition
 def q_poly(*coeffs):
     """LaurentPoly in q from ascending coefficients."""
     return LaurentPoly.from_pairs(list(enumerate(coeffs)))
+
+
+def _inv(w):
+    return sum(1 for a in range(len(w)) for b in range(a + 1, len(w))
+               if w[a] > w[b])
+
+
+def _swap(w, i):
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+
+
+def _plus(p, r, m, k):
+    """p + m * q^k * r on ascending coefficient tuples."""
+    out = list(p) + [0] * max(0, len(r) + k - len(p))
+    for e, c in enumerate(r):
+        out[e + k] += m * c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def textbook_kl(n):
+    """{w: {x: P_{x,w}}} on all of S_n by the defining recursion
+
+        P_{x,w} = q^(1-c) P_{xs,v} + q^c P_{x,v}
+                  - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+
+    s the first descent of w, v = ws, c = 1 when xs < x, z over zs < z.
+    It runs over every x, with no Bruhat test and no smooth, w0 or
+    inverse shortcut: P_{x,w} = 0 off [e, w] comes out of the recursion.
+    """
+    perms = sorted(itertools.permutations(range(1, n + 1)), key=_inv)
+    e = perms[0]
+    table = {e: {x: (1,) if x == e else () for x in perms}}
+    for w in perms[1:]:
+        i = next(a for a in range(n - 1) if w[a] > w[a + 1])
+        colv = table[_swap(w, i)]
+        lw = _inv(w)
+        muz = []
+        for z in perms:
+            gap, pz = lw - 1 - _inv(z), colv[z]
+            if (z[i] > z[i + 1] and gap > 0 and gap % 2
+                    and len(pz) == (gap + 1) // 2):
+                muz.append((table[z], pz[-1], (lw - _inv(z)) // 2))
+        col = table[w] = {}
+        for x in perms:
+            c = 1 if x[i] > x[i + 1] else 0
+            p = _plus(_plus((), colv[_swap(x, i)], 1, 1 - c), colv[x], 1, c)
+            for colz, m, half in muz:
+                p = _plus(p, colz[x], -m, half)
+            col[x] = p
+    return table
+
+
+def test_textbook_recursion_matches_table_on_s5():
+    table = KLTable(5)
+    for w, col in textbook_kl(5).items():
+        for x, p in col.items():
+            assert table.kl_polynomial(x, w) == q_poly(*p), (x, w)
+
+
+@pytest.fixture(scope="module")
+def big_tables():
+    return {6: KLTable(6), 7: KLTable(7)}
+
+
+@st.composite
+def comparable_pairs(draw):
+    """(x, w) in S_6 or S_7: w random, x random or below w by a chain
+    of swaps of inverted pairs."""
+    n = draw(st.sampled_from([6, 7]))
+    w = tuple(draw(st.permutations(range(1, n + 1))))
+    if draw(st.booleans()):
+        return tuple(draw(st.permutations(range(1, n + 1)))), w
+    x = list(w)
+    for _ in range(draw(st.integers(0, 6))):
+        inverted = [(a, b) for a in range(n) for b in range(a + 1, n)
+                    if x[a] > x[b]]
+        if not inverted:
+            break
+        a, b = draw(st.sampled_from(inverted))
+        x[a], x[b] = x[b], x[a]
+    return tuple(x), w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(comparable_pairs())
+def test_kl_symmetries_and_support(big_tables, pair):
+    x, w = pair
+    n = len(w)
+    table = big_tables[n]
+    w0 = hecke.longest_element(n)
+    p = table.kl_polynomial(x, w)
+    assert p == table.kl_polynomial(hecke.inverse(x), hecke.inverse(w))
+    assert p == table.kl_polynomial(hecke.compose(hecke.compose(w0, x), w0),
+                                    hecke.compose(hecke.compose(w0, w), w0))
+    assert p.is_zero() == (not hecke.bruhat_leq(x, w))
 
 
 def test_parse_and_render():

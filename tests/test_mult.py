@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import koszulbench
 from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
@@ -195,3 +196,16 @@ def test_dyck_matrix_unitriangular():
         for j, mu in enumerate(labels):
             if lam.size < mu.size:
                 assert D.entries[i][j].is_zero()
+
+
+def test_clear_caches_empties_and_recomputes():
+    space = mult.Space.flag(4)
+    before = mult.graded_cartan(space).to_json_dict()
+    assert hecke._LEN and mult._FLAG_TABLES
+    koszulbench.clear_caches()
+    assert not hecke._LEN and not mult._FLAG_TABLES
+    assert mult.graded_cartan(space).to_json_dict() == before
+    assert hecke._LEN and mult._FLAG_TABLES
+    # interned ids and columns belong to one table, never to the module
+    fresh = hecke.KLTable(4)
+    assert not fresh._ids and not fresh._cols

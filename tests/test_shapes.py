@@ -99,6 +99,36 @@ def test_skew_shape_cells():
         sh((2, 1), (3,))
 
 
+def test_skew_shape_derived_values_on_every_pair():
+    """Cells are built on first access, with the same values as the
+    cell set read straight off the two diagrams."""
+    for k, m in ((4, 4), (2, 6)):
+        labels = enumerate_partitions_in_box(k, m)
+        for lam in labels:
+            for mu in labels:
+                if not lam.contains(mu):
+                    continue
+                ref = {(i, j) for j, p in enumerate(lam.parts, 1)
+                       for i in range(mu.part(j) + 1, p + 1)}
+                shape = SkewShape(lam, mu)
+                assert shape._cells is None
+                assert shape.size == len(ref)
+                assert shape.is_empty() == (not ref)
+                assert shape.cells == tuple(sorted(ref))
+                assert shape.cell_set() == frozenset(ref)
+                cols = [i for i, _ in ref]
+                rows = [j for _, j in ref]
+                if ref:
+                    assert shape.width() == max(cols) - min(cols) + 1
+                    assert shape.height() == max(rows) - min(rows) + 1
+                else:
+                    assert shape.width() == shape.height() == 0
+                for attr in ("outer", "cells", "_cells"):
+                    with pytest.raises(AttributeError):
+                        setattr(shape, attr, None)
+                assert shape.cells is shape.cells
+
+
 def test_shape_from_cells_round_trip():
     for outer, inner in [((3, 3, 2), (2, 1)), ((5, 5, 5, 3, 3), (2, 2)),
                          ((4, 4, 2, 2), (3, 1, 1)), ((1,), ())]:
