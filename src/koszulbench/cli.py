@@ -45,9 +45,13 @@ subcommands:
 every subcommand accepts --json"""
 
 
-# 8x8, the largest box with frozen counts, already scans for about 80 s;
+# 8x8, the largest box with frozen counts, still scans for about 19 s;
 # the shape count grows exponentially with the number of cells.
 _MAX_BOX_CELLS = 64
+# Each resolution step can be far larger than the last (torsion_p1:3
+# over F3 doubles: i = 16 takes 0.6 s, i = 20 takes 13 s and 110 MB),
+# so the cutoff is bounded; the builtins' defaults are at most 8.
+_MAX_IMAX = 32
 
 
 class _UsageError(Exception):
@@ -238,6 +242,12 @@ def _cmd_phidec(args) -> int:
     return 0 if (report.applicable and report.decomposable) else 2
 
 
+def _check_imax(imax):
+    if imax is not None and not 1 <= imax <= _MAX_IMAX:
+        raise ValueError("--imax must lie in 1..%d, got %d"
+                         % (_MAX_IMAX, imax))
+
+
 def _load_cli_algebra(ns) -> koszul_mod.GradedAlgebra:
     if ns.builtin and ns.algebra:
         raise ValueError("give either --algebra or --builtin, not both")
@@ -257,6 +267,7 @@ def _cmd_koszul(args) -> int:
     parser.add_argument("--imax", type=int, default=None)
     parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
+    _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)
     report = koszul_mod.is_koszul(algebra, ns.field, ns.imax)
     _emit((report.render_text(), report.to_json_dict()), ns.json)
@@ -271,6 +282,7 @@ def _cmd_koszul_integral(args) -> int:
     parser.add_argument("--imax", type=int, default=None)
     parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
+    _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)
     report = koszul_mod.integral_koszul_check(algebra, ns.l, ns.imax)
     _emit((report.render_text(), report.to_json_dict()), ns.json)
@@ -318,8 +330,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, MemoryError, RecursionError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 1
 
 

@@ -243,6 +243,14 @@ def default_imax(algebra: GradedAlgebra) -> int:
     return 2 * (len(algebra.vertices) + deepest)
 
 
+def _checked_imax(algebra: GradedAlgebra, i_max) -> int:
+    if i_max is None:
+        return default_imax(algebra)
+    if i_max < 1:
+        raise ValueError("i_max must be at least 1, got %d" % i_max)
+    return i_max
+
+
 def _free_blocks(algebra, summands):
     fbasis = {}
     for t, (vtx, s) in enumerate(summands):
@@ -376,8 +384,7 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
     field = as_field(field)
     if lam not in algebra.idempotent:
         raise ValueError("unknown vertex %r" % lam)
-    if i_max is None:
-        i_max = default_imax(algebra)
+    i_max = _checked_imax(algebra, i_max)
     summands = [(lam, 0)]
     steps = [[(lam, 0)]]
     fbasis, pos = _free_blocks(algebra, summands)
@@ -454,8 +461,7 @@ class ExtTable:
 
 def ext_table(algebra: GradedAlgebra, field, i_max: int | None = None) -> ExtTable:
     field = as_field(field)
-    if i_max is None:
-        i_max = default_imax(algebra)
+    i_max = _checked_imax(algebra, i_max)
     resolutions = {}
     for lam in algebra.vertices:
         resolutions[lam] = minimal_resolution(algebra, lam, field, i_max)

@@ -118,6 +118,7 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     """
     hecke.check_permutation(x, n)
     hecke.check_permutation(y, n)
+    # inverse_kl is 0 here too, but reaching it through the table costs more.
     if not hecke.bruhat_leq(y, x):
         return LaurentPoly.zero()
     q_poly = _flag_table(n).inverse_kl(y, x)

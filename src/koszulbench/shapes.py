@@ -335,13 +335,32 @@ def transpose(shape: SkewShape) -> SkewShape:
 # ---------------------------------------------------------------------------
 # Row-interval evaluator and box scanner.
 #
-# The depth-bound sweep over the 8x8 box visits 12,320,068 shapes; the
+# The depth-bound sweep over the 8x8 box covers 12,320,068 shapes; the
 # object-level recursion above costs far too much per shape for that.
 # The evaluator below runs the same four-rule recursion iteratively on
 # per-row column intervals and never builds cell sets. It compares
 # levels only within one shape, so it needs neither normalization nor a
 # bound on the width. dyck_depth and scan_box both use it; tests check
 # it against the object-level recursion.
+#
+# Most shapes in a box are not Dyck (27,104 of 976,501 in the 7x7 box),
+# and a cheap necessary test rules most of them out row by row.
+# Pruning lemma: if a shape is Dyck, every connected component with
+# rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom, satisfies
+#   (i)  b_t + t - 1 >= b_0 for every 1 <= t < r, and
+#   (ii) a_{r-1} + r == b_0.
+# Proof sketch: rows of one component overlap, b_{t+1} > a_t, so its
+# outer border strip has the rows (b_{t+1} - 1, b_t] for t < r - 1 and
+# (a_{r-1}, b_{r-1}] last (sa_t = b_{t+1} - 1 in _eval_encoded). Each
+# is nonempty and meets the next in exactly one column, so the strip is
+# one connected border strip, and the recursion rejects the shape
+# unless that strip is Dyck. Relative to the component's top row, its
+# end cells (b_0, 0) and (a_{r-1} + 1, r - 1) must share the level
+# b_0, which is (ii), and no cell may lie below that level; the lowest
+# cell of strip row t - 1 is (b_t, t - 1), which is (i). Condition (i)
+# reads only rows already placed, and (ii) holds or fails once the
+# component closes, so scan_box drops every prefix that breaks either
+# and still runs the full evaluator on each shape that survives.
 # ---------------------------------------------------------------------------
 
 
@@ -485,6 +504,22 @@ class BoxScan:
     bound_violations: int
 
 
+def _row_successors(cols: int) -> dict:
+    """Maps (la, lb, gap) to the nonempty rows (a, b] that may follow
+    the nonempty row (la, lb] of a shape in a box cols wide: directly
+    below it (gap False: a <= la and b <= lb, the two partitions weakly
+    decrease) or after one or more empty rows (gap True: strictly to
+    the left, b <= la)."""
+    succ = {}
+    for la in range(cols):
+        for lb in range(la + 1, cols + 1):
+            succ[la, lb, False] = [(a, b) for a in range(la + 1)
+                                   for b in range(a + 1, lb + 1)]
+            succ[la, lb, True] = [(a, b) for a in range(la)
+                                  for b in range(a + 1, la + 1)]
+    return succ
+
+
 def scan_box(rows: int, cols: int) -> BoxScan:
     """Sweep every normalized skew shape inside a rows x cols box.
 
@@ -493,62 +528,81 @@ def scan_box(rows: int, cols: int) -> BoxScan:
     included (depth 0). Box sides must lie in 1..15: the number of
     shapes grows exponentially with the box, so this bounds the input,
     not the encoding.
+
+    The shape total comes from a transfer matrix over row intervals;
+    the full evaluator runs only on the shapes whose components pass
+    the pruning lemma above.
     """
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be positive")
     if cols >= 16 or rows >= 16:
         raise ValueError("scanner supports boxes up to 15x15")
     K, M = rows, cols
-    count = 0
+    succ = _row_successors(M)
+    memo = {}
+
+    def completions(depth, la, lb, gap, touched0):
+        # fillings of rows depth.. after the nonempty row (la, lb] in
+        # which some row starts at column 0
+        if depth == K:
+            return 1 if touched0 else 0
+        key = (depth, la, lb, gap, touched0)
+        n = memo.get(key)
+        if n is None:
+            n = completions(depth + 1, la, lb, True, touched0)
+            for a, b in succ[la, lb, gap]:
+                n += completions(depth + 1, a, b, False, touched0 or a == 0)
+            memo[key] = n
+        return n
+
     ndyck = 0
     maxdp = 0
     nviol = 0
     depth_counts = {0: 1}
     buf = [None] * K
-    pairs = [[(a, b) for b in range(M + 1)] for a in range(M)]
     evaluate = _eval_encoded
 
-    def rec(depth, la, lb, gap, touched0, minw, maxw):
-        nonlocal count, ndyck, maxdp, nviol
+    def rec(depth, la, lb, gap, touched0, b0, r):
+        # the open component (gap False) has r rows, the first ending
+        # at column b0; closes says whether it may end after (la, lb]
+        nonlocal ndyck, maxdp, nviol
+        closes = gap or la + r == b0
         if depth == K:
-            if touched0:
-                count += 1
+            if touched0 and closes:
                 d = evaluate(buf)
                 if d >= 0:
                     ndyck += 1
                     depth_counts[d] = depth_counts.get(d, 0) + 1
                     if d > maxdp:
                         maxdp = d
-                    if d > maxw - minw:
+                    # no row ends right of the first and one starts
+                    # at column 0, so the width is the first row's end
+                    if d > buf[0][1]:
                         nviol += 1
             return
-        buf[depth] = None
-        rec(depth + 1, la, lb, True, touched0, minw, maxw)
-        if gap:
-            lim = la if la < M else M
-            for a in range(M):
-                row = pairs[a]
-                t0 = touched0 or a == 0
-                mw = a if a < minw else minw
-                for b in range(a + 1, lim + 1):
-                    buf[depth] = row[b]
-                    rec(depth + 1, a, b, False, t0, mw, b if b > maxw else maxw)
-        else:
-            for a in range(la + 1):
-                row = pairs[a]
-                t0 = touched0 or a == 0
-                mw = a if a < minw else minw
-                for b in range(a + 1, lb + 1):
-                    buf[depth] = row[b]
-                    rec(depth + 1, a, b, False, t0, mw, b if b > maxw else maxw)
+        if closes:
+            buf[depth] = None
+            rec(depth + 1, la, lb, True, touched0, 0, 0)
+        lo = b0 - r + 1
+        for e in succ[la, lb, gap]:
+            a, b = e
+            if b > la:
+                # overlaps the last row: row r of the open component
+                if b >= lo:
+                    buf[depth] = e
+                    rec(depth + 1, a, b, False, touched0 or a == 0, b0, r + 1)
+            elif closes:
+                # starts a new component
+                buf[depth] = e
+                rec(depth + 1, a, b, False, touched0 or a == 0, b, 1)
         buf[depth] = None
 
+    count = 0
     for a in range(M):
-        row = pairs[a]
         for b in range(a + 1, M + 1):
-            buf[0] = row[b]
-            rec(1, a, b, False, a == 0, a, b)
-        buf[0] = None
+            count += completions(1, a, b, False, a == 0)
+            buf[0] = (a, b)
+            rec(1, a, b, False, a == 0, b, 1)
     return BoxScan(rows=K, cols=M, shapes=count, dyck=ndyck, max_depth=maxdp,
                    depth_counts=dict(sorted(depth_counts.items())),
                    bound_violations=nviol)
@@ -560,6 +614,7 @@ def enumerate_box_shapes(rows: int, cols: int):
     the fast path for large sweeps."""
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be positive")
+    succ = _row_successors(cols)
     buf = [None] * rows
 
     def build():
@@ -577,17 +632,9 @@ def enumerate_box_shapes(rows: int, cols: int):
             return
         buf[depth] = None
         yield from rec(depth + 1, la, lb, True, touched0)
-        if gap:
-            lim = min(la, cols)
-            for a in range(cols):
-                for b in range(a + 1, lim + 1):
-                    buf[depth] = (a, b)
-                    yield from rec(depth + 1, a, b, False, touched0 or a == 0)
-        else:
-            for a in range(la + 1):
-                for b in range(a + 1, lb + 1):
-                    buf[depth] = (a, b)
-                    yield from rec(depth + 1, a, b, False, touched0 or a == 0)
+        for a, b in succ[la, lb, gap]:
+            buf[depth] = (a, b)
+            yield from rec(depth + 1, a, b, False, touched0 or a == 0)
         buf[depth] = None
 
     for a in range(cols):

@@ -246,6 +246,48 @@ def test_box_above_cell_limit_exits_one_at_once(box, capsys):
     assert "more than 64 cells" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--builtin", "p1", "--field", "Q", "--imax", "-3"],
+    ["koszul", "--builtin", "torsion_p1:3", "--field", "Q",
+     "--imax", "100000000"],
+    ["koszul", "integral", "--builtin", "p1", "--l", "5", "--imax", "0"],
+    ["koszul", "integral", "--builtin", "torsion_p1:3", "--l", "3",
+     "--imax", "33"],
+], ids=["koszul-below-1", "koszul-above-cap", "integral-below-1",
+        "integral-above-cap"])
+def test_imax_out_of_range_exits_one_at_once(argv, capsys):
+    start = time.monotonic()
+    code, out, err = run(argv, capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "--imax must lie in 1..32" in err
+
+
+def test_imax_bounds_are_accepted(capsys):
+    for imax in (1, 32):
+        code, out, _ = run(["koszul", "--builtin", "p1", "--field", "Q",
+                            "--imax", str(imax)], capsys)
+        assert code == 0
+        assert out == ("koszul: true (algebra p1 over Q, checked up to "
+                       "i = %d)\n" % imax)
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), RecursionError(
+    "maximum recursion depth exceeded")], ids=["memory", "recursion"])
+def test_resource_errors_exit_one_without_traceback(exc, capsys,
+                                                    monkeypatch):
+    def boom(argv):
+        raise exc
+    monkeypatch.setattr(cli, "_dispatch", boom)
+    code, out, err = run(["dyck", "enumerate", "--box", "2x2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_prints_usage(capsys):
     code, out, err = run(["frobnicate"], capsys)
     assert code == 1

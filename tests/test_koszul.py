@@ -155,6 +155,15 @@ def test_default_imax():
     assert default_imax(builtin_algebra("p1")) == 8
 
 
+@pytest.mark.parametrize("i_max", [0, -3])
+def test_imax_below_one_is_rejected(i_max):
+    A = builtin_algebra("p1")
+    with pytest.raises(ValueError):
+        minimal_resolution(A, "a", "Q", i_max)
+    with pytest.raises(ValueError):
+        ext_table(A, "Q", i_max)
+
+
 def test_integral_check_p1():
     report = integral_koszul_check(builtin_algebra("p1"), 5)
     assert report.dims_match

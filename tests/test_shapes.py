@@ -18,6 +18,7 @@ from koszulbench.shapes import (
     scan_box,
     shape_from_cells,
     transpose,
+    _eval_encoded,
 )
 
 
@@ -268,6 +269,96 @@ def test_scan_box_frozen_counts():
     scan6 = scan_box(6, 6)
     assert (scan6.shapes, scan6.dyck, scan6.max_depth) == (79931, 4192, 6)
     assert scan6.bound_violations == 0
+    scan7 = scan_box(7, 7)
+    assert (scan7.shapes, scan7.dyck, scan7.max_depth) == (976501, 27104, 7)
+    assert scan7.depth_counts == {0: 1, 1: 197, 2: 1670, 3: 5612, 4: 9043,
+                                  5: 7304, 6: 2849, 7: 429}
+    assert scan7.bound_violations == 0
+
+
+def brute_scan_box(rows, cols):
+    """Every normalized shape in the box through _eval_encoded, with no
+    pruning and no counter: the row recursion scan_box replaced, with
+    its own copy of the row-transition rule."""
+    K, M = rows, cols
+    count = 0
+    ndyck = 0
+    maxdp = 0
+    nviol = 0
+    depth_counts = {0: 1}
+    buf = [None] * K
+
+    def rec(depth, la, lb, gap, touched0, minw, maxw):
+        nonlocal count, ndyck, maxdp, nviol
+        if depth == K:
+            if touched0:
+                count += 1
+                d = _eval_encoded(buf)
+                if d >= 0:
+                    ndyck += 1
+                    depth_counts[d] = depth_counts.get(d, 0) + 1
+                    maxdp = max(maxdp, d)
+                    if d > maxw - minw:
+                        nviol += 1
+            return
+        buf[depth] = None
+        rec(depth + 1, la, lb, True, touched0, minw, maxw)
+        if gap:
+            lim = min(la, M)
+            for a in range(M):
+                for b in range(a + 1, lim + 1):
+                    buf[depth] = (a, b)
+                    rec(depth + 1, a, b, False, touched0 or a == 0,
+                        min(a, minw), max(b, maxw))
+        else:
+            for a in range(la + 1):
+                for b in range(a + 1, lb + 1):
+                    buf[depth] = (a, b)
+                    rec(depth + 1, a, b, False, touched0 or a == 0,
+                        min(a, minw), max(b, maxw))
+        buf[depth] = None
+
+    for a in range(M):
+        for b in range(a + 1, M + 1):
+            buf[0] = (a, b)
+            rec(1, a, b, False, a == 0, a, b)
+        buf[0] = None
+    return BoxScan(rows=K, cols=M, shapes=count, dyck=ndyck, max_depth=maxdp,
+                   depth_counts=dict(sorted(depth_counts.items())),
+                   bound_violations=nviol)
+
+
+def test_scan_box_matches_brute_force_on_every_small_box():
+    for k in range(1, 12):
+        for m in range(1, 13 - k):
+            assert scan_box(k, m) == brute_scan_box(k, m), (k, m)
+
+
+def component_rows(comp):
+    """The row intervals (a, b] of a connected shape, top to bottom."""
+    by_row = {}
+    for i, j in comp.cells:
+        by_row.setdefault(j, []).append(i)
+    return [(min(cols) - 1, max(cols)) for _, cols in sorted(by_row.items())]
+
+
+@pytest.mark.parametrize("k,m", [(4, 4), (3, 5), (5, 3)])
+def test_pruning_lemma_holds_on_dyck_shapes(k, m):
+    """Every component of a Dyck shape satisfies (i) and (ii) of the
+    pruning lemma in shapes.py; the components and the depths come from
+    the object-level code, not from the row-interval evaluator."""
+    seen = 0
+    for shape in enumerate_box_shapes(k, m):
+        if oracle_depth(shape) is None:
+            continue
+        for comp in connected_components(shape):
+            rows = component_rows(comp)
+            r = len(rows)
+            b0 = rows[0][1]
+            assert all(rows[t][1] + t - 1 >= b0 for t in range(1, r)), shape
+            assert rows[-1][0] + r == b0, shape
+            seen += 1
+    assert seen > 0
 
 
 def test_scan_box_rejects_bad_sizes():
