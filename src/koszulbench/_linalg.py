@@ -1,6 +1,6 @@
-"""Exact linear algebra helpers: rational and prime-field row
-reduction, integer characteristic polynomials, Smith normal form
-with a column transform, and Bareiss determinants.
+"""Exact linear algebra helpers: one incremental row echelon form on
+int rows over Q and F_p, integer characteristic polynomials, Smith
+normal form with a column transform, and Bareiss determinants.
 
 Everything here is dense and sized for the small matrices the rest
 of the package produces (ranks in the dozens at most).
@@ -8,8 +8,7 @@ of the package produces (ranks in the dozens at most).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -21,37 +20,10 @@ def is_prime(n: int) -> bool:
 
 
 class FieldQ:
-    """The rationals, via Fraction."""
+    """The rationals. Vectors over Q are kept as primitive integer
+    vectors, so no fraction is ever built."""
     name = "Q"
-
-    def of(self, i):
-        return Fraction(i)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return Fraction(1) / a
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    p = 0
 
 
 class FieldF:
@@ -63,85 +35,75 @@ class FieldF:
         self.p = p
         self.name = "F%d" % p
 
-    def of(self, i):
-        return i % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
+class Echelon:
+    """Incremental row echelon form on int lists, keyed by leading
+    index. Over F_p (p prime) entries are residues and every row has
+    leading entry 1; over Q (p = 0) every row is a primitive integer
+    vector, reduced fraction-free and divided by the gcd of its
+    entries."""
 
-    def sub(self, a, b):
-        return (a - b) % self.p
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = {}
 
-    def mul(self, a, b):
-        return (a * b) % self.p
+    def reduce(self, vec):
+        """(lead, reduced vec) with rows[lead] free, or None when vec
+        lies in the span."""
+        rows, p = self.rows, self.p
+        lead, n = 0, len(vec)
+        while True:
+            while lead < n and not vec[lead]:
+                lead += 1
+            if lead == n:
+                return None
+            row = rows.get(lead)
+            if row is None:
+                return lead, vec
+            b = vec[lead]
+            if p:
+                vec = [(x - b * y) % p for x, y in zip(vec, row)]
+            else:
+                a = row[lead]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                vec = [a * x - b * y for x, y in zip(vec, row)]
+                g = gcd(*vec)
+                if g > 1:
+                    vec = [x // g for x in vec]
 
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-
-def rref(rows, field):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns);
-    zero rows are dropped."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    lead = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(lead, len(rows)):
-            if not field.is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = field.inv(rows[lead][col])
-        rows[lead] = [field.mul(inv, x) for x in rows[lead]]
-        for r in range(len(rows)):
-            if r != lead and not field.is_zero(rows[r][col]):
-                c = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows[:lead], pivots
+    def add(self, vec) -> bool:
+        """Insert vec; True when it enlarged the span. The stored row
+        may be vec itself, so vec must not change afterwards."""
+        red = self.reduce(vec)
+        if red is None:
+            return False
+        lead, vec = red
+        p = self.p
+        if p:
+            inv = pow(vec[lead], p - 2, p)
+            vec = [x * inv % p for x in vec]
+        else:
+            g = gcd(*vec)
+            if g > 1:
+                vec = [x // g for x in vec]
+        self.rows[lead] = vec
+        return True
 
 
 def kernel_basis(columns, nrows, field):
     """Kernel of the linear map sending unit vector j to columns[j]
-    (each a dense length-nrows list). Returns kernel basis vectors of
-    length len(columns)."""
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for row, p in zip(red, pivots):
-            vec[p] = field.neg(row[f])
-        basis.append(vec)
-    return basis
+    (each a dense length-nrows int list). Each [columns[j] | e_j] goes
+    through one Echelon; the rows whose lead lies past nrows are a
+    kernel basis, returned as their tails of length len(columns)."""
+    ncols, p = len(columns), field.p
+    ech = Echelon(p)
+    for j, col in enumerate(columns):
+        unit = [0] * ncols
+        unit[j] = 1
+        ech.add([x % p for x in col] + unit if p else list(col) + unit)
+    return [row[nrows:] for lead, row in sorted(ech.rows.items())
+            if lead >= nrows]
 
 
 def char_poly(matrix):

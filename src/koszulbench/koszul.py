@@ -20,7 +20,11 @@ import itertools
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from ._linalg import FieldQ, FieldF, rref, kernel_basis
+from ._linalg import Echelon, FieldQ, FieldF, kernel_basis
+
+# Most basis vectors a resolution step's free module may have; see
+# docs/cli.md.
+MAX_FREE_RANK = 4096
 
 
 class GradedAlgebra:
@@ -107,24 +111,30 @@ class GradedAlgebra:
             return {}
         return self.mult.get((x, y), {})
 
-    def _mul_combo(self, combo: dict, y: str) -> dict:
-        out = {}
-        for xname, c in combo.items():
-            for rname, k in self.product(xname, y).items():
-                out[rname] = out.get(rname, 0) + c * k
-        return {r: c for r, c in out.items() if c}
-
     def _check_associativity(self):
-        names = self.basis_order
-        for x, y, z in itertools.product(names, repeat=3):
-            left = self._mul_combo(self.product(x, y), z)
-            right = {}
-            yz = self.product(y, z)
-            for mid, k in yz.items():
-                for rname, c in self.product(x, mid).items():
-                    right[rname] = right.get(rname, 0) + k * c
-            right = {r: c for r, c in right.items() if c}
-            if left != right:
+        """Checks (xy)z = x(yz) on the triples with x*y or y*z listed
+        in mult, in basis order. No other triple can fail: one holding
+        an idempotent associates because the endpoints of every listed
+        product were checked above, and if x*y = y*z = 0 both sides
+        vanish."""
+        index = {b: i for i, b in enumerate(self.basis_order)}
+        by_src, by_tgt = {}, {}
+        for b in self.neg_names:
+            by_src.setdefault(self.basis[b][0], []).append(b)
+            by_tgt.setdefault(self.basis[b][1], []).append(b)
+        triples = set()
+        for x, y in self.mult:
+            triples.update((x, y, z) for z in by_src.get(self.basis[y][1], ()))
+            triples.update((w, x, y) for w in by_tgt.get(self.basis[x][0], ()))
+        for x, y, z in sorted(triples, key=lambda t: [index[b] for b in t]):
+            diff = {}
+            for mid, c in self.product(x, y).items():
+                for r, k in self.product(mid, z).items():
+                    diff[r] = diff.get(r, 0) + c * k
+            for mid, c in self.product(y, z).items():
+                for r, k in self.product(x, mid).items():
+                    diff[r] = diff.get(r, 0) - c * k
+            if any(diff.values()):
                 raise ValueError("associativity fails at (%r, %r, %r)"
                                  % (x, y, z))
 
@@ -267,9 +277,10 @@ def _block_order(algebra, keys):
     return sorted(keys, key=lambda k: (-k[1], algebra.vertex_index(k[0])))
 
 
-def _act(algebra, field, fbasis, pos, key, vec, aname):
-    """Right action of a basis element on a block vector; returns
-    (newkey, newvec) or None when the image is zero."""
+def _act(algebra, p, fbasis, pos, key, vec, aname):
+    """Right action of a basis element on a block vector of ints
+    (residues when p > 0); returns (newkey, newvec) or None when the
+    image is zero."""
     asrc, atgt, adeg = algebra.basis[aname]
     tgtv, d = key
     if asrc != tgtv:
@@ -278,92 +289,61 @@ def _act(algebra, field, fbasis, pos, key, vec, aname):
     target = fbasis.get(newkey)
     if not target:
         return None
-    out = [field.zero] * len(target)
-    hit = False
-    for idx, (t, bname) in enumerate(fbasis[key]):
-        c = vec[idx]
-        if field.is_zero(c):
-            continue
-        for cname, k in algebra.product(bname, aname).items():
-            j = pos[newkey][(t, cname)]
-            out[j] = field.add(out[j], field.mul(c, field.of(k)))
-            hit = True
-    if not hit or all(field.is_zero(x) for x in out):
+    out = [0] * len(target)
+    npos = pos[newkey]
+    for (t, bname), c in zip(fbasis[key], vec):
+        if c:
+            for cname, k in algebra.product(bname, aname).items():
+                out[npos[(t, cname)]] += c * k
+    if p:
+        out = [x % p for x in out]
+    if not any(out):
         return None
     return newkey, out
 
 
-class _Echelon:
-    """Incremental row echelon span with membership testing."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}
-
-    def reduce(self, vec):
-        f = self.field
-        vec = list(vec)
-        while True:
-            lead = next((i for i, x in enumerate(vec) if not f.is_zero(x)),
-                        None)
-            if lead is None:
-                return None
-            row = self.rows.get(lead)
-            if row is None:
-                return lead, vec
-            c = vec[lead]
-            vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
-
-    def add(self, vec) -> bool:
-        """Insert vec; True when it enlarged the span."""
-        red = self.reduce(vec)
-        if red is None:
-            return False
-        lead, vec = red
-        inv = self.field.inv(vec[lead])
-        self.rows[lead] = [self.field.mul(inv, x) for x in vec]
-        return True
-
-
-def _advance(algebra, field, fbasis, pos, blocks):
-    """One step of the minimal resolution. blocks describes a
+def _advance(algebra, field, fbasis, pos, blocks, step):
+    """Step `step` of the minimal resolution. blocks describes a
     submodule M of the current free module; returns the generator
     multiset of its minimal cover together with the kernel, set up
-    over the new free module."""
+    over the new free module. Raises ValueError when that free module
+    has more than MAX_FREE_RANK basis vectors."""
+    p = field.p
     spans = {}
     for key in _block_order(algebra, blocks):
         for vec in blocks[key]:
             for aname in algebra.neg_names:
-                res = _act(algebra, field, fbasis, pos, key, vec, aname)
+                res = _act(algebra, p, fbasis, pos, key, vec, aname)
                 if res is not None:
                     nkey, nvec = res
-                    spans.setdefault(nkey, _Echelon(field)).add(nvec)
+                    spans.setdefault(nkey, Echelon(p)).add(nvec)
     generators = []
     for key in _block_order(algebra, blocks):
-        span = spans.setdefault(key, _Echelon(field))
+        span = spans.setdefault(key, Echelon(p))
         for vec in blocks[key]:
             if span.add(vec):
                 generators.append((key, vec))
     new_summands = [(key[0], key[1]) for key, _ in generators]
     fbasis2, pos2 = _free_blocks(algebra, new_summands)
+    rank = sum(map(len, fbasis2.values()))
+    if rank > MAX_FREE_RANK:
+        raise ValueError("step %d of the resolution needs a free module "
+                         "with %d basis vectors; the limit is %d"
+                         % (step, rank, MAX_FREE_RANK))
     new_blocks = {}
     for key2, basis2 in fbasis2.items():
         nrows = len(fbasis.get(key2, []))
         columns = []
         for (j, bname) in basis2:
             gkey, gvec = generators[j]
-            res = _act(algebra, field, fbasis, pos, gkey, gvec, bname)
-            if res is None:
-                columns.append([field.zero] * nrows)
-            else:
-                columns.append(res[1])
+            res = _act(algebra, p, fbasis, pos, gkey, gvec, bname)
+            columns.append([0] * nrows if res is None else res[1])
         kern = kernel_basis(columns, nrows, field)
         if kern:
-            for vec in kern:
-                for idx, (j, bname) in enumerate(basis2):
-                    if (bname in algebra._idem_names
-                            and not field.is_zero(vec[idx])):
-                        raise RuntimeError("cover is not minimal")
+            idem = [idx for idx, (_, bname) in enumerate(basis2)
+                    if bname in algebra._idem_names]
+            if any(vec[idx] for vec in kern for idx in idem):
+                raise RuntimeError("cover is not minimal")
             new_blocks[key2] = kern
     return new_summands, fbasis2, pos2, new_blocks
 
@@ -394,16 +374,16 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
         lst = fbasis[key]
         for i, (t, bname) in enumerate(lst):
             if bname != keep:
-                vec = [field.zero] * len(lst)
-                vec[i] = field.one
+                vec = [0] * len(lst)
+                vec[i] = 1
                 blocks.setdefault(key, []).append(vec)
     finished = False
-    for _ in range(i_max):
+    for step in range(1, i_max + 1):
         if not blocks:
             finished = True
             break
         new_summands, fbasis, pos, blocks = _advance(
-            algebra, field, fbasis, pos, blocks)
+            algebra, field, fbasis, pos, blocks, step)
         steps.append(new_summands)
     if not blocks:
         finished = True
@@ -551,21 +531,53 @@ def integral_koszul_check(algebra: GradedAlgebra, l: int,
     return IntegralReport(algebra.name, l, kq, kf, match, verdict)
 
 
+def _laurent_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The quotient a / b in Z[v, v^-1]; raises ArithmeticError unless
+    b divides a exactly."""
+    bc = dict(b.items())
+    btop = max(bc)
+    lead = bc[btop]
+    rem = dict(a.items())
+    floor = min(rem) - min(bc) if rem else 0
+    quot = {}
+    while rem:
+        top = max(rem)
+        e = top - btop
+        c, r = divmod(rem[top], lead)
+        if r or e < floor:
+            raise ArithmeticError("%s does not divide %s"
+                                  % (b.render(), a.render()))
+        quot[e] = c
+        for eb, cb in bc.items():
+            s = rem.get(eb + e, 0) - c * cb
+            if s:
+                rem[eb + e] = s
+            else:
+                rem.pop(eb + e, None)
+    return LaurentPoly(quot)
+
+
 def _laurent_det(rows):
+    """Determinant over Z[v, v^-1] by fraction-free (Bareiss)
+    elimination; every division is exact."""
     n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [[rows[i][t] for t in range(n) if t != j]
-                 for i in range(1, n)]
-        term = rows[0][j] * _laurent_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = LaurentPoly.one()
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return LaurentPoly.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = _laurent_div(pivot * m[i][j] - m[i][k] * m[k][j],
+                                       prev)
+        prev = pivot
+    return prev if sign > 0 else -prev
 
 
 def laurent_matrix_inverse(rows):

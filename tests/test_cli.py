@@ -273,6 +273,20 @@ def test_imax_bounds_are_accepted(capsys):
                        "i = %d)\n" % imax)
 
 
+def test_resolution_above_free_rank_limit_exits_one(capsys):
+    """torsion_p1:3 over F3 doubles per step; step 19 would need more
+    than 4096 basis vectors."""
+    start = time.monotonic()
+    code, out, err = run(["koszul", "--builtin", "torsion_p1:3",
+                          "--field", "F:3", "--imax", "32"], capsys)
+    assert time.monotonic() - start < 10.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: step 19 of the resolution")
+    assert err.endswith("the limit is 4096\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), RecursionError(
     "maximum recursion depth exceeded")], ids=["memory", "recursion"])
 def test_resource_errors_exit_one_without_traceback(exc, capsys,

@@ -1,6 +1,12 @@
-import pytest
+import itertools
+import time
+from fractions import Fraction
+from unittest import mock
 
-from koszulbench import koszul, mult
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from koszulbench import _linalg, koszul, mult
 from koszulbench.koszul import (
     GradedAlgebra,
     builtin_algebra,
@@ -14,6 +20,15 @@ from koszulbench.koszul import (
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
+
+
+
+def fuzz(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+PRIMES = (2, 3, 5, 7)
 
 
 def v_poly(*pairs):
@@ -244,3 +259,501 @@ def test_report_rendering():
                                       "vertex": "pt", "shift": -3}
     rep = integral_koszul_check(builtin_algebra("p1"), 3)
     assert rep.to_json_dict()["verdict"] == "koszul"
+
+
+# -- reference resolution engine -----------------------------------------
+#
+# The Fraction/rref engine that koszul.py used before the integer
+# Echelon: fields as objects with arithmetic methods, a dense reduced
+# row echelon form for kernels and a separate incremental echelon for
+# spans. It shares only the block bookkeeping (_free_blocks,
+# _block_order) with the library.
+
+
+class RefQ:
+    name = "Q"
+
+    def of(self, i):
+        return Fraction(i)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return Fraction(1) / a
+
+    def is_zero(self, a):
+        return a == 0
+
+    zero, one = Fraction(0), Fraction(1)
+
+
+class RefF:
+
+    def __init__(self, p):
+        self.p, self.name = p, "F%d" % p
+
+    def of(self, i):
+        return i % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a):
+        return a % self.p == 0
+
+    zero, one = 0, 1
+
+
+def ref_field(p):
+    return RefF(p) if p else RefQ()
+
+
+def ref_rref(rows, field):
+    rows = [list(r) for r in rows]
+    pivots = []
+    lead = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next((r for r in range(lead, len(rows))
+                          if not field.is_zero(rows[r][col])), None)
+        if pivot_row is None:
+            continue
+        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
+        inv = field.inv(rows[lead][col])
+        rows[lead] = [field.mul(inv, x) for x in rows[lead]]
+        for r in range(len(rows)):
+            if r != lead and not field.is_zero(rows[r][col]):
+                c = rows[r][col]
+                rows[r] = [field.sub(x, field.mul(c, y))
+                           for x, y in zip(rows[r], rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(rows):
+            break
+    return rows[:lead], pivots
+
+
+def ref_kernel_basis(columns, nrows, field):
+    ncols = len(columns)
+    if ncols == 0:
+        return []
+    red, pivots = ref_rref([[columns[j][i] for j in range(ncols)]
+                            for i in range(nrows)], field)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for row, p in zip(red, pivots):
+            vec[p] = field.sub(field.zero, row[f])
+        basis.append(vec)
+    return basis
+
+
+class RefEchelon:
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    def add(self, vec):
+        f = self.field
+        vec = list(vec)
+        while True:
+            lead = next((i for i, x in enumerate(vec) if not f.is_zero(x)),
+                        None)
+            if lead is None:
+                return False
+            row = self.rows.get(lead)
+            if row is None:
+                inv = f.inv(vec[lead])
+                self.rows[lead] = [f.mul(inv, x) for x in vec]
+                return True
+            c = vec[lead]
+            vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
+
+
+def ref_act(algebra, field, fbasis, pos, key, vec, aname):
+    asrc, atgt, adeg = algebra.basis[aname]
+    if asrc != key[0]:
+        return None
+    newkey = (atgt, key[1] + adeg)
+    target = fbasis.get(newkey)
+    if not target:
+        return None
+    out = [field.zero] * len(target)
+    for (t, bname), c in zip(fbasis[key], vec):
+        if not field.is_zero(c):
+            for cname, k in algebra.product(bname, aname).items():
+                j = pos[newkey][(t, cname)]
+                out[j] = field.add(out[j], field.mul(c, field.of(k)))
+    if all(field.is_zero(x) for x in out):
+        return None
+    return newkey, out
+
+
+def ref_advance(algebra, field, fbasis, pos, blocks):
+    spans = {}
+    for key in koszul._block_order(algebra, blocks):
+        for vec in blocks[key]:
+            for aname in algebra.neg_names:
+                res = ref_act(algebra, field, fbasis, pos, key, vec, aname)
+                if res is not None:
+                    spans.setdefault(res[0], RefEchelon(field)).add(res[1])
+    generators = []
+    for key in koszul._block_order(algebra, blocks):
+        span = spans.setdefault(key, RefEchelon(field))
+        generators += [(key, vec) for vec in blocks[key] if span.add(vec)]
+    new_summands = [key for key, _ in generators]
+    fbasis2, pos2 = koszul._free_blocks(algebra, new_summands)
+    new_blocks = {}
+    for key2, basis2 in fbasis2.items():
+        nrows = len(fbasis.get(key2, []))
+        columns = []
+        for j, bname in basis2:
+            res = ref_act(algebra, field, fbasis, pos, *generators[j], bname)
+            columns.append([field.zero] * nrows if res is None else res[1])
+        kern = ref_kernel_basis(columns, nrows, field)
+        if kern:
+            new_blocks[key2] = kern
+    return new_summands, fbasis2, pos2, new_blocks
+
+
+def ref_steps(algebra, lam, p, i_max):
+    """(steps, finished) of the minimal resolution of the simple at
+    lam, from the reference engine."""
+    field = ref_field(p)
+    fbasis, pos = koszul._free_blocks(algebra, [(lam, 0)])
+    blocks = {}
+    for key in koszul._block_order(algebra, fbasis):
+        for i, (t, bname) in enumerate(fbasis[key]):
+            if bname != algebra.idempotent[lam]:
+                vec = [field.zero] * len(fbasis[key])
+                vec[i] = field.one
+                blocks.setdefault(key, []).append(vec)
+    steps = [[(lam, 0)]]
+    for _ in range(i_max):
+        if not blocks:
+            break
+        summands, fbasis, pos, blocks = ref_advance(algebra, field, fbasis,
+                                                    pos, blocks)
+        steps.append(summands)
+    return steps, not blocks
+
+
+# -- algebra documents ---------------------------------------------------
+
+
+def monomial_doc(arrows, relations):
+    """Quadratic monomial algebra of an acyclic quiver: arrows are
+    (src, tgt) vertex numbers with src < tgt, relations a set of
+    arrow-index pairs whose composite is zero; the basis is every path
+    that contains no relation."""
+    paths = [(a,) for a in range(len(arrows))]
+    frontier = paths
+    while frontier:
+        frontier = [q + (b,) for q in frontier for b in range(len(arrows))
+                    if arrows[q[-1]][1] == arrows[b][0]
+                    and (q[-1], b) not in relations]
+        paths += frontier
+    names = {q: "p" + "_".join(map(str, q)) for q in paths}
+    vertices = sorted({v for arrow in arrows for v in arrow})
+    mult = [{"left": names[q], "right": names[r], "result": {names[q + r]: 1}}
+            for q in paths for r in paths if q + r in names]
+    return {"vertices": ["v%d" % v for v in vertices],
+            "basis": [{"name": names[q], "src": "v%d" % arrows[q[0]][0],
+                       "tgt": "v%d" % arrows[q[-1]][1], "deg": -len(q)}
+                      for q in paths],
+            "mult": mult}
+
+
+@st.composite
+def monomial_docs(draw):
+    n = draw(st.integers(2, 5))
+    arrows = draw(st.lists(
+        st.integers(0, n - 2).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1))),
+        min_size=1, max_size=7))
+    pairs = [(a, b) for a in range(len(arrows)) for b in range(len(arrows))
+             if arrows[a][1] == arrows[b][0]]
+    relations = set(draw(st.lists(st.sampled_from(pairs), unique=True))
+                    if pairs else [])
+    return monomial_doc(arrows, relations)
+
+
+def exterior_doc(d):
+    subsets = [s for r in range(1, d + 1)
+               for s in itertools.combinations(range(d), r)]
+
+    def name(s):
+        return "x" + "".join(map(str, s))
+
+    mult = []
+    for s in subsets:
+        for t in subsets:
+            if not set(s) & set(t):
+                seq = s + t
+                inversions = sum(1 for a, b in itertools.combinations(seq, 2)
+                                 if a > b)
+                mult.append({"left": name(s), "right": name(t),
+                             "result": {name(tuple(sorted(seq))):
+                                        (-1) ** inversions}})
+    return {"vertices": ["pt"],
+            "basis": [{"name": name(s), "src": "pt", "tgt": "pt",
+                       "deg": -len(s)} for s in subsets],
+            "mult": mult}
+
+
+def truncation_doc(n):
+    """k[x]/(x^n)."""
+    return {"vertices": ["pt"],
+            "basis": [{"name": "x%d" % a, "src": "pt", "tgt": "pt",
+                       "deg": -a} for a in range(1, n)],
+            "mult": [{"left": "x%d" % a, "right": "x%d" % b,
+                      "result": {"x%d" % (a + b): 1}}
+                     for a in range(1, n) for b in range(1, n - a)]}
+
+
+FIXED_DOCS = st.one_of(st.sampled_from([2, 3]).map(exterior_doc),
+                       st.integers(2, 7).map(truncation_doc))
+PLUS_MINUS_ONE_DOCS = st.one_of(monomial_docs(), FIXED_DOCS)
+
+
+# -- the integer engine against the reference ----------------------------
+
+
+@fuzz(120)
+@given(PLUS_MINUS_ONE_DOCS, st.sampled_from((0,) + PRIMES),
+       st.integers(1, 5))
+def test_resolution_matches_reference_engine(doc, p, i_max):
+    algebra = load_algebra(doc)
+    field = "F:%d" % p if p else "Q"
+    for lam in algebra.vertices:
+        res = minimal_resolution(algebra, lam, field, i_max)
+        assert (res.steps, res.finished) == ref_steps(algebra, lam, p, i_max)
+
+
+@pytest.mark.parametrize("name", ["p1", "x3_truncation", "torsion_p1:2",
+                                  "torsion_p1:3", "dual_numbers"])
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_builtin_resolutions_match_reference_engine(name, p):
+    algebra = builtin_algebra(name)
+    field = "F:%d" % p if p else "Q"
+    for lam in algebra.vertices:
+        res = minimal_resolution(algebra, lam, field, 6)
+        assert (res.steps, res.finished) == ref_steps(algebra, lam, p, 6)
+
+
+@fuzz(60)
+@given(PLUS_MINUS_ONE_DOCS, st.integers(1, 4))
+def test_ext_dims_match_over_q_and_every_fl(doc, i_max):
+    """With every structure constant +-1 on these families (monomial,
+    exterior, truncated polynomial) Ext has no torsion, so its
+    dimensions do not depend on the field."""
+    algebra = load_algebra(doc)
+    dims_q = ext_table(algebra, "Q", i_max).dims()
+    for l in PRIMES:
+        assert ext_table(algebra, "F:%d" % l, i_max).dims() == dims_q
+
+
+# -- associativity: composable triples against every triple ------------
+
+
+def exhaustive_associativity(algebra):
+    """First triple in basis order with (xy)z != x(yz), or None."""
+    for x, y, z in itertools.product(algebra.basis_order, repeat=3):
+        left, right = {}, {}
+        for mid, c in algebra.product(x, y).items():
+            for r, k in algebra.product(mid, z).items():
+                left[r] = left.get(r, 0) + c * k
+        for mid, c in algebra.product(y, z).items():
+            for r, k in algebra.product(x, mid).items():
+                right[r] = right.get(r, 0) + c * k
+        if ({r: c for r, c in left.items() if c}
+                != {r: c for r, c in right.items() if c}):
+            return x, y, z
+    return None
+
+
+@st.composite
+def perturbed_docs(draw):
+    doc = draw(st.one_of(monomial_docs(), st.sampled_from([2, 3]).map(
+        exterior_doc)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc["mult"]:
+            break
+        rec = draw(st.sampled_from(doc["mult"]))
+        name, coeff = next(iter(rec["result"].items()))
+        rec["result"] = {name: draw(st.sampled_from(
+            [-coeff, coeff + 1, 2 * coeff, 0]))}
+    return doc
+
+
+@fuzz(200)
+@given(perturbed_docs())
+def test_associativity_check_matches_exhaustive_oracle(doc):
+    with mock.patch.object(GradedAlgebra, "_check_associativity",
+                           lambda self: None):
+        algebra = load_algebra(doc)
+    first = exhaustive_associativity(algebra)
+    if first is None:
+        algebra._check_associativity()
+        load_algebra(doc)
+    else:
+        message = "associativity fails at (%r, %r, %r)" % first
+        with pytest.raises(ValueError) as err:
+            algebra._check_associativity()
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            load_algebra(doc)
+        assert str(err.value) == message
+
+
+def test_associativity_oracle_sees_failures():
+    """The perturbations above reach both outcomes."""
+    doc = exterior_doc(3)
+    doc["mult"][0]["result"] = {k: 2 for k in doc["mult"][0]["result"]}
+    with mock.patch.object(GradedAlgebra, "_check_associativity",
+                           lambda self: None):
+        algebra = load_algebra(doc)
+    assert exhaustive_associativity(algebra) is not None
+    assert exhaustive_associativity(load_algebra(exterior_doc(3))) is None
+
+
+# -- the Echelon against Bareiss and the reference rref ------------------
+
+
+def int_matrices(max_n=8):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@fuzz(200)
+@given(int_matrices(), st.sampled_from((0,) + PRIMES + (101,)))
+def test_echelon_full_rank_iff_bareiss_det_is_a_unit(matrix, p):
+    ech = _linalg.Echelon(p)
+    for row in matrix:
+        ech.add([x % p for x in row] if p else row)
+    det = _linalg.det_bareiss(matrix)
+    full = (det % p != 0) if p else det != 0
+    assert (len(ech.rows) == len(matrix)) == full
+
+
+@fuzz(200)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from((0,) + PRIMES),
+       st.data())
+def test_kernel_basis_spans_the_kernel(nrows, ncols, p, data):
+    columns = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows),
+        min_size=ncols, max_size=ncols))
+    field = koszul.as_field("F:%d" % p if p else "Q")
+    kern = _linalg.kernel_basis(columns, nrows, field)
+    rank = len(ref_rref([[col[i] for col in columns] for i in range(nrows)],
+                        ref_field(p))[0])
+    assert len(kern) == ncols - rank
+    for vec in kern:
+        assert len(vec) == ncols
+        for i in range(nrows):
+            total = sum(c * col[i] for c, col in zip(vec, columns))
+            assert (total % p if p else total) == 0
+    ech = _linalg.Echelon(p)
+    assert all(ech.add(vec) for vec in kern)
+
+
+def test_echelon_keeps_primitive_integer_rows_over_q():
+    ech = _linalg.Echelon(0)
+    assert ech.add([0, 6, 4, 2])
+    assert ech.add([0, 3, 1, 5])
+    assert not ech.add([0, 9, 5, 7])
+    for row in ech.rows.values():
+        assert all(isinstance(x, int) for x in row)
+        assert _linalg.gcd(*row) == 1
+
+
+# -- Bareiss Laurent determinant against cofactor expansion ----------------
+
+
+def cofactor_det(rows):
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.one()
+    total = LaurentPoly.zero()
+    for j in range(n):
+        if rows[0][j]:
+            minor = [[rows[i][t] for t in range(n) if t != j]
+                     for i in range(1, n)]
+            term = rows[0][j] * cofactor_det(minor)
+            total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+LAURENT = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2),
+                          max_size=3).map(LaurentPoly)
+
+
+@fuzz(60)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(LAURENT, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_laurent_det_matches_cofactor_expansion(rows):
+    assert koszul._laurent_det(rows) == cofactor_det(rows)
+
+
+def test_laurent_div_rejects_inexact_quotients():
+    a = v_poly((2, 1), (0, 1))
+    b = v_poly((1, 1), (0, 1))
+    assert koszul._laurent_div(a * b, b) == a
+    with pytest.raises(ArithmeticError):
+        koszul._laurent_div(a, b)
+    with pytest.raises(ArithmeticError):
+        koszul._laurent_div(v_poly((0, 1)), v_poly((0, 2)))
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "p1", "x3_truncation",
+                                  "semisimple", "torsion_p1:3"])
+def test_cartan_inverse_matches_cofactor_oracle(name):
+    algebra = builtin_algebra(name)
+    dims = algebra.graded_dims()
+    rows = [[dims[(a, b)] for b in algebra.vertices]
+            for a in algebra.vertices]
+    n = len(rows)
+    det = cofactor_det(rows)
+    assert koszul._laurent_det(rows) == det
+    if len(det.items()) != 1 or det.coeff(det.support()[0]) not in (1, -1):
+        with pytest.raises(ValueError, match="not a unit"):
+            cartan_inverse(algebra)
+        return
+    (exp, coeff), = det.items()
+    want = [[cofactor_det([[rows[r][c] for c in range(n) if c != i]
+                           for r in range(n) if r != j])
+             * LaurentPoly.monomial(-exp, coeff * (-1) ** (i + j))
+             for j in range(n)] for i in range(n)]
+    assert cartan_inverse(algebra) == want
+
+
+# -- size bound ------------------------------------------------------------
+
+
+def test_resolution_step_above_free_rank_limit_is_rejected():
+    algebra = builtin_algebra("torsion_p1:3")
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="limit is %d" % koszul.MAX_FREE_RANK):
+        minimal_resolution(algebra, "a", "F:3", 32)
+    assert time.monotonic() - start < 10.0
+    # over Q the steps stay small: each has one summand
+    steps = minimal_resolution(algebra, "a", "Q", 32).steps
+    assert list(map(len, steps)) == [1] * 33
