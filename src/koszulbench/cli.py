@@ -64,11 +64,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s: error: %s" % (self.prog, message))
 
 
-def _emit(payload, as_json: bool):
+def _emit(text, doc, as_json: bool):
+    """Print doc() as JSON or text(); only the printed form is built."""
     if as_json:
-        print(json.dumps(payload[1], sort_keys=True))
+        print(json.dumps(doc(), sort_keys=True))
     else:
-        print(payload[0])
+        print(text())
 
 
 def _parse_partition(text: str) -> Partition:
@@ -111,7 +112,7 @@ def _cmd_dyck_depth(args) -> int:
     else:
         text = "dyck: false"
         doc = {"shape": _render_shape(shape), "is_dyck": False}
-    _emit((text, doc), ns.json)
+    _emit(lambda: text, lambda: doc, ns.json)
     return 0
 
 
@@ -138,7 +139,7 @@ def _cmd_dyck_enumerate(args) -> int:
            "depth_counts": {str(d): c for d, c in
                             sorted(scan.depth_counts.items())},
            "bound_violations": scan.bound_violations}
-    _emit((text, doc), ns.json)
+    _emit(lambda: text, lambda: doc, ns.json)
     return 0
 
 
@@ -156,7 +157,7 @@ def _cmd_kl(args) -> int:
     text = "P = %s" % poly.render(var="q")
     doc = {"n": ns.n, "x": hecke.render_permutation(x),
            "w": hecke.render_permutation(w), "P": poly.to_json_dict()}
-    _emit((text, doc), ns.json)
+    _emit(lambda: text, lambda: doc, ns.json)
     return 0
 
 
@@ -167,7 +168,7 @@ def _cmd_kl_invert_check(args) -> int:
     parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     report = mult.kl_inversion_check(ns.k, ns.n)
-    _emit((report.render_text(), report.to_json_dict()), ns.json)
+    _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if report.ok else 2
 
 
@@ -187,7 +188,7 @@ def _cmd_mult(kind: str, args) -> int:
         raise ValueError("mult gr supports n <= 10")
     matrix = (mult.delta_ic_matrix(space) if ns.tag == "delta_ic"
               else mult.graded_cartan(space))
-    _emit((matrix.render_text(), matrix.to_json_dict()), ns.json)
+    _emit(matrix.render_text, matrix.to_json_dict, ns.json)
     return 0
 
 
@@ -200,7 +201,7 @@ def _cmd_weights(args) -> int:
     wt = weights_mod.wt_space(space)
     text = "wt = %s, wr = %d" % (weights_mod.render_wt(wt), len(wt))
     doc = {"space": space.render(), "wt": list(wt), "wr": len(wt)}
-    _emit((text, doc), ns.json)
+    _emit(lambda: text, lambda: doc, ns.json)
     return 0
 
 
@@ -218,7 +219,7 @@ def _cmd_primes(args) -> int:
     if not wt:
         raise ValueError("weight list is empty")
     report = weights_mod.find_separating_prime(wt, ns.l, ns.bound)
-    _emit((report.render_text(), report.to_json_dict()), ns.json)
+    _emit(report.render_text, report.to_json_dict, ns.json)
     return 0
 
 
@@ -238,7 +239,7 @@ def _cmd_phidec(args) -> int:
         raise ValueError("matrix file must hold a JSON array of rows")
     matrix = [[int(x) for x in row] for row in doc]
     report = weights_mod.is_phi_decomposable(matrix, ns.q, ns.l)
-    _emit((report.render_text(), report.to_json_dict()), ns.json)
+    _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if (report.applicable and report.decomposable) else 2
 
 
@@ -270,7 +271,7 @@ def _cmd_koszul(args) -> int:
     _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)
     report = koszul_mod.is_koszul(algebra, ns.field, ns.imax)
-    _emit((report.render_text(), report.to_json_dict()), ns.json)
+    _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if report.is_koszul else 2
 
 
@@ -285,7 +286,7 @@ def _cmd_koszul_integral(args) -> int:
     _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)
     report = koszul_mod.integral_koszul_check(algebra, ns.l, ns.imax)
-    _emit((report.render_text(), report.to_json_dict()), ns.json)
+    _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if report.verdict == "koszul" else 2
 
 

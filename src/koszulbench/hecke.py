@@ -12,6 +12,10 @@ l(w) - l(x) <= 2; every column of a permutation avoiding the patterns
 3412 and 4231 is identically 1 (smooth Schubert variety); and when
 v = ws < w, the interval [e, w] is [e, v] together with [e, v] s
 (lifting property), so a smooth column is read off the column of v.
+
+parabolic_kl computes, for one Grassmannian, only the polynomials
+between maximal coset representatives, with no table of S_n; it is an
+independent route to the same values, which the tests compare.
 """
 
 from __future__ import annotations
@@ -196,16 +200,6 @@ class KLTable:
             return 0
         return self._value(x, w) >> (_BITS * (gap >> 1))
 
-    def export_pairs(self, pairs):
-        """JSON-ready list of {x, w, coeffs} for the given pairs."""
-        out = []
-        for x, w in pairs:
-            poly = self.kl_polynomial(x, w)
-            out.append({"x": render_permutation(x),
-                        "w": render_permutation(w),
-                        "coeffs": poly.to_json_dict()})
-        return out
-
     # -- ids -------------------------------------------------------------
 
     def _id(self, w) -> int:
@@ -314,6 +308,81 @@ def _corrections(p, x, lx, muz):
             if pz:
                 p -= m * pz << shift
     return p
+
+
+def parabolic_kl(k: int, n: int):
+    """P_{x,w} for every pair x <= w of maximal representatives of the
+    cosets w (S_k x S_{n-k}) in S_n, by Deodhar's parabolic recursion.
+
+    A maximal representative is fixed by its k-subset S = w({1..k}),
+    here a bitmask with bit j - 1 for the value j; w lists S and then
+    its complement, both decreasing. Returns a dict from the mask of w
+    to its column, a dict from the mask of every x <= w to P_{x,w}
+    packed into one int (see _BITS). Nothing is kept between calls.
+
+    The column of w comes from the left-descent form of the recursion,
+
+        P_{x,w} = q^(1-c) P_{sx,v} + q^c P_{x,v}
+                  - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+
+    v = s w < w, c = 1 when s x < x, z < v over s z < z, with s = s_i
+    for some i + 1 in S, i not in S, so that v is maximal too. Two facts keep it inside the maximal representatives:
+    P_{y,v} depends only on the coset of y, as v is maximal, so
+    P_{sx,v} = P_{x,v} when s fixes the coset of x; and a z = v t with
+    t in S_k x S_{n-k}, z < v, has s z = w t > z, so every z of the mu
+    terms is maximal.
+
+    Each coefficient of a column is at most the sum of two entries of
+    the column below it, so below 2^(k(n-k)); the packing is exact for
+    k(n-k) < _BITS, far beyond what fits in time.
+    """
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
+    if k * (n - k) >= _BITS:
+        raise ValueError("gr(%d,%d) is too large for packed polynomials"
+                         % (k, n))
+    # length of the maximal representative, up to the constant length
+    # of the longest element of S_k x S_{n-k}
+    length = {}
+    for subset in itertools.combinations(range(n), k):
+        mask = sum(1 << j for j in subset)
+        length[mask] = sum(1 for a in subset for b in range(a)
+                           if not mask >> b & 1)
+    cols = {}
+    for w in sorted(length, key=length.get):
+        # the lowest b with value b + 2 in S and value b + 1 not in it
+        low = (w >> 1) & ~w
+        if not low:
+            cols[w] = {w: 1}
+            continue
+        b = (low & -low).bit_length() - 1
+        swap = 3 << b
+        colv = cols[w ^ swap]
+        col = {}
+        for x in list(colv) + [y ^ swap for y in colv
+                               if (y >> b & 3) in (1, 2)]:
+            px = colv.get(x, 0)
+            side = x >> b & 3
+            if side in (0, 3):
+                # s fixes the coset of x: P_{sx,v} = P_{x,v}
+                col[x] = px + (px << _BITS)
+            elif side == 2:
+                # s x < x
+                col[x] = colv.get(x ^ swap, 0) + (px << _BITS)
+            else:
+                col[x] = (colv.get(x ^ swap, 0) << _BITS) + px
+        lw = length[w]
+        for z, pz in colv.items():
+            gap = lw - 1 - length[z]
+            # z < v with s z < z and an odd gap; m is then mu(z, v)
+            if gap % 2 and (z >> b & 3) != 1:
+                m = pz >> (_BITS * (gap >> 1))
+                if m:
+                    shift = _BITS * ((gap + 1) >> 1)
+                    for x, p in cols[z].items():
+                        col[x] -= m * p << shift
+        cols[w] = col
+    return cols
 
 
 def grassmannian_permutations(k: int, n: int):

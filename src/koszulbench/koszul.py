@@ -557,50 +557,55 @@ def _laurent_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(quot)
 
 
-def _laurent_det(rows):
-    """Determinant over Z[v, v^-1] by fraction-free (Bareiss)
-    elimination; every division is exact."""
+def _gauss_jordan(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [C | I] over
+    Z[v, v^-1]; every division is exact. Returns det C and the
+    adjugate of C, or zero and None when C is singular.
+
+    The pass ends at [d I | R] with d the last pivot, d = +-det C by
+    the row swaps, and R = d C^-1."""
     n = len(rows)
-    m = [list(row) for row in rows]
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    m = [list(row) + [one if c == r else zero for c in range(n)]
+         for r, row in enumerate(rows)]
     sign = 1
-    prev = LaurentPoly.one()
+    prev = one
     for k in range(n):
         if not m[k][k]:
             swap = next((r for r in range(k + 1, n) if m[r][k]), None)
             if swap is None:
-                return LaurentPoly.zero()
+                return zero, None
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _laurent_div(pivot * m[i][j] - m[i][k] * m[k][j],
-                                       prev)
+        pivot, mk = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                # columns up to k are not read again
+                for j in range(k + 1, 2 * n):
+                    mi[j] = _laurent_div(pivot * mi[j] - c * mk[j], prev)
         prev = pivot
-    return prev if sign > 0 else -prev
+    if sign > 0:
+        return prev, [row[n:] for row in m]
+    return -prev, [[-p for p in row[n:]] for row in m]
+
+
+def _laurent_det(rows):
+    """Determinant over Z[v, v^-1]."""
+    return _gauss_jordan(rows)[0]
 
 
 def laurent_matrix_inverse(rows):
     """Exact inverse of a Laurent-polynomial matrix whose determinant
     is a unit monomial +-v^k."""
-    n = len(rows)
-    det = _laurent_det(rows)
+    det, adj = _gauss_jordan(rows)
     items = list(det.items())
     if len(items) != 1 or items[0][1] not in (1, -1):
         raise ValueError("determinant %s is not a unit Laurent monomial"
                          % det.render())
     exp, coeff = items[0]
     det_inv = LaurentPoly.monomial(-exp, coeff)
-    out = [[LaurentPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = _laurent_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out[i][j] = cof * det_inv
-    return out
+    return [[p * det_inv for p in row] for row in adj]
 
 
 def cartan_inverse(algebra: GradedAlgebra):

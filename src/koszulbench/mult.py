@@ -17,10 +17,12 @@ two descriptions of the projective line.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .shapes import Partition, SkewShape, dyck_depth, enumerate_partitions_in_box
+from .shapes import (Partition, SkewShape, _eval_encoded, dyck_depth,
+                     enumerate_partitions_in_box, jump_sequence)
 from . import hecke
 
 
@@ -72,11 +74,6 @@ class Space:
                        key=lambda w: (hecke.length(w), w))
         return perms
 
-    def dimension_of(self, label) -> int:
-        if self.kind == "gr":
-            return label.size
-        return hecke.length(label)
-
 
 def _check_box(k: int, n: int, lam: Partition):
     if len(lam.parts) > k or (lam.parts and lam.parts[0] > n - k):
@@ -97,6 +94,41 @@ def delta_ic_gr(k: int, n: int, lam, mu) -> LaurentPoly:
     if not verdict.is_dyck:
         return LaurentPoly.zero()
     return LaurentPoly.monomial(-verdict.depth)
+
+
+def dyck_rows(k: int, n: int):
+    """The nonzero entries of the gr(k,n) multiplicity matrix, one row
+    per label of Space.gr(k, n).labels(): row i maps j to
+    [Delta_i : IC_j], the value of delta_ic_gr.
+
+    One pass over the padded part tuples: a pair whose inner tuple is
+    not below the outer one is skipped, and every other pair goes to
+    the Dyck evaluator as its rows (inner_j, outer_j].
+    """
+    labels = enumerate_partitions_in_box(k, n - k)
+    padded = [lam.parts + (0,) * (k - len(lam.parts)) for lam in labels]
+    sizes = [lam.size for lam in labels]
+    monomials = {}
+    rows = []
+    for outer, size in zip(padded, sizes):
+        row = {}
+        # labels are sorted by size, and inner <= outer needs a smaller one
+        for j in range(bisect_right(sizes, size)):
+            inner = padded[j]
+            enc = []
+            for a, b in zip(inner, outer):
+                if a > b:
+                    break
+                enc.append((a, b) if a < b else None)
+            else:
+                d = _eval_encoded(enc)
+                if d >= 0:
+                    p = monomials.get(d)
+                    if p is None:
+                        p = monomials[d] = LaurentPoly.monomial(-d)
+                    row[j] = p
+        rows.append(row)
+    return rows
 
 
 _FLAG_TABLES = {}
@@ -129,6 +161,22 @@ def delta_ic(space: Space, a, b) -> LaurentPoly:
     if space.kind == "gr":
         return delta_ic_gr(space.k, space.n, a, b)
     return delta_ic_flag(space.n, a, b)
+
+
+def _delta_rows(space: Space, labels):
+    """Sparse rows of delta_ic_matrix: row i maps j to the nonzero
+    [Delta_labels[i] : IC_labels[j]]."""
+    if space.kind == "gr":
+        return dyck_rows(space.k, space.n)
+    rows = []
+    for x in labels:
+        row = {}
+        for j, y in enumerate(labels):
+            p = delta_ic_flag(space.n, x, y)
+            if p:
+                row[j] = p
+        rows.append(row)
+    return rows
 
 
 def proj_delta_vector(space: Space, lam):
@@ -184,7 +232,9 @@ class MultiplicityMatrix:
 def delta_ic_matrix(space: Space) -> MultiplicityMatrix:
     """Rows nu, columns lam, entry [Delta_nu : IC_lam]."""
     labels = space.labels()
-    entries = [[delta_ic(space, nu, lam) for lam in labels] for nu in labels]
+    zero = LaurentPoly.zero()
+    entries = [[row.get(j, zero) for j in range(len(labels))]
+               for row in _delta_rows(space, labels)]
     return MultiplicityMatrix(space, "delta_ic", labels, entries)
 
 
@@ -194,24 +244,26 @@ def graded_cartan(space: Space) -> MultiplicityMatrix:
     Symmetric, diagonal constant term 1, all exponents <= 0.
     """
     labels = space.labels()
-    index = {l: i for i, l in enumerate(labels)}
-    size = len(labels)
-    acc = [[LaurentPoly.zero() for _ in range(size)] for _ in range(size)]
-    for nu in labels:
-        row = []
-        for lam in labels:
-            p = delta_ic(space, nu, lam)
-            if p:
-                row.append((index[lam], p))
-        for ia, pa in row:
-            for ib, pb in row:
+    # coefficient maps of the upper triangle; no term cancels, since
+    # every multiplicity lies in N[v^-1]
+    acc = {}
+    for row in _delta_rows(space, labels):
+        terms = [(j, list(p.items())) for j, p in row.items()]
+        for ia, pa in terms:
+            for ib, pb in terms:
                 if ib < ia:
                     continue
-                prod = pa * pb
-                acc[ia][ib] = acc[ia][ib] + prod
-                if ib != ia:
-                    acc[ib][ia] = acc[ib][ia] + prod
-    return MultiplicityMatrix(space, "cartan", labels, acc)
+                cell = acc.get((ia, ib))
+                if cell is None:
+                    cell = acc[ia, ib] = {}
+                for ea, ca in pa:
+                    for eb, cb in pb:
+                        cell[ea + eb] = cell.get(ea + eb, 0) + ca * cb
+    zero = LaurentPoly.zero()
+    entries = [[zero] * len(labels) for _ in labels]
+    for (ia, ib), cell in acc.items():
+        entries[ia][ib] = entries[ib][ia] = LaurentPoly(cell)
+    return MultiplicityMatrix(space, "cartan", labels, entries)
 
 
 @dataclass
@@ -242,41 +294,56 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
 
     D_{lam,mu} = v^(-dp) on Dyck shapes; K_{lam,mu} =
     (-1)^(|lam|-|mu|) v^(-(|lam|-|mu|)) Q_{x_mu,x_lam}(v^2). The
-    report asserts D*K = K*D = identity.
+    report asserts D*K = K*D = identity, and names the first entry
+    of D*K, then of K*D, in row-major order that differs from it.
+
+    Q_{x_mu,x_lam} = P_{w0 x_lam, w0 x_mu}, and w0 x_lam is the maximal
+    representative of its coset of S_k x S_{n-k}, so K comes from
+    hecke.parabolic_kl (Deodhar's parabolic recursion), which stays
+    inside the C(n, k) cosets; D comes from dyck_rows. Both products
+    run over sparse rows.
     """
     if n > 8:
         raise ValueError("kl_inversion_check supports n <= 8")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     labels = enumerate_partitions_in_box(k, n - k)
-    perms = dict(hecke.grassmannian_permutations(k, n))
-    table = hecke.KLTable(n, cap=max(7, n))
-    size = len(labels)
-    D = [[delta_ic_gr(k, n, lam, mu) for mu in labels] for lam in labels]
-    K = []
-    for lam in labels:
-        xl = perms[lam]
-        row = []
-        for mu in labels:
-            xm = perms[mu]
-            q_poly = table.inverse_kl(xm, xl)
-            if not q_poly:
-                row.append(LaurentPoly.zero())
-                continue
-            d = lam.size - mu.size
+    # the k-subset of w0 x_lam, which fixes its coset
+    index = {sum(1 << (n - t) for t in jump_sequence(lam, k)): i
+             for i, lam in enumerate(labels)}
+    D = dyck_rows(k, n)
+    K = [{} for _ in labels]
+    for w, col in hecke.parabolic_kl(k, n).items():
+        j = index[w]
+        for x, p in col.items():
+            i = index[x]
+            d = labels[i].size - labels[j].size
             sign = -1 if d % 2 else 1
-            row.append((sign * q_poly.inflate(2)).shift(-d))
-        K.append(row)
+            K[i][j] = LaurentPoly({2 * e - d: sign * c for e, c
+                                   in enumerate(hecke._coeffs(p)) if c})
+    for A, B in ((D, K), (K, D)):
+        failure = _first_defect(A, B)
+        if failure is not None:
+            i, j, s = failure
+            return InversionReport(k, n, False, (labels[i], labels[j], s))
+    return InversionReport(k, n, True, None)
+
+
+def _first_defect(A, B):
+    """The first (i, j, entry) of A*B in row-major order that differs
+    from the identity matrix, or None; A and B are lists of sparse rows
+    {column: LaurentPoly}."""
     one = LaurentPoly.one()
     zero = LaurentPoly.zero()
-    for A, B in ((D, K), (K, D)):
-        for i in range(size):
-            for j in range(size):
-                s = zero
-                for t in range(size):
-                    if A[i][t] and B[t][j]:
-                        s = s + A[i][t] * B[t][j]
-                want = one if i == j else zero
-                if s != want:
-                    return InversionReport(k, n, False, (labels[i], labels[j], s))
-    return InversionReport(k, n, True, None)
+    for i, row in enumerate(A):
+        acc = {}
+        for t, a in row.items():
+            for j, b in B[t].items():
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        bad = [j for j, s in acc.items() if s != (one if j == i else zero)]
+        if i not in acc:
+            bad.append(i)
+        if bad:
+            j = min(bad)
+            return i, j, acc.get(j, zero)
+    return None

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from koszulbench import cli
+from koszulbench import cli, mult
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = sorted((REPO / "docs" / "golden").glob("*.txt"))
@@ -103,6 +103,25 @@ def test_mult_gr_json_schema(capsys):
     assert doc["labels"] == [[], [1]]
     assert doc["entries"] == [[{"0": 1, "-2": 1}, {"-1": 1}],
                               [{"-1": 1}, {"0": 1}]]
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["mult", "gr", "--k", "2", "--n", "4", "--tag", "cartan"],
+     "to_json_dict"),
+    (["mult", "gr", "--k", "2", "--n", "4", "--json"], "render_text"),
+    (["kl", "invert-check", "--k", "2", "--n", "4"], "to_json_dict"),
+    (["kl", "invert-check", "--k", "2", "--n", "4", "--json"],
+     "render_text"),
+], ids=["mult-text", "mult-json", "invert-check-text",
+        "invert-check-json"])
+def test_only_the_printed_form_is_built(argv, unused, capsys, monkeypatch):
+    def boom(self):
+        raise AssertionError("%s built but not printed" % unused)
+
+    for owner in (mult.MultiplicityMatrix, mult.InversionReport):
+        monkeypatch.setattr(owner, unused, boom)
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out and not err
 
 
 def test_mult_flag_json_labels(capsys):

@@ -269,12 +269,6 @@ def test_mu_values():
     assert table.kl_polynomial((1, 3, 2, 4), (3, 4, 1, 2)) == q_poly(1, 1)
 
 
-def test_export_pairs():
-    table = KLTable(3)
-    rows = table.export_pairs([((1, 2, 3), (3, 2, 1))])
-    assert rows == [{"x": "123", "w": "321", "coeffs": {"0": 1}}]
-
-
 def test_rank_caps():
     with pytest.raises(ValueError):
         KLTable(3, cap=10)
@@ -295,3 +289,52 @@ def test_grassmannian_permutations():
     assert pairs[Partition((2, 2))] == (3, 4, 1, 2)
     for lam, w in hecke.grassmannian_permutations(3, 6):
         assert hecke.length(w) == lam.size
+
+
+# -- parabolic KL against the full table -----------------------------------
+
+
+def _unpack(p):
+    return LaurentPoly({e: c for e, c in enumerate(hecke._coeffs(p)) if c})
+
+
+def test_parabolic_kl_matches_full_table():
+    """Every Grassmannian pair of every gr(k, n) with n <= 8:
+    Q_{x_mu,x_lam} from the S_n table equals P_{w0 x_lam, w0 x_mu}
+    from the parabolic recursion, zeros included."""
+    for n in range(2, 9):
+        table = KLTable(n, cap=8)
+        w0 = hecke.longest_element(n)
+        for k in range(1, n):
+            cols = hecke.parabolic_kl(k, n)
+            perms = dict(hecke.grassmannian_permutations(k, n))
+            top = {lam: hecke.compose(w0, x) for lam, x in perms.items()}
+            mask = {lam: sum(1 << (w[i] - 1) for i in range(k))
+                    for lam, w in top.items()}
+            assert sorted(cols) == sorted(mask.values())
+            for lam, xl in perms.items():
+                for mu, xm in perms.items():
+                    if 2 * k <= n:
+                        want = table.inverse_kl(xm, xl)
+                    else:
+                        # the same P_{w0 xl, w0 xm}, as P_{a,b} =
+                        # P_{a^-1,b^-1}; for k > n/2 the table builds
+                        # far fewer columns of S_8 this way
+                        want = table.kl_polynomial(
+                            hecke.inverse(top[lam]), hecke.inverse(top[mu]))
+                    got = _unpack(cols[mask[mu]].get(mask[lam], 0))
+                    assert got == want, (k, n, lam, mu)
+
+
+def test_parabolic_kl_columns():
+    cols = hecke.parabolic_kl(2, 4)
+    # S = {1, 2} is the bottom coset, S = {3, 4} the top one
+    assert cols[0b0011] == {0b0011: 1}
+    assert len(cols[0b1100]) == 6
+    # S = {1, 2} belongs to w0 x_(2,2) and S = {2, 4} to w0 x_(1), so
+    # this is Q_{x_(1),x_(2,2)}
+    assert _unpack(cols[0b1010][0b0011]) == q_poly(1, 1)
+    with pytest.raises(ValueError):
+        hecke.parabolic_kl(4, 4)
+    with pytest.raises(ValueError):
+        hecke.parabolic_kl(8, 16)

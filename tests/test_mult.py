@@ -209,3 +209,95 @@ def test_clear_caches_empties_and_recomputes():
     # interned ids and columns belong to one table, never to the module
     fresh = hecke.KLTable(4)
     assert not fresh._ids and not fresh._cols
+
+
+# -- sparse Dyck rows and the coset-sized inversion check -------------------
+
+
+def per_pair_delta_ic_matrix(space):
+    """One delta_ic call per entry."""
+    labels = space.labels()
+    entries = [[mult.delta_ic(space, nu, lam) for lam in labels]
+               for nu in labels]
+    return mult.MultiplicityMatrix(space, "delta_ic", labels, entries)
+
+
+def per_pair_graded_cartan(space):
+    """Entry (lam, mu) = sum_nu [Delta_nu:IC_mu][Delta_nu:IC_lam] from
+    one delta_ic call per pair, summed as Laurent polynomials."""
+    labels = space.labels()
+    size = len(labels)
+    acc = [[LaurentPoly.zero() for _ in range(size)] for _ in range(size)]
+    for nu in labels:
+        row = [(i, mult.delta_ic(space, nu, lam))
+               for i, lam in enumerate(labels)]
+        row = [(i, p) for i, p in row if p]
+        for ia, pa in row:
+            for ib, pb in row:
+                acc[ia][ib] = acc[ia][ib] + pa * pb
+    return mult.MultiplicityMatrix(space, "cartan", labels, acc)
+
+
+def test_dyck_rows_match_delta_ic_gr_on_every_pair():
+    for n in range(2, 9):
+        for k in range(1, n):
+            labels = mult.Space.gr(k, n).labels()
+            rows = mult.dyck_rows(k, n)
+            assert len(rows) == len(labels)
+            for row, lam in zip(rows, labels):
+                for j, mu in enumerate(labels):
+                    want = mult.delta_ic_gr(k, n, lam, mu)
+                    assert row.get(j, LaurentPoly.zero()) == want, (lam, mu)
+                    assert (j in row) == bool(want)
+
+
+@pytest.mark.parametrize("space,build,oracle", [
+    (mult.Space.gr(5, 10), mult.graded_cartan, per_pair_graded_cartan),
+    (mult.Space.gr(4, 8), mult.delta_ic_matrix, per_pair_delta_ic_matrix),
+    (mult.Space.flag(4), mult.graded_cartan, per_pair_graded_cartan),
+    (mult.Space.flag(4), mult.delta_ic_matrix, per_pair_delta_ic_matrix),
+], ids=["cartan-gr5-10", "delta_ic-gr4-8", "cartan-flag4",
+        "delta_ic-flag4"])
+def test_matrices_render_like_the_per_pair_path(space, build, oracle):
+    got, want = build(space), oracle(space)
+    assert got.render_text() == want.render_text()
+    assert (json.dumps(got.to_json_dict(), sort_keys=True)
+            == json.dumps(want.to_json_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("k,n,lam,mu", [
+    (2, 4, (2, 2), (1,)),
+    (2, 4, (1,), (1,)),
+    (2, 4, (1, 1), (2,)),
+    (3, 6, (3, 2, 1), (1,)),
+    (4, 8, (4, 3, 3, 1), (2, 1)),
+])
+def test_kl_inversion_check_reports_a_corrupted_entry(k, n, lam, mu,
+                                                      monkeypatch):
+    """Add q to the parabolic entry behind K[lam][mu] (zero for mu not
+    inside lam). D is unitriangular, so the rows of D*K above lam and
+    the rest of row lam keep their values, and (lam, mu) must be the
+    first failure, with the added term as its entry."""
+    lam, mu = Partition(lam), Partition(mu)
+    perms = dict(hecke.grassmannian_permutations(k, n))
+
+    def mask(nu):
+        # the k-subset of w0 x_nu
+        return sum(1 << (n - t) for t in perms[nu][:k])
+
+    clean = hecke.parabolic_kl
+
+    def corrupted(k_, n_):
+        cols = clean(k_, n_)
+        col = cols[mask(mu)]
+        col[mask(lam)] = col.get(mask(lam), 0) + (1 << hecke._BITS)
+        return cols
+
+    monkeypatch.setattr(hecke, "parabolic_kl", corrupted)
+    report = mult.kl_inversion_check(k, n)
+    d = lam.size - mu.size
+    added = LaurentPoly.monomial(2 - d, (-1) ** d)
+    assert not report.ok
+    assert report.first_failure == (
+        lam, mu, added + (1 if lam == mu else 0))
+    assert report.render_text().startswith("FAIL at (%s, %s)" % (lam, mu))
