@@ -45,9 +45,10 @@ subcommands:
 every subcommand accepts --json"""
 
 
-# 8x8, the largest box with frozen counts, still scans for about 19 s;
-# the shape count grows exponentially with the number of cells.
-_MAX_BOX_CELLS = 64
+# The scan counts shapes and Dyck shapes by polynomial recursions, so a
+# box of up to 100 cells scans in well under a second (10x10, 6x15 and
+# 9x11 each take about 0.02 s); scan_box bounds each side to 1..15.
+_MAX_BOX_CELLS = 100
 # Each resolution step can be far larger than the last (torsion_p1:3
 # over F3 doubles: i = 16 takes 0.6 s, i = 20 takes 13 s and 110 MB),
 # so the cutoff is bounded; the builtins' defaults are at most 8.

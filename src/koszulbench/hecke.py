@@ -383,23 +383,3 @@ def parabolic_kl(k: int, n: int):
                         col[x] -= m * p << shift
         cols[w] = col
     return cols
-
-
-def grassmannian_permutations(k: int, n: int):
-    """Ordered (partition, permutation) pairs for the k x (n-k) box.
-
-    The permutation is the minimal coset representative: w(i) is the
-    jump sequence for i <= k and the complement in increasing order
-    after that. Its length is the size of the partition.
-    """
-    from .shapes import enumerate_partitions_in_box, jump_sequence
-
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    out = []
-    for lam in enumerate_partitions_in_box(k, n - k):
-        t = jump_sequence(lam, k)
-        chosen = set(t)
-        rest = tuple(j for j in range(1, n + 1) if j not in chosen)
-        out.append((lam, t + rest))
-    return out

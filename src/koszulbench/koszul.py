@@ -26,6 +26,14 @@ from ._linalg import Echelon, FieldQ, FieldF, kernel_basis
 # docs/cli.md.
 MAX_FREE_RANK = 4096
 
+# Largest algebra document load_algebra accepts, counted in records as
+# listed. Loading checks associativity on every triple with x*y or y*z
+# listed, so its cost grows with mult records times basis elements
+# times the terms of each product; docs/cli.md gives measured costs.
+MAX_VERTICES = 64
+MAX_BASIS_RECORDS = 128
+MAX_MULT_RECORDS = 512
+
 
 class GradedAlgebra:
 
@@ -157,16 +165,29 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
     {"vertices": [...], "basis": [{"name","src","tgt","deg"}, ...],
      "mult": [{"left","right","result": {name: coeff}}, ...]}.
     Vertex idempotents may be listed (one degree-0 loop per vertex)
-    or omitted, in which case e_<vertex> is supplied."""
+    or omitted, in which case e_<vertex> is supplied. A document with
+    more than MAX_VERTICES vertices, MAX_BASIS_RECORDS basis records or
+    MAX_MULT_RECORDS mult records is refused before any record is
+    read."""
     if not isinstance(doc, dict):
         raise ValueError("algebra document must be a JSON object")
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str)
                                                  for v in vertices):
         raise ValueError("'vertices' must be a list of strings")
+    basis_recs = doc.get("basis", [])
+    mult_recs = doc.get("mult", [])
+    for key, recs, limit in (("vertices", vertices, MAX_VERTICES),
+                             ("basis", basis_recs, MAX_BASIS_RECORDS),
+                             ("mult", mult_recs, MAX_MULT_RECORDS)):
+        if not isinstance(recs, list):
+            raise ValueError("'%s' must be a list" % key)
+        if len(recs) > limit:
+            raise ValueError("'%s' has %d entries, more than the limit of %d"
+                             % (key, len(recs), limit))
     basis = []
     names = set()
-    for rec in doc.get("basis", []):
+    for rec in basis_recs:
         try:
             entry = (rec["name"], rec["src"], rec["tgt"], int(rec["deg"]))
         except (KeyError, TypeError):
@@ -182,7 +203,7 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
                                  "name already in use" % auto)
             basis.append((auto, v, v, 0))
     mult = {}
-    for rec in doc.get("mult", []):
+    for rec in mult_recs:
         try:
             key = (rec["left"], rec["right"])
             result = {str(k): int(c) for k, c in rec["result"].items()}

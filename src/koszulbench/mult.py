@@ -157,12 +157,6 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
 
 
-def delta_ic(space: Space, a, b) -> LaurentPoly:
-    if space.kind == "gr":
-        return delta_ic_gr(space.k, space.n, a, b)
-    return delta_ic_flag(space.n, a, b)
-
-
 def _delta_rows(space: Space, labels):
     """Sparse rows of delta_ic_matrix: row i maps j to the nonzero
     [Delta_labels[i] : IC_labels[j]]."""
@@ -177,17 +171,6 @@ def _delta_rows(space: Space, labels):
                 row[j] = p
         rows.append(row)
     return rows
-
-
-def proj_delta_vector(space: Space, lam):
-    """[P_lam : Delta_nu] for all nu, via BGG reciprocity equal to
-    [Delta_nu : IC_lam]; only nonzero entries are returned."""
-    out = {}
-    for nu in space.labels():
-        p = delta_ic(space, nu, lam)
-        if p:
-            out[nu] = p
-    return out
 
 
 @dataclass
@@ -303,8 +286,8 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
     inside the C(n, k) cosets; D comes from dyck_rows. Both products
     run over sparse rows.
     """
-    if n > 8:
-        raise ValueError("kl_inversion_check supports n <= 8")
+    if n > 10:
+        raise ValueError("kl_inversion_check supports n <= 10")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     labels = enumerate_partitions_in_box(k, n - k)

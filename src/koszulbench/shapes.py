@@ -335,32 +335,35 @@ def transpose(shape: SkewShape) -> SkewShape:
 # ---------------------------------------------------------------------------
 # Row-interval evaluator and box scanner.
 #
-# The depth-bound sweep over the 8x8 box covers 12,320,068 shapes; the
-# object-level recursion above costs far too much per shape for that.
-# The evaluator below runs the same four-rule recursion iteratively on
+# The evaluator below runs the four-rule recursion iteratively on
 # per-row column intervals and never builds cell sets. It compares
 # levels only within one shape, so it needs neither normalization nor a
-# bound on the width. dyck_depth and scan_box both use it; tests check
-# it against the object-level recursion.
+# bound on the width. dyck_depth uses it, and tests check it against
+# the object-level recursion above.
 #
-# Most shapes in a box are not Dyck (27,104 of 976,501 in the 7x7 box),
-# and a cheap necessary test rules most of them out row by row.
-# Pruning lemma: if a shape is Dyck, every connected component with
-# rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom, satisfies
+# Strip-plus-remainder decomposition. Let a connected component have
+# the rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom. Its rows
+# overlap, b_{t+1} > a_t, so its outer border strip has the rows
+# (b_{t+1} - 1, b_t] for t < r - 1 and (a_{r-1}, b_{r-1}] last
+# (sa_t = b_{t+1} - 1 in _eval_encoded). Each is nonempty and meets the
+# next in exactly one column, so the strip is one connected border
+# strip. The remainder is what the strip leaves of rows 0..r-2: the
+# rows (a_t, c_t] with c_t = b_{t+1} - 1. Its right ends are fixed by
+# the strip, since the strip takes every cell of row t from the column
+# where row t + 1 ends; only the left ends are free, and row t of the
+# remainder is empty iff a_t = c_t. The component is Dyck iff its strip
+# is Dyck and every component of its remainder is Dyck, and then its
+# depth is 1 plus the remainder's depth.
+#
+# Relative to the component's top row, the strip's end cells (b_0, 0)
+# and (a_{r-1} + 1, r - 1) must share the level b_0, and no cell may
+# lie below that level; the lowest cell of strip row t - 1 is
+# (b_t, t - 1). So the strip is Dyck iff
 #   (i)  b_t + t - 1 >= b_0 for every 1 <= t < r, and
 #   (ii) a_{r-1} + r == b_0.
-# Proof sketch: rows of one component overlap, b_{t+1} > a_t, so its
-# outer border strip has the rows (b_{t+1} - 1, b_t] for t < r - 1 and
-# (a_{r-1}, b_{r-1}] last (sa_t = b_{t+1} - 1 in _eval_encoded). Each
-# is nonempty and meets the next in exactly one column, so the strip is
-# one connected border strip, and the recursion rejects the shape
-# unless that strip is Dyck. Relative to the component's top row, its
-# end cells (b_0, 0) and (a_{r-1} + 1, r - 1) must share the level
-# b_0, which is (ii), and no cell may lie below that level; the lowest
-# cell of strip row t - 1 is (b_t, t - 1), which is (i). Condition (i)
-# reads only rows already placed, and (ii) holds or fails once the
-# component closes, so scan_box drops every prefix that breaks either
-# and still runs the full evaluator on each shape that survives.
+# By (ii) a Dyck component with r rows spans exactly the r columns
+# (b_0 - r, b_0]. By (i) its remainder's right ends satisfy
+# c_t >= b_0 - t - 1, and every left end is at least a_{r-1}.
 # ---------------------------------------------------------------------------
 
 
@@ -520,18 +523,36 @@ def _row_successors(cols: int) -> dict:
     return succ
 
 
+def _add_product(acc, p, q):
+    """acc += p * q for depth polynomials, lists of counts indexed by
+    depth; acc grows as needed."""
+    need = len(p) + len(q) - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(p):
+        if c:
+            for j, e in enumerate(q):
+                acc[i + j] += c * e
+
+
 def scan_box(rows: int, cols: int) -> BoxScan:
     """Sweep every normalized skew shape inside a rows x cols box.
 
     Counts shapes and Dyck shapes, tallies depths, and counts
     violations of the bound depth <= width. The empty shape is
-    included (depth 0). Box sides must lie in 1..15: the number of
-    shapes grows exponentially with the box, so this bounds the input,
-    not the encoding.
+    included (depth 0). Box sides must lie in 1..15, the range the
+    tests cover; the scan's cost grows only polynomially with the
+    sides (the 15x15 box takes about 0.06 s).
 
-    The shape total comes from a transfer matrix over row intervals;
-    the full evaluator runs only on the shapes whose components pass
-    the pruning lemma above.
+    The shape total comes from a transfer matrix over row intervals.
+    No shape is evaluated one by one: the Dyck shapes are counted as
+    depth polynomials, built from the strip-plus-remainder
+    decomposition above. A Dyck component is its Dyck strip plus a
+    Dyck remainder, and the remainder's components are again Dyck
+    components of fewer rows, so comp[m], the depth polynomial of the
+    Dyck components with m rows, follows from comp[1..m-1]. A shape
+    is a column of components stacked from the top right to the
+    bottom left, with empty rows anywhere between them.
     """
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be positive")
@@ -555,56 +576,81 @@ def scan_box(rows: int, cols: int) -> BoxScan:
             memo[key] = n
         return n
 
-    ndyck = 0
-    maxdp = 0
-    nviol = 0
-    depth_counts = {0: 1}
-    buf = [None] * K
-    evaluate = _eval_encoded
-
-    def rec(depth, la, lb, gap, touched0, b0, r):
-        # the open component (gap False) has r rows, the first ending
-        # at column b0; closes says whether it may end after (la, lb]
-        nonlocal ndyck, maxdp, nviol
-        closes = gap or la + r == b0
-        if depth == K:
-            if touched0 and closes:
-                d = evaluate(buf)
-                if d >= 0:
-                    ndyck += 1
-                    depth_counts[d] = depth_counts.get(d, 0) + 1
-                    if d > maxdp:
-                        maxdp = d
-                    # no row ends right of the first and one starts
-                    # at column 0, so the width is the first row's end
-                    if d > buf[0][1]:
-                        nviol += 1
-            return
-        if closes:
-            buf[depth] = None
-            rec(depth + 1, la, lb, True, touched0, 0, 0)
-        lo = b0 - r + 1
-        for e in succ[la, lb, gap]:
-            a, b = e
-            if b > la:
-                # overlaps the last row: row r of the open component
-                if b >= lo:
-                    buf[depth] = e
-                    rec(depth + 1, a, b, False, touched0 or a == 0, b0, r + 1)
-            elif closes:
-                # starts a new component
-                buf[depth] = e
-                rec(depth + 1, a, b, False, touched0 or a == 0, b, 1)
-        buf[depth] = None
-
     count = 0
     for a in range(M):
         for b in range(a + 1, M + 1):
             count += completions(1, a, b, False, a == 0)
-            buf[0] = (a, b)
-            rec(1, a, b, False, a == 0, b, 1)
-    return BoxScan(rows=K, cols=M, shapes=count, dyck=ndyck, max_depth=maxdp,
-                   depth_counts=dict(sorted(depth_counts.items())),
+
+    one = [1]
+    rest_memo = {}
+
+    def rest(k, top):
+        # Dyck fillings of the last k rows of a remainder, its component
+        # translated so that the last left end is 0 (and b_0 = r). By
+        # (i) a row ends at column k or beyond, k counting the rows from
+        # it on; every left end is at least 0; the next row ends at most
+        # at column top. The sum runs over the right ends the strip
+        # allows as well as over the left ends.
+        if k == 0:
+            return one
+        key = (k, top)
+        acc = rest_memo.get(key)
+        if acc is None:
+            acc = []
+            for v in range(k, top + 1):
+                # the next row ends at v: it is empty, its left end v
+                # bounding the rows below it,
+                _add_product(acc, rest(k - 1, v), one)
+                # or it opens a component of m rows. Its own (i) bounds
+                # its right ends more tightly than the remainder's, so
+                # they range over exactly those of comp[m]; by (ii) its
+                # last left end is v - m, which the rows below it may
+                # not pass.
+                for m in range(1, k + 1):
+                    _add_product(acc, comp[m], rest(k - m, v - m))
+            rest_memo[key] = acc
+        return acc
+
+    comp = [None]
+    for m in range(1, min(K, M) + 1):
+        # b_1 <= b_0 = m, so the remainder's first row ends at most at
+        # m - 1; the strip adds one to the depth
+        comp.append([0] + rest(m - 1, m - 1))
+
+    below_memo = {}
+
+    def below(t, bound):
+        # Dyck fillings of rows t.. in which every row ends at or left
+        # of column bound, the last left end of the previous component;
+        # the shape must reach column 0
+        if bound == 0:
+            return one
+        if t == K:
+            return []
+        key = (t, bound)
+        acc = below_memo.get(key)
+        if acc is None:
+            acc = []
+            _add_product(acc, below(t + 1, bound), one)
+            for b in range(1, bound + 1):
+                for r in range(1, min(b, K - t) + 1):
+                    _add_product(acc, comp[r], below(t + r, b - r))
+            below_memo[key] = acc
+        return acc
+
+    depths = [1]
+    nviol = 0
+    for b in range(1, M + 1):
+        # the first row ends at b; no row ends right of it and one
+        # starts at column 0, so b is the width
+        first = []
+        for r in range(1, min(b, K) + 1):
+            _add_product(first, comp[r], below(r, b - r))
+        _add_product(depths, first, one)
+        nviol += sum(first[b + 1:])
+    depth_counts = {d: c for d, c in enumerate(depths) if c}
+    return BoxScan(rows=K, cols=M, shapes=count, dyck=sum(depths) - 1,
+                   max_depth=max(depth_counts), depth_counts=depth_counts,
                    bound_violations=nviol)
 
 

@@ -41,6 +41,7 @@ def test_criterion_03_kl_inversion():
     start = time.monotonic()
     pairs = [(k, n) for n in range(2, 8) for k in range(1, n)]
     pairs.append((2, 8))
+    pairs += [(k, 9) for k in range(1, 9)]
     for k, n in pairs:
         report = mult.kl_inversion_check(k, n)
         assert report.ok, (k, n, report.first_failure)

@@ -205,6 +205,17 @@ def test_koszul_algebra_file(capsys, monkeypatch):
     assert out.startswith("koszul: true")
 
 
+def test_algebra_file_over_a_limit_exits_one(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"vertices": ["v%d" % i for i in range(65)]}))
+    code, out, err = run(["koszul", "--algebra", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: 'vertices' has 65 entries, more than the "
+                   "limit of 64\n")
+
+
 def test_koszul_integral(capsys):
     code, out, _ = run(["koszul", "integral", "--builtin", "p1",
                         "--l", "7"], capsys)
@@ -255,14 +266,28 @@ def test_prime_above_limit_exits_one_at_once(argv, capsys):
     assert "below 2^31" in err
 
 
-@pytest.mark.parametrize("box", ["9x9", "5x13"])
+@pytest.mark.parametrize("box", ["11x11", "7x15"])
 def test_box_above_cell_limit_exits_one_at_once(box, capsys):
     start = time.monotonic()
     code, out, err = run(["dyck", "enumerate", "--box", box], capsys)
     assert time.monotonic() - start < 1.0
     assert code == 1
     assert out == ""
-    assert "more than 64 cells" in err
+    assert "more than 100 cells" in err
+
+
+@pytest.mark.parametrize("box,depth", [("10x10", 10), ("6x15", 6)])
+def test_box_at_cell_limit_scans(box, depth, capsys):
+    start = time.monotonic()
+    code, out, _ = run(["dyck", "enumerate", "--box", box, "--json"],
+                       capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["max_depth"] == depth
+    assert doc["bound_violations"] == 0
+    assert sorted(doc["depth_counts"], key=int) == [
+        str(d) for d in range(depth + 1)]
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,6 +113,53 @@ def test_load_algebra_from_document():
     assert report.is_koszul
 
 
+def sized_doc(vertices, basis, mult):
+    """A valid document with exactly these numbers of vertices, basis
+    records and mult records: loops x_i of degree -1 at v0 whose
+    products x_i * x_j = y are listed in order, and unused loops of
+    degree -1 at v1 as padding."""
+    xs = 1
+    while xs * xs < mult:
+        xs += 1
+    recs = [{"name": "x%d" % i, "src": "v0", "tgt": "v0", "deg": -1}
+            for i in range(xs)]
+    recs.append({"name": "y", "src": "v0", "tgt": "v0", "deg": -2})
+    recs += [{"name": "z%d" % i, "src": "v1", "tgt": "v1", "deg": -1}
+             for i in range(basis - len(recs))]
+    products = [{"left": "x%d" % i, "right": "x%d" % j, "result": {"y": 1}}
+                for i in range(xs) for j in range(xs)][:mult]
+    return {"vertices": ["v%d" % i for i in range(vertices)],
+            "basis": recs, "mult": products}
+
+
+LIMITS = {"vertices": koszul.MAX_VERTICES,
+          "basis": koszul.MAX_BASIS_RECORDS,
+          "mult": koszul.MAX_MULT_RECORDS}
+
+
+def test_load_algebra_accepts_a_document_at_every_limit():
+    algebra = load_algebra(sized_doc(**LIMITS))
+    assert len(algebra.vertices) == koszul.MAX_VERTICES
+    # the listed records plus one synthesized idempotent per vertex
+    assert len(algebra.basis) == (koszul.MAX_BASIS_RECORDS
+                                  + koszul.MAX_VERTICES)
+    assert len(algebra.mult) == koszul.MAX_MULT_RECORDS
+
+
+@pytest.mark.parametrize("key", sorted(LIMITS))
+def test_load_algebra_refuses_a_document_over_a_limit(key):
+    sizes = dict(LIMITS)
+    sizes[key] += 1
+    doc = sized_doc(**sizes)
+    assert len(doc[key]) == LIMITS[key] + 1
+    start = time.monotonic()
+    with pytest.raises(ValueError) as err:
+        load_algebra(doc)
+    assert time.monotonic() - start < 0.1
+    assert str(err.value) == ("'%s' has %d entries, more than the limit "
+                              "of %d" % (key, LIMITS[key] + 1, LIMITS[key]))
+
+
 def test_dual_numbers_resolution_periodic():
     A = builtin_algebra("dual_numbers")
     res = minimal_resolution(A, "pt", "Q", 6)

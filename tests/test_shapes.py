@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from koszulbench.shapes import (
     transpose,
     _eval_encoded,
 )
+from koszulbench import shapes
 
 
 def sh(outer, inner=()):
@@ -278,7 +282,7 @@ def test_scan_box_frozen_counts():
 
 def brute_scan_box(rows, cols):
     """Every normalized shape in the box through _eval_encoded, with no
-    pruning and no counter: the row recursion scan_box replaced, with
+    counter and no depth polynomials: one evaluation per shape, with
     its own copy of the row-transition rule."""
     K, M = rows, cols
     count = 0
@@ -334,6 +338,44 @@ def test_scan_box_matches_brute_force_on_every_small_box():
             assert scan_box(k, m) == brute_scan_box(k, m), (k, m)
 
 
+def test_scan_box_9x9():
+    """Beyond the frozen 8x8 box. The shape total is the transfer-matrix
+    counter's; the Dyck counts were first derived by a separate
+    recursion over fixed right-end profiles, with the same result."""
+    scan = scan_box(9, 9)
+    assert scan.shapes == 159420064
+    assert (scan.dyck, scan.max_depth, scan.bound_violations) == (
+        1215558, 9, 0)
+    assert scan.depth_counts == {0: 1, 1: 2056, 2: 21219, 3: 95838,
+                                 4: 238880, 5: 349812, 6: 305109,
+                                 7: 155246, 8: 42536, 9: 4862}
+
+
+@pytest.mark.parametrize("k,m", [(8, 12), (9, 11)])
+def test_scan_box_transpose_symmetry(k, m):
+    """Transposing a shape keeps it Dyck at the same depth, so the k x m
+    and m x k boxes agree; scan_box treats rows and columns
+    differently, so this is not a tautology."""
+    wide, tall = scan_box(k, m), scan_box(m, k)
+    assert (tall.rows, tall.cols) == (m, k)
+    assert dataclasses.replace(wide, rows=m, cols=k) == tall
+
+
+def test_full_depth_count_is_catalan():
+    for n in range(1, 10):
+        catalan = math.comb(2 * n, n) // (n + 1)
+        assert scan_box(n, n).depth_counts[n] == catalan, n
+
+
+def test_scan_box_evaluates_no_shape(monkeypatch):
+    def refuse(enc):
+        raise AssertionError("scan_box evaluated %r" % (enc,))
+
+    monkeypatch.setattr(shapes, "_eval_encoded", refuse)
+    scan = scan_box(7, 7)
+    assert (scan.shapes, scan.dyck) == (976501, 27104)
+
+
 def component_rows(comp):
     """The row intervals (a, b] of a connected shape, top to bottom."""
     by_row = {}
@@ -344,9 +386,10 @@ def component_rows(comp):
 
 @pytest.mark.parametrize("k,m", [(4, 4), (3, 5), (5, 3)])
 def test_pruning_lemma_holds_on_dyck_shapes(k, m):
-    """Every component of a Dyck shape satisfies (i) and (ii) of the
-    pruning lemma in shapes.py; the components and the depths come from
-    the object-level code, not from the row-interval evaluator."""
+    """Every component of a Dyck shape satisfies the strip conditions
+    (i) and (ii) in shapes.py, on which scan_box builds its components;
+    the components and the depths come from the object-level code, not
+    from the row-interval evaluator."""
     seen = 0
     for shape in enumerate_box_shapes(k, m):
         if oracle_depth(shape) is None:
