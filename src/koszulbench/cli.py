@@ -45,10 +45,6 @@ subcommands:
 every subcommand accepts --json"""
 
 
-# The scan counts shapes and Dyck shapes by polynomial recursions, so a
-# box of up to 100 cells scans in well under a second (10x10, 6x15 and
-# 9x11 each take about 0.02 s); scan_box bounds each side to 1..15.
-_MAX_BOX_CELLS = 100
 # Each resolution step can be far larger than the last (torsion_p1:3
 # over F3 doubles: i = 16 takes 0.6 s, i = 20 takes 13 s and 110 MB),
 # so the cutoff is bounded; the builtins' defaults are at most 8.
@@ -127,9 +123,6 @@ def _cmd_dyck_enumerate(args) -> int:
         rows, cols = int(rows_text), int(cols_text)
     except ValueError:
         raise ValueError("cannot parse box %r; expected KxM" % ns.box)
-    if rows * cols > _MAX_BOX_CELLS:
-        raise ValueError("box %dx%d has more than %d cells"
-                         % (rows, cols, _MAX_BOX_CELLS))
     scan = scan_box(rows, cols)
     text = ("box: %dx%d\nshapes: %d\ndyck: %d\nmax_depth: %d\n"
             "bound_violations: %d"

@@ -26,13 +26,15 @@ from ._linalg import Echelon, FieldQ, FieldF, kernel_basis
 # docs/cli.md.
 MAX_FREE_RANK = 4096
 
-# Largest algebra document load_algebra accepts, counted in records as
-# listed. Loading checks associativity on every triple with x*y or y*z
-# listed, so its cost grows with mult records times basis elements
-# times the terms of each product; docs/cli.md gives measured costs.
+# Largest algebra document load_algebra accepts, counted in records and
+# in result terms over all mult records, as listed. Loading checks
+# associativity on every triple with x*y or y*z listed, so its cost
+# grows with mult records times basis elements times the terms of each
+# product; docs/cli.md gives measured costs.
 MAX_VERTICES = 64
 MAX_BASIS_RECORDS = 128
 MAX_MULT_RECORDS = 512
+MAX_MULT_TERMS = 2048
 
 
 class GradedAlgebra:
@@ -166,9 +168,9 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
      "mult": [{"left","right","result": {name: coeff}}, ...]}.
     Vertex idempotents may be listed (one degree-0 loop per vertex)
     or omitted, in which case e_<vertex> is supplied. A document with
-    more than MAX_VERTICES vertices, MAX_BASIS_RECORDS basis records or
-    MAX_MULT_RECORDS mult records is refused before any record is
-    read."""
+    more than MAX_VERTICES vertices, MAX_BASIS_RECORDS basis records,
+    MAX_MULT_RECORDS mult records or MAX_MULT_TERMS result terms in all
+    is refused before any record is read."""
     if not isinstance(doc, dict):
         raise ValueError("algebra document must be a JSON object")
     vertices = doc.get("vertices")
@@ -185,6 +187,12 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
         if len(recs) > limit:
             raise ValueError("'%s' has %d entries, more than the limit of %d"
                              % (key, len(recs), limit))
+    terms = sum(len(rec["result"]) for rec in mult_recs
+                if isinstance(rec, dict)
+                and isinstance(rec.get("result"), dict))
+    if terms > MAX_MULT_TERMS:
+        raise ValueError("'mult' has %d result terms, more than the limit "
+                         "of %d" % (terms, MAX_MULT_TERMS))
     basis = []
     names = set()
     for rec in basis_recs:

@@ -218,13 +218,9 @@ def normal_form(shape: SkewShape) -> SkewShape:
         return SkewShape((), ()) if (shape.outer.parts or shape.inner.parts) else shape
     di = 1 - min(i for i, _ in shape.cells)
     dj = 1 - min(j for _, j in shape.cells)
-    if di == 0 and dj == 0 and not _has_empty_leading_row(shape):
+    if di == 0 and dj == 0 and shape.outer.part(1) != shape.inner.part(1):
         return shape
     return shape_from_cells((i + di, j + dj) for i, j in shape.cells)
-
-
-def _has_empty_leading_row(shape) -> bool:
-    return bool(shape.outer.parts) and shape.outer.part(1) == shape.inner.part(1)
 
 
 def connected_components(shape: SkewShape):
@@ -320,7 +316,9 @@ def dyck_depth(shape: SkewShape) -> DyckVerdict:
     """The four-rule recursion: empty has depth 0, a Dyck connected
     border strip has depth 1, a disconnected shape sums over its
     components, and a connected shape splits into its outer border
-    strip plus the rest, both of which must be Dyck."""
+    strip plus the rest, both of which must be Dyck. Evaluated by
+    _eval_encoded through the strip criteria (i) and (ii) below, the
+    same rule scan_box counts with."""
     d = _eval_encoded(encode_shape(shape))
     return DyckVerdict(d >= 0, d if d >= 0 else 0)
 
@@ -335,25 +333,27 @@ def transpose(shape: SkewShape) -> SkewShape:
 # ---------------------------------------------------------------------------
 # Row-interval evaluator and box scanner.
 #
-# The evaluator below runs the four-rule recursion iteratively on
-# per-row column intervals and never builds cell sets. It compares
-# levels only within one shape, so it needs neither normalization nor a
-# bound on the width. dyck_depth uses it, and tests check it against
-# the object-level recursion above.
+# Both apply one rule, the strip criteria (i) and (ii) below:
+# _eval_encoded checks them on each component of a shape, and scan_box
+# builds exactly the components that pass them. The evaluator works on
+# per-row column intervals, never on cell sets, and the criteria are
+# relative to a component's top row, so it needs neither normalization
+# nor a bound on the width. Tests check it against the object-level
+# four-rule recursion above.
 #
 # Strip-plus-remainder decomposition. Let a connected component have
 # the rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom. Its rows
 # overlap, b_{t+1} > a_t, so its outer border strip has the rows
-# (b_{t+1} - 1, b_t] for t < r - 1 and (a_{r-1}, b_{r-1}] last
-# (sa_t = b_{t+1} - 1 in _eval_encoded). Each is nonempty and meets the
-# next in exactly one column, so the strip is one connected border
-# strip. The remainder is what the strip leaves of rows 0..r-2: the
-# rows (a_t, c_t] with c_t = b_{t+1} - 1. Its right ends are fixed by
-# the strip, since the strip takes every cell of row t from the column
-# where row t + 1 ends; only the left ends are free, and row t of the
-# remainder is empty iff a_t = c_t. The component is Dyck iff its strip
-# is Dyck and every component of its remainder is Dyck, and then its
-# depth is 1 plus the remainder's depth.
+# (b_{t+1} - 1, b_t] for t < r - 1 and (a_{r-1}, b_{r-1}] last. Each is
+# nonempty and meets the next in exactly one column, so the strip is
+# one connected border strip, checked as a single piece. The remainder
+# is what the strip leaves of rows 0..r-2: the rows (a_t, c_t] with
+# c_t = b_{t+1} - 1. Its right ends are fixed by the strip, since the
+# strip takes every cell of row t from the column where row t + 1 ends;
+# only the left ends are free, and row t of the remainder is empty iff
+# a_t = c_t. The component is Dyck iff its strip is Dyck and every
+# component of its remainder is Dyck, and then its depth is 1 plus the
+# remainder's depth.
 #
 # Relative to the component's top row, the strip's end cells (b_0, 0)
 # and (a_{r-1} + 1, r - 1) must share the level b_0, and no cell may
@@ -380,120 +380,37 @@ def _eval_encoded(enc):
 
     enc holds one entry per row, as encode_shape builds it: the pair
     (a, b) for the half-open column interval (a, b], or None for an
-    empty row.
+    empty row. Each component must pass the strip criteria (i) and
+    (ii) above; it adds one to the depth, and its remainder is
+    evaluated in turn.
     """
     total = 0
-    stack = []
-    cur = None
-    curoff = 0
-    pa = -1
-    pb = 0
-    for j, e in enumerate(enc):
-        if e is None:
-            if cur:
-                stack.append((curoff, cur))
-                cur = None
-            pa = -1
-            continue
-        a, b = e
-        if pa >= 0 and (a if a > pa else pa) >= (b if b < pb else pb):
-            stack.append((curoff, cur))
-            cur = None
-        if cur is None:
-            cur = []
-            curoff = j
-        cur.append(e)
-        pa = a
-        pb = b
-    if cur:
-        stack.append((curoff, cur))
+    stack = [enc]
     while stack:
-        rowoff, arr = stack.pop()
-        r = len(arr)
-        bs = True
-        for i in range(r - 1):
-            a1, b1 = arr[i]
-            a2, b2 = arr[i + 1]
-            if (b1 if b1 < b2 else b2) - (a1 if a1 > a2 else a2) >= 2:
-                bs = False
-                break
-        if bs:
-            lev = arr[0][1] + rowoff + 1
-            if lev != arr[-1][0] + 1 + rowoff + r:
-                return -1
-            for i in range(r):
-                if arr[i][0] + 2 + rowoff + i < lev:
-                    return -1
-            total += 1
-            continue
-        # peel the outer border strip; check its pieces, push the rest
-        sa = [0] * r
-        sb = [0] * r
-        rem = None
-        remoff = 0
-        prevra = -1
-        prevrb = 0
-        for i in range(r):
-            a, b = arr[i]
-            if i + 1 < r:
-                nb = arr[i + 1][1]
-                hi = b if b < nb - 1 else nb - 1
-                if hi < a:
-                    hi = a
-            else:
-                hi = a
-            sa[i] = hi
-            sb[i] = b
-            if hi > a:
-                if prevra >= 0 and (a if a > prevra else prevra) >= (hi if hi < prevrb else prevrb):
-                    stack.append((remoff, rem))
-                    rem = None
-                if rem is None:
-                    rem = []
-                    remoff = rowoff + i
-                rem.append((a, hi))
-                prevra = a
-                prevrb = hi
-            else:
-                if rem is not None:
-                    stack.append((remoff, rem))
-                    rem = None
-                prevra = -1
-        if rem is not None:
-            stack.append((remoff, rem))
-        ci = -1
-        for i in range(r):
-            if sa[i] == sb[i]:
-                if ci >= 0:
-                    if not _cbs_encoded(sa, sb, ci, i, rowoff):
-                        return -1
-                    total += 1
-                    ci = -1
+        rows = stack.pop()
+        n = len(rows)
+        j = 0
+        while j < n:
+            if rows[j] is None:
+                j += 1
                 continue
-            if ci >= 0:
-                p = i - 1
-                if (sa[i] if sa[i] > sa[p] else sa[p]) >= (sb[i] if sb[i] < sb[p] else sb[p]):
-                    if not _cbs_encoded(sa, sb, ci, i, rowoff):
-                        return -1
-                    total += 1
-                    ci = i
-            else:
-                ci = i
-        if ci >= 0:
-            if not _cbs_encoded(sa, sb, ci, r, rowoff):
+            pa, b0 = rows[j]
+            rem = []
+            t = 1
+            # a row joins the component iff it overlaps the row above
+            while j + t < n and rows[j + t] and rows[j + t][1] > pa:
+                a, b = rows[j + t]
+                if b + t - 1 < b0:
+                    return -1
+                rem.append((pa, b - 1) if b - 1 > pa else None)
+                pa = a
+                t += 1
+            if pa + t != b0:
                 return -1
             total += 1
+            stack.append(rem)
+            j += t
     return total
-
-
-def _cbs_encoded(sa, sb, lo, hi, rowoff):
-    lev = sb[lo] + rowoff + lo + 1
-    if lev != sa[hi - 1] + 1 + rowoff + hi:
-        return False
-    for i in range(lo, hi):
-        if sa[i] + 2 + rowoff + i < lev:
-            return False
-    return True
 
 
 @dataclass

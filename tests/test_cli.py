@@ -267,13 +267,15 @@ def test_prime_above_limit_exits_one_at_once(argv, capsys):
 
 
 @pytest.mark.parametrize("box", ["11x11", "7x15"])
-def test_box_above_cell_limit_exits_one_at_once(box, capsys):
+def test_box_past_100_cells_scans_at_once(box, capsys):
+    """Only the 1..15 bound on each side limits a box; a box of more
+    than 100 cells scans in well under a second."""
     start = time.monotonic()
-    code, out, err = run(["dyck", "enumerate", "--box", box], capsys)
+    code, out, _ = run(["dyck", "enumerate", "--box", box], capsys)
     assert time.monotonic() - start < 1.0
-    assert code == 1
-    assert out == ""
-    assert "more than 100 cells" in err
+    assert code == 0
+    assert out.startswith("box: %s\n" % box)
+    assert "bound_violations: 0\n" in out
 
 
 @pytest.mark.parametrize("box,depth", [("10x10", 10), ("6x15", 6)])
@@ -329,6 +331,67 @@ def test_resolution_above_free_rank_limit_exits_one(capsys):
     assert err.startswith("error: step 19 of the resolution")
     assert err.endswith("the limit is 4096\n")
     assert err.count("\n") == 1
+
+
+def arrows(prefix, count, src, tgt):
+    return [{"name": "%s%d" % (prefix, i), "src": src, "tgt": tgt,
+             "deg": -1} for i in range(count)]
+
+
+# Step 1 of the resolution of the simple module at a has 50 copies of
+# P_a (1 + 50 + 17 basis vectors) and 17 of P_b (1 + 40): 4,097 in all.
+STEP_4097 = {"vertices": ["a", "b"],
+             "basis": (arrows("x", 50, "a", "a") + arrows("u", 17, "a", "b")
+                       + arrows("y", 40, "b", "b"))}
+
+# One case per row of the limits table in docs/cli.md, each the first
+# value past its limit. An algebra document over a record or term limit
+# is refused before any record is read, so its records need not be
+# valid.
+PAST_LIMITS = {
+    "box-16x1": (["dyck", "enumerate", "--box", "16x1"], None, "15x15"),
+    "box-1x16": (["dyck", "enumerate", "--box", "1x16"], None, "15x15"),
+    "imax-33": (["koszul", "--builtin", "p1", "--imax", "33"], None,
+                "1..32"),
+    "step-4097": (["koszul", "--field", "Q"], STEP_4097,
+                  "4097 basis vectors; the limit is 4096"),
+    "prime-2^31": (["primes", "--l", str(2 ** 31), "--wt", "0,1"], None,
+                   "below 2^31"),
+    "mult-flag-6": (["mult", "flag", "--n", "6"], None, "n <= 5"),
+    "mult-gr-11": (["mult", "gr", "--k", "1", "--n", "11"], None,
+                   "n <= 10"),
+    "kl-rank-10": (["kl", "--n", "10", "--x", "1,2,3,4,5,6,7,8,9,10",
+                    "--w", "2,1,3,4,5,6,7,8,9,10"], None, "limit 9"),
+    "invert-check-11": (["kl", "invert-check", "--k", "1", "--n", "11"],
+                        None, "n <= 10"),
+    "vertices-65": (["koszul"], {"vertices": ["v%d" % i for i in range(65)]},
+                    "limit of 64"),
+    "basis-129": (["koszul"], {"vertices": ["v"], "basis": [{}] * 129},
+                  "limit of 128"),
+    "mult-513": (["koszul"], {"vertices": ["v"], "mult": [{}] * 513},
+                 "limit of 512"),
+    "terms-2049": (["koszul"], {"vertices": ["v"], "mult": [
+        {"left": "x", "right": "x",
+         "result": {"t%d" % i: 1 for i in range(2049)}}]},
+        "2049 result terms, more than the limit of 2048"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_LIMITS))
+def test_first_value_past_each_limit_exits_one_at_once(case, capsys,
+                                                       tmp_path):
+    argv, doc, reason = PAST_LIMITS[case]
+    if doc is not None:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--algebra", str(path)]
+    start = time.monotonic()
+    code, out, err = run(argv, capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reason in err
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), RecursionError(

@@ -160,6 +160,32 @@ def test_load_algebra_refuses_a_document_over_a_limit(key):
                               "of %d" % (key, LIMITS[key] + 1, LIMITS[key]))
 
 
+def test_load_algebra_refuses_one_result_term_over_the_limit():
+    """MAX_MULT_TERMS counts the result terms of all mult records: a
+    document at the limit loads, and one more term is refused before
+    the associativity check."""
+    per, extra = divmod(koszul.MAX_MULT_TERMS, koszul.MAX_MULT_RECORDS)
+    assert extra == 0
+    xs = [{"name": "x%d" % i, "src": "v", "tgt": "v", "deg": -1}
+          for i in range(23)]
+    ys = [{"name": "y%d" % i, "src": "v", "tgt": "v", "deg": -2}
+          for i in range(per + 1)]
+    products = [{"left": "x%d" % i, "right": "x%d" % j,
+                 "result": {"y%d" % t: 1 for t in range(per)}}
+                for i in range(23) for j in range(23)]
+    doc = {"vertices": ["v"], "basis": xs + ys,
+           "mult": products[:koszul.MAX_MULT_RECORDS]}
+    assert len(load_algebra(doc).mult) == koszul.MAX_MULT_RECORDS
+    doc["mult"][0]["result"]["y%d" % per] = 1
+    start = time.monotonic()
+    with pytest.raises(ValueError) as err:
+        load_algebra(doc)
+    assert time.monotonic() - start < 0.1
+    assert str(err.value) == ("'mult' has %d result terms, more than the "
+                              "limit of %d" % (koszul.MAX_MULT_TERMS + 1,
+                                               koszul.MAX_MULT_TERMS))
+
+
 def test_dual_numbers_resolution_periodic():
     A = builtin_algebra("dual_numbers")
     res = minimal_resolution(A, "pt", "Q", 6)

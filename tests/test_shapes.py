@@ -233,6 +233,19 @@ def test_square_has_depth_i(i):
 
 def test_depth_invariant_under_translation():
     assert dyck_depth(sh((4, 4), (3, 3))) == dyck_depth(sh((1, 1)))
+    # the evaluator reads each component relative to its top row, so
+    # empty rows before or after a shape and a shift of its columns
+    # leave the result alone
+    for shape in enumerate_box_shapes(4, 4):
+        enc = encode_shape(shape)
+        want = _eval_encoded(enc)
+        for pad in (1, 2):
+            assert _eval_encoded([None] * pad + enc) == want, shape
+            assert _eval_encoded(enc + [None] * pad) == want, shape
+        for c in (1, 2, 3):
+            shifted = [None if e is None else (e[0] + c, e[1] + c)
+                       for e in enc]
+            assert _eval_encoded(shifted) == want, shape
 
 
 def test_depth_transpose_symmetry_small_boxes():
