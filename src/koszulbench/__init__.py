@@ -8,16 +8,6 @@ from .hecke import KLTable
 from .mult import Space, graded_cartan, kl_inversion_check
 from .weights import wt_space, find_separating_prime, is_phi_decomposable
 from .koszul import GradedAlgebra, builtin_algebra, is_koszul
-from . import hecke, mult
-
-
-def clear_caches() -> None:
-    """Empty the module-level memos: the permutation lengths of
-    hecke.length and the full flag KL tables of mult. Every KLTable
-    keeps its interned ids and columns to itself, so dropping a table
-    frees them. Results recompute identically."""
-    hecke._LEN.clear()
-    mult._FLAG_TABLES.clear()
 
 
 __all__ = [
@@ -37,7 +27,6 @@ __all__ = [
     "GradedAlgebra",
     "builtin_algebra",
     "is_koszul",
-    "clear_caches",
 ]
 
 __version__ = "0.1.0"

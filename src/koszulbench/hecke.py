@@ -5,7 +5,8 @@ sends 1 to 2. KL polynomials are computed by KLTable with the descent
 recursion and mu corrections, whole Bruhat columns at a time, on
 per-table integer ids of permutations. They are stored as polynomials
 in q (one LaurentPoly exponent per power of q; q is v squared
-everywhere else in the package).
+everywhere else in the package); KLTable.column hands out a whole
+column packed (see _BITS). Every memo belongs to one KLTable.
 
 Three classical facts keep the recursion small: P_{x,w} = 1 whenever
 l(w) - l(x) <= 2; every column of a permutation avoiding the patterns
@@ -24,8 +25,6 @@ import itertools
 from bisect import insort
 
 from .laurent import LaurentPoly
-
-_LEN = {}
 
 
 def parse_permutation(text: str, n=None):
@@ -53,17 +52,10 @@ def render_permutation(w) -> str:
     return ",".join(str(i) for i in w)
 
 
-def _inversions(w) -> int:
-    n = len(w)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
-
-
 def length(w) -> int:
     """Inversion count."""
-    r = _LEN.get(w)
-    if r is None:
-        r = _LEN[w] = _inversions(w)
-    return r
+    n = len(w)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
 
 
 def longest_element(n):
@@ -185,6 +177,13 @@ class KLTable:
         p = self._value(self._id(x), self._id(w))
         return LaurentPoly({e: c for e, c in enumerate(_coeffs(p)) if c})
 
+    def column(self, w):
+        """P_{x,w} for every x <= w: a dict from the permutation x to
+        the polynomial packed into one int (see _BITS), the format
+        parabolic_kl returns."""
+        perm = self._perm
+        return {perm[x]: p for x, p in self._column(self._id(w)).items()}
+
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}, the inverse KL polynomial."""
         check_permutation(y, self.n)
@@ -211,7 +210,7 @@ class KLTable:
         if k is None:
             k = self._ids[w] = len(self._perm)
             self._perm.append(w)
-            self._len.append(_inversions(w) if lw is None else lw)
+            self._len.append(length(w) if lw is None else lw)
             self._desc.append(first_descent(w))
             self._smooth.append(None)
             for nbr in self._nbr:

@@ -11,7 +11,8 @@ Sign and normalization conventions: multiplicities live in N[v^-1]
 on Dyck shapes, and the flag entry is v^(-(l(x)-l(y))) Q_{y,x}(v^2)
 with Q the longest-element twist of the KL table. Both are pinned by
 requiring diagonal 1, entries in N[v^-1], and agreement between the
-two descriptions of the projective line.
+two descriptions of the projective line. Matrices read whole Dyck
+rows or KL columns; delta_ic_gr and delta_ic_flag are per-pair routes.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class Space:
         lexicographic tie-break)."""
         if self.kind == "gr":
             return enumerate_partitions_in_box(self.k, self.n - self.k)
-        perms = sorted(itertools.permutations(range(1, self.n + 1)),
-                       key=lambda w: (hecke.length(w), w))
-        return perms
+        return sorted(itertools.permutations(range(1, self.n + 1)),
+                      key=lambda w: (hecke.length(w), w))
 
 
 def _check_box(k: int, n: int, lam: Partition):
@@ -131,45 +131,44 @@ def dyck_rows(k: int, n: int):
     return rows
 
 
-_FLAG_TABLES = {}
-
-
-def _flag_table(n: int) -> hecke.KLTable:
-    table = _FLAG_TABLES.get(n)
-    if table is None:
-        table = hecke.KLTable(n, cap=max(7, n))
-        _FLAG_TABLES[n] = table
-    return table
-
-
 def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     """[Delta_x : IC_y] on the full flag variety of rank n.
 
     Realized as v^(-(l(x)-l(y))) * Q_{y,x}(v^2) with Q the inverse KL
-    polynomial; zero unless y <= x in Bruhat order.
+    polynomial; zero unless y <= x in Bruhat order. Each call builds
+    its own KLTable; matrices read whole columns instead (_delta_rows).
     """
     hecke.check_permutation(x, n)
     hecke.check_permutation(y, n)
     # inverse_kl is 0 here too, but reaching it through the table costs more.
     if not hecke.bruhat_leq(y, x):
         return LaurentPoly.zero()
-    q_poly = _flag_table(n).inverse_kl(y, x)
+    q_poly = hecke.KLTable(n, cap=max(7, n)).inverse_kl(y, x)
     return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
+
+
+def _from_packed(p, d, sign=1) -> LaurentPoly:
+    """sign * v^(-d) P(v^2) for P packed into one int (see hecke._BITS)."""
+    return LaurentPoly({2 * e - d: sign * c
+                        for e, c in enumerate(hecke._coeffs(p)) if c})
 
 
 def _delta_rows(space: Space, labels):
     """Sparse rows of delta_ic_matrix: row i maps j to the nonzero
-    [Delta_labels[i] : IC_labels[j]]."""
+    [Delta_labels[i] : IC_labels[j]]. On flag(n), column j needs
+    Q_{y,x} = P_{w0 x, w0 y} for y = labels[j] and every x >= y: the
+    whole column of w0 y in a KLTable local to the call."""
     if space.kind == "gr":
         return dyck_rows(space.k, space.n)
-    rows = []
-    for x in labels:
-        row = {}
-        for j, y in enumerate(labels):
-            p = delta_ic_flag(space.n, x, y)
-            if p:
-                row[j] = p
-        rows.append(row)
+    table = hecke.KLTable(space.n, cap=max(7, space.n))
+    w0 = hecke.longest_element(space.n)
+    index = {hecke.compose(w0, x): i for i, x in enumerate(labels)}
+    lengths = [hecke.length(x) for x in labels]
+    rows = [{} for _ in labels]
+    for j, y in enumerate(labels):
+        for w0x, p in table.column(hecke.compose(w0, y)).items():
+            i = index[w0x]
+            rows[i][j] = _from_packed(p, lengths[i] - lengths[j])
     return rows
 
 
@@ -301,9 +300,7 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
         for x, p in col.items():
             i = index[x]
             d = labels[i].size - labels[j].size
-            sign = -1 if d % 2 else 1
-            K[i][j] = LaurentPoly({2 * e - d: sign * c for e, c
-                                   in enumerate(hecke._coeffs(p)) if c})
+            K[i][j] = _from_packed(p, d, -1 if d % 2 else 1)
     for A, B in ((D, K), (K, D)):
         failure = _first_defect(A, B)
         if failure is not None:

@@ -275,16 +275,22 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     with q-power eigenvalues span the lattice after localizing at l.
 
     The matrix must be invertible mod l (an automorphism of the local
-    lattice) and l must be prime and prime to q.
+    lattice) and l must be prime and prime to q. The cost grows fast
+    with the size and the entries (docs/cli.md), so more than 16 rows or
+    an entry of absolute value 2^31 or more is refused at once.
     """
+    n = len(matrix)
+    if n > 16:
+        raise ValueError("matrix has %d rows, more than the limit of 16" % n)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        if any(abs(x) >= 2 ** 31 for x in row):
+            raise ValueError("matrix entries must lie between -2^31 and 2^31")
     if not _linalg.is_prime(l):
         raise ValueError("l = %d is not prime" % l)
     if q % l == 0:
         raise ValueError("q = %d is divisible by l = %d" % (q, l))
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
     det = _linalg.det_bareiss(matrix)
     if det % l == 0:
         raise ValueError("matrix determinant is divisible by l = %d" % l)

@@ -345,9 +345,9 @@ STEP_4097 = {"vertices": ["a", "b"],
                        + arrows("y", 40, "b", "b"))}
 
 # One case per row of the limits table in docs/cli.md, each the first
-# value past its limit. An algebra document over a record or term limit
-# is refused before any record is read, so its records need not be
-# valid.
+# value past its limit; a document goes to --algebra, or to --matrix for
+# phidec. An algebra document over a record or term limit is refused
+# before any record is read, so its records need not be valid.
 PAST_LIMITS = {
     "box-16x1": (["dyck", "enumerate", "--box", "16x1"], None, "15x15"),
     "box-1x16": (["dyck", "enumerate", "--box", "1x16"], None, "15x15"),
@@ -374,6 +374,11 @@ PAST_LIMITS = {
         {"left": "x", "right": "x",
          "result": {"t%d" % i: 1 for i in range(2049)}}]},
         "2049 result terms, more than the limit of 2048"),
+    "phidec-rows-17": (["phidec", "--q", "2", "--l", "3"],
+                       [[int(i == j) for j in range(17)] for i in range(17)],
+                       "17 rows, more than the limit of 16"),
+    "phidec-entry-2^31": (["phidec", "--q", "2", "--l", "3"],
+                          [[1, 2 ** 31], [0, 1]], "between -2^31 and 2^31"),
 }
 
 
@@ -382,9 +387,10 @@ def test_first_value_past_each_limit_exits_one_at_once(case, capsys,
                                                        tmp_path):
     argv, doc, reason = PAST_LIMITS[case]
     if doc is not None:
-        path = tmp_path / "algebra.json"
+        path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
-        argv = argv + ["--algebra", str(path)]
+        option = "--matrix" if argv[0] == "phidec" else "--algebra"
+        argv = argv + [option, str(path)]
     start = time.monotonic()
     code, out, err = run(argv, capsys)
     assert time.monotonic() - start < 1.0

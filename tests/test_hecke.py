@@ -71,9 +71,15 @@ def textbook_kl(n):
 
 def test_textbook_recursion_matches_table_on_s5():
     table = KLTable(5)
+    columns = KLTable(5)
     for w, col in textbook_kl(5).items():
         for x, p in col.items():
             assert table.kl_polynomial(x, w) == q_poly(*p), (x, w)
+        # column(w): exactly the x <= w, packed as parabolic_kl packs
+        got = columns.column(w)
+        assert set(got) == {x for x in col if hecke.bruhat_leq(x, w)}, w
+        for x, p in got.items():
+            assert tuple(hecke._coeffs(p)) == col[x], (x, w)
 
 
 @pytest.fixture(scope="module")

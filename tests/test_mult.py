@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-import koszulbench
 from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
@@ -200,17 +199,17 @@ def test_dyck_matrix_unitriangular():
                 assert D.entries[i][j].is_zero()
 
 
-def test_clear_caches_empties_and_recomputes():
+def test_flag_matrices_make_no_per_pair_call(monkeypatch):
+    """delta_ic_matrix and graded_cartan read whole KL columns; the
+    per-pair routes are not reached. The per-pair test below compares
+    the values."""
+    def per_pair(*args):
+        raise AssertionError("per-pair call")
+    monkeypatch.setattr(mult, "delta_ic_flag", per_pair)
+    monkeypatch.setattr(hecke.KLTable, "inverse_kl", per_pair)
     space = mult.Space.flag(4)
-    before = mult.graded_cartan(space).to_json_dict()
-    assert hecke._LEN and mult._FLAG_TABLES
-    koszulbench.clear_caches()
-    assert not hecke._LEN and not mult._FLAG_TABLES
-    assert mult.graded_cartan(space).to_json_dict() == before
-    assert hecke._LEN and mult._FLAG_TABLES
-    # interned ids and columns belong to one table, never to the module
-    fresh = hecke.KLTable(4)
-    assert not fresh._ids and not fresh._cols
+    assert len(mult.delta_ic_matrix(space).entries) == 24
+    assert len(mult.graded_cartan(space).entries) == 24
 
 
 # -- sparse Dyck rows and the coset-sized inversion check -------------------

@@ -1,6 +1,8 @@
 import ast
 import pathlib
 
+from koszulbench.hecke import KLTable
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "koszulbench"
 
 
@@ -32,3 +34,35 @@ def test_library_does_not_import_fractions():
             found += ["%s:%d" % (path.name, node.lineno)
                       for name in names if name.split(".")[0] == "fractions"]
     assert found == []
+
+
+def test_library_keeps_no_module_level_state():
+    """No module of the library binds a name to a dict, list or set at
+    module level (__all__ aside): every memo lives in an object or a
+    call, so nothing grows between calls and nothing needs clearing."""
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            if isinstance(value, ast.Call) and isinstance(value.func,
+                                                          ast.Name):
+                bad = value.func.id in ("dict", "list", "set")
+            else:
+                bad = isinstance(value, mutable)
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if bad and names != ["__all__"]:
+                found.append("%s:%d %s" % (path.name, node.lineno,
+                                           ", ".join(names)))
+    assert found == []
+    # interned ids and columns belong to one table, never to the module
+    fresh = KLTable(4)
+    assert not fresh._ids and not fresh._cols
