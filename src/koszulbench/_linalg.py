@@ -1,6 +1,7 @@
 """Exact linear algebra helpers: one incremental row echelon form on
-int rows over Q and F_p, integer characteristic polynomials, Smith
-normal form with a column transform, and Bareiss determinants.
+int rows over Q and F_p, integer characteristic polynomials,
+saturated integer kernels by unimodular column operations, and
+Bareiss determinants.
 
 Everything here is dense and sized for the small matrices the rest
 of the package produces (ranks in the dozens at most).
@@ -178,72 +179,30 @@ def det_bareiss(matrix) -> int:
 
 
 def smith_kernel_basis(matrix, ncols):
-    """Saturated integer kernel of an integer matrix (given as a list
-    of rows of length ncols). Returns a lattice basis for
-    {v : matrix v = 0} whose span is saturated in Z^ncols.
+    """Saturated integer kernel of an integer matrix (a list of rows of
+    length ncols): a basis of the lattice {v in Z^ncols : matrix v = 0}.
 
-    Column operations are mirrored on an identity matrix V; once the
-    working matrix reaches column-echelon diagonal form, the V
-    columns matching zero diagonal entries form the kernel basis.
+    Each work column is a matrix column over the matching identity
+    column. Row by row, the columns left that are nonzero there are
+    reduced by floor quotients against the one of smallest absolute
+    entry until one remains, which becomes a pivot and leaves. The
+    pivots are triangular, so their images are independent; the
+    operations are unimodular, so the identity parts left span the
+    whole integer kernel, which is saturated by definition.
     """
-    B = [list(row) for row in matrix]
-    nrows = len(B)
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_swap(a, b):
-        for row in B:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst, src, c):
-        for row in B:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def row_swap(a, b):
-        B[a], B[b] = B[b], B[a]
-
-    def row_addmul(dst, src, c):
-        B[dst] = [x + c * y for x, y in zip(B[dst], B[src])]
-
-    t = 0
-    for t in range(min(nrows, ncols)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    a = abs(B[i][j])
-                    if a and (best is None or a < best):
-                        best = a
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                row_swap(pi, t)
-            if pj != t:
-                col_swap(pj, t)
-            dirty = False
-            for i in range(t + 1, nrows):
-                if B[i][t]:
-                    row_addmul(i, t, -(B[i][t] // B[t][t]))
-                    if B[i][t]:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if B[t][j]:
-                    col_addmul(j, t, -(B[t][j] // B[t][t]))
-                    if B[t][j]:
-                        dirty = True
-            if not dirty:
-                break
-        if all(B[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
-            break
-    rank = sum(1 for d in range(min(nrows, ncols)) if B[d][d] != 0)
-    kernel = []
-    for j in range(ncols):
-        if j >= rank:
-            kernel.append([V[i][j] for i in range(ncols)])
-    return kernel
+    nrows = len(matrix)
+    cols = [[row[j] for row in matrix] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    for r in range(nrows):
+        live = [j for j, col in enumerate(cols) if col[r]]
+        while len(live) > 1:
+            p = min((abs(cols[j][r]), j) for j in live)[1]
+            piv = cols[p]
+            for j in live:
+                if j != p:
+                    f = cols[j][r] // piv[r]
+                    cols[j] = [x - f * y for x, y in zip(cols[j], piv)]
+            live = [j for j in live if cols[j][r]]
+        if live:
+            del cols[live[0]]
+    return [col[nrows:] for col in cols]

@@ -146,7 +146,7 @@ def _cmd_kl(args) -> int:
     ns = parser.parse_args(args)
     x = hecke.parse_permutation(ns.x, ns.n)
     w = hecke.parse_permutation(ns.w, ns.n)
-    table = hecke.KLTable(ns.n, cap=max(7, ns.n))
+    table = hecke.KLTable(ns.n)
     poly = table.kl_polynomial(x, w)
     text = "P = %s" % poly.render(var="q")
     doc = {"n": ns.n, "x": hecke.render_permutation(x),
@@ -176,10 +176,6 @@ def _cmd_mult(kind: str, args) -> int:
     parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     space = mult.Space.gr(ns.k, ns.n) if kind == "gr" else mult.Space.flag(ns.n)
-    if space.kind == "flag" and space.n > 5:
-        raise ValueError("mult flag supports n <= 5")
-    if kind == "gr" and ns.n > 10:
-        raise ValueError("mult gr supports n <= 10")
     matrix = (mult.delta_ic_matrix(space) if ns.tag == "delta_ic"
               else mult.graded_cartan(space))
     _emit(matrix.render_text, matrix.to_json_dict, ns.json)

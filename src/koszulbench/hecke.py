@@ -119,7 +119,7 @@ def is_smooth(w) -> bool:
 # q = 2^_BITS: coefficient e fills bits [_BITS e, _BITS (e + 1)). This
 # is exact because the coefficients of P_{x,w} are nonnegative and the
 # mu terms only subtract, so each is at most the sum of two entries of
-# the column of v = ws: below 2^l(w) <= 2^36 under the rank cap.
+# the column of v = ws: below 2^l(w) <= 2^36 under the rank limit 9.
 _BITS = 64
 _MASK = (1 << _BITS) - 1
 
@@ -146,21 +146,15 @@ class KLTable:
 
     The memo holds whole columns keyed by the id of w: a dict from the
     id of x to P_{x,w} packed into one int (see _BITS), with an entry
-    for every x in [e, w]. Growth is bounded by the rank cap (default 7;
-    raising it past 9 is refused). Confine one table to one thread;
-    every computed value is deterministic, so duplicated work between
-    tables is harmless.
+    for every x in [e, w]. Growth is bounded by the rank limit 9.
+    Confine one table to one thread; every computed value is
+    deterministic, so duplicated work between tables is harmless.
     """
 
-    def __init__(self, n: int, cap: int = 7):
-        if cap > 9:
-            raise ValueError("rank cap %d exceeds the hard limit 9" % cap)
-        if n > cap:
-            raise ValueError("rank %d exceeds the table cap %d" % (n, cap))
-        if n < 1:
-            raise ValueError("rank must be positive")
+    def __init__(self, n: int):
+        if not 1 <= n <= 9:
+            raise ValueError("rank %d is outside 1..9 (the limit 9)" % n)
         self.n = n
-        self.cap = cap
         self._ids = {}
         self._perm = []
         self._len = []

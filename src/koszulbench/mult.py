@@ -36,14 +36,14 @@ class Space:
 
     @staticmethod
     def gr(k: int, n: int) -> "Space":
-        if not 1 <= k < n:
-            raise ValueError("gr(k,n) needs 1 <= k < n")
+        if not 1 <= k < n <= 10:
+            raise ValueError("gr(k,n) needs 1 <= k < n <= 10")
         return Space("gr", k, n)
 
     @staticmethod
     def flag(n: int) -> "Space":
-        if n < 1:
-            raise ValueError("flag(n) needs n >= 1")
+        if not 1 <= n <= 5:
+            raise ValueError("flag(n) needs 1 <= n <= 5")
         return Space("flag", 0, n)
 
     @staticmethod
@@ -143,7 +143,7 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     # inverse_kl is 0 here too, but reaching it through the table costs more.
     if not hecke.bruhat_leq(y, x):
         return LaurentPoly.zero()
-    q_poly = hecke.KLTable(n, cap=max(7, n)).inverse_kl(y, x)
+    q_poly = hecke.KLTable(n).inverse_kl(y, x)
     return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
 
 
@@ -160,7 +160,7 @@ def _delta_rows(space: Space, labels):
     whole column of w0 y in a KLTable local to the call."""
     if space.kind == "gr":
         return dyck_rows(space.k, space.n)
-    table = hecke.KLTable(space.n, cap=max(7, space.n))
+    table = hecke.KLTable(space.n)
     w0 = hecke.longest_element(space.n)
     index = {hecke.compose(w0, x): i for i, x in enumerate(labels)}
     lengths = [hecke.length(x) for x in labels]

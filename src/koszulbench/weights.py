@@ -108,10 +108,6 @@ def wt_space(space) -> tuple:
     with minimum 0."""
     if isinstance(space, str):
         space = mult.Space.parse(space)
-    if space.kind == "gr" and space.n > 10:
-        raise ValueError("wt_space supports gr(k,n) only for n <= 10")
-    if space.kind == "flag" and space.n > 5:
-        raise ValueError("wt_space supports flag(n) only for n <= 5")
     return wt_from_blocks(cartan_blocks(space))
 
 

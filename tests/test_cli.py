@@ -360,6 +360,8 @@ PAST_LIMITS = {
     "mult-flag-6": (["mult", "flag", "--n", "6"], None, "n <= 5"),
     "mult-gr-11": (["mult", "gr", "--k", "1", "--n", "11"], None,
                    "n <= 10"),
+    "weights-flag-6": (["weights", "--space", "flag:6"], None, "n <= 5"),
+    "weights-gr-11": (["weights", "--space", "gr:1,11"], None, "n <= 10"),
     "kl-rank-10": (["kl", "--n", "10", "--x", "1,2,3,4,5,6,7,8,9,10",
                     "--w", "2,1,3,4,5,6,7,8,9,10"], None, "limit 9"),
     "invert-check-11": (["kl", "invert-check", "--k", "1", "--n", "11"],

@@ -278,10 +278,10 @@ def test_mu_values():
 
 
 def test_rank_caps():
-    with pytest.raises(ValueError):
-        KLTable(3, cap=10)
-    with pytest.raises(ValueError):
-        KLTable(8)
+    for n in (0, 10):
+        with pytest.raises(ValueError, match="limit 9"):
+            KLTable(n)
+    assert KLTable(8).n == 8
     table = KLTable(3)
     with pytest.raises(ValueError):
         table.kl_polynomial((1, 2, 3, 4), (4, 3, 2, 1))
@@ -311,7 +311,7 @@ def test_parabolic_kl_matches_full_table():
     Q_{x_mu,x_lam} from the S_n table equals P_{w0 x_lam, w0 x_mu}
     from the parabolic recursion, zeros included."""
     for n in range(2, 9):
-        table = KLTable(n, cap=8)
+        table = KLTable(n)
         w0 = hecke.longest_element(n)
         for k in range(1, n):
             cols = hecke.parabolic_kl(k, n)

@@ -707,6 +707,54 @@ def test_associativity_oracle_sees_failures():
     assert exhaustive_associativity(load_algebra(exterior_doc(3))) is None
 
 
+# -- algebra documents: load, rebuild, load again -------------------------
+
+
+def algebra_doc(algebra):
+    """The document form of a loaded algebra: every basis element in
+    basis order, idempotents included, and every listed product."""
+    return {"name": algebra.name, "vertices": list(algebra.vertices),
+            "basis": [{"name": b, "src": algebra.basis[b][0],
+                       "tgt": algebra.basis[b][1], "deg": algebra.basis[b][2]}
+                      for b in algebra.basis_order],
+            "mult": [{"left": x, "right": y, "result": dict(result)}
+                     for (x, y), result in algebra.mult.items()]}
+
+
+@st.composite
+def round_trip_docs(draw):
+    """A quadratic monomial quiver algebra (or a truncated polynomial
+    ring, which is Koszul only up to x^2), with the idempotents of a
+    drawn set of vertices listed under names of their own."""
+    doc = draw(st.one_of(monomial_docs(), st.integers(2, 5).map(
+        truncation_doc)))
+    listed = draw(st.lists(st.sampled_from(doc["vertices"]), unique=True))
+    doc["basis"] += [{"name": "id_" + v, "src": v, "tgt": v, "deg": 0}
+                     for v in listed]
+    return doc
+
+
+def algebra_facts(algebra):
+    names = algebra.basis_order
+    return (algebra.basis,
+            {(x, y): algebra.product(x, y) for x in names for y in names},
+            is_koszul(algebra, "Q"))
+
+
+@fuzz(100)
+@given(round_trip_docs(), st.randoms(use_true_random=False))
+def test_algebra_documents_round_trip(doc, rng):
+    algebra = load_algebra(doc)
+    rebuilt = algebra_doc(algebra)
+    again = load_algebra(rebuilt)
+    facts = algebra_facts(algebra)
+    assert algebra_facts(again) == facts
+    assert algebra_doc(again) == rebuilt
+    for key in ("basis", "mult"):
+        rng.shuffle(rebuilt[key])
+    assert algebra_facts(load_algebra(rebuilt)) == facts
+
+
 # -- the Echelon against Bareiss and the reference rref ------------------
 
 

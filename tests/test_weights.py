@@ -1,6 +1,9 @@
+import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulbench import _linalg, mult, weights
 
@@ -128,6 +131,39 @@ def test_smith_kernel_basis_saturated():
     kern = _linalg.smith_kernel_basis([[1, 1], [1, 1]], 2)
     assert len(kern) == 1
     assert sorted(map(abs, kern[0])) == [1, 1]
+
+
+@st.composite
+def low_rank_products(draw):
+    """B C with B nrows x r and C r x ncols, small entries: square with
+    n <= 6 and rank at most r in 0..n, or of any shape up to 6 x 6."""
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        nrows = ncols = draw(st.integers(1, 6))
+    else:
+        nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, max(nrows, ncols)))
+    B = [[draw(entries) for _ in range(r)] for _ in range(nrows)]
+    C = [[draw(entries) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(ncols)]
+            for i in range(nrows)], ncols
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(low_rank_products())
+def test_smith_kernel_basis_is_a_saturated_kernel(case):
+    matrix, ncols = case
+    kern = _linalg.smith_kernel_basis(matrix, ncols)
+    for vec in kern:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                   for row in matrix)
+    ech = _linalg.Echelon(0)
+    rank = sum(ech.add(list(row)) for row in matrix)
+    assert len(kern) == ncols - rank
+    minors = [_linalg.det_bareiss([[kern[c][i] for c in range(len(kern))]
+                                   for i in rows])
+              for rows in itertools.combinations(range(ncols), len(kern))]
+    assert gcd(*minors) == 1
 
 
 def test_has_weights_in():
