@@ -1,10 +1,14 @@
 """Exact linear algebra helpers: one incremental row echelon form on
-int rows over Q and F_p, integer characteristic polynomials,
+sparse int rows over Q and F_p, integer characteristic polynomials,
 saturated integer kernels by unimodular column operations, and
 Bareiss determinants.
 
-Everything here is dense and sized for the small matrices the rest
-of the package produces (ranks in the dozens at most).
+The echelon form and kernel_basis, which the minimal resolutions run
+on, take sparse vectors: dicts {index: int} that store nonzero
+entries only (residues mod p over F_p). Their matrices have thousands
+of entries of which a few percent are nonzero. The other helpers are
+dense and sized for the small matrices the rest of the package
+produces (ranks in the dozens at most).
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ class FieldF:
 
 
 class Echelon:
-    """Incremental row echelon form on int lists, keyed by leading
-    index. Over F_p (p prime) entries are residues and every row has
-    leading entry 1; over Q (p = 0) every row is a primitive integer
-    vector, reduced fraction-free and divided by the gcd of its
-    entries."""
+    """Incremental row echelon form on sparse int vectors, keyed by
+    leading (least) index. Over F_p (p prime) entries are residues and
+    every row has leading entry 1; over Q (p = 0) every row is a
+    primitive integer vector, reduced fraction-free and divided by the
+    gcd of its entries."""
 
     def __init__(self, p: int):
         self.p = p
@@ -50,28 +54,31 @@ class Echelon:
 
     def reduce(self, vec):
         """(lead, reduced vec) with rows[lead] free, or None when vec
-        lies in the span."""
+        lies in the span. vec itself is left unchanged."""
         rows, p = self.rows, self.p
-        lead, n = 0, len(vec)
-        while True:
-            while lead < n and not vec[lead]:
-                lead += 1
-            if lead == n:
-                return None
+        while vec:
+            lead = min(vec)
             row = rows.get(lead)
             if row is None:
                 return lead, vec
-            b = vec[lead]
-            if p:
-                vec = [(x - b * y) % p for x, y in zip(vec, row)]
-            else:
-                a = row[lead]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                vec = [a * x - b * y for x, y in zip(vec, row)]
-                g = gcd(*vec)
+            # a * vec - b * row; a = 1 over F_p, where rows are monic
+            a, b = row[lead], vec[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            vec = {i: a * x for i, x in vec.items()}
+            for i, y in row.items():
+                x = vec.get(i, 0) - b * y
+                if p:
+                    x %= p
+                if x:
+                    vec[i] = x
+                else:
+                    del vec[i]
+            if not p:
+                g = gcd(*vec.values())
                 if g > 1:
-                    vec = [x // g for x in vec]
+                    vec = {i: x // g for i, x in vec.items()}
+        return None
 
     def add(self, vec) -> bool:
         """Insert vec; True when it enlarged the span. The stored row
@@ -83,28 +90,29 @@ class Echelon:
         p = self.p
         if p:
             inv = pow(vec[lead], p - 2, p)
-            vec = [x * inv % p for x in vec]
+            vec = {i: x * inv % p for i, x in vec.items()}
         else:
-            g = gcd(*vec)
+            g = gcd(*vec.values())
             if g > 1:
-                vec = [x // g for x in vec]
+                vec = {i: x // g for i, x in vec.items()}
         self.rows[lead] = vec
         return True
 
 
 def kernel_basis(columns, nrows, field):
     """Kernel of the linear map sending unit vector j to columns[j]
-    (each a dense length-nrows int list). Each [columns[j] | e_j] goes
-    through one Echelon; the rows whose lead lies past nrows are a
-    kernel basis, returned as their tails of length len(columns)."""
-    ncols, p = len(columns), field.p
+    (each a sparse int vector with indices below nrows). Each
+    [columns[j] | e_j] goes through one Echelon; the rows whose lead
+    lies past nrows are a kernel basis, returned as their tails,
+    sparse and indexed by column."""
+    p = field.p
     ech = Echelon(p)
     for j, col in enumerate(columns):
-        unit = [0] * ncols
-        unit[j] = 1
-        ech.add([x % p for x in col] + unit if p else list(col) + unit)
-    return [row[nrows:] for lead, row in sorted(ech.rows.items())
-            if lead >= nrows]
+        vec = {i: x % p for i, x in col.items() if x % p} if p else dict(col)
+        vec[nrows + j] = 1
+        ech.add(vec)
+    return [{i - nrows: x for i, x in row.items() if i >= nrows}
+            for lead, row in sorted(ech.rows.items()) if lead >= nrows]
 
 
 def char_poly(matrix):

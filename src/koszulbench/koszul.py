@@ -110,6 +110,11 @@ class GradedAlgebra:
                 self.mult[(left, right)] = clean
         self.neg_names = [b for b in self.basis_order if self.basis[b][2] < 0]
         self._check_associativity()
+        # c = +-x*y lies in J^2 over every ring, so the rest of J spans
+        # J modulo J^2 and generates J as an ideal
+        square = {c for result in self.mult.values() if len(result) == 1
+                  for c, k in result.items() if k in (1, -1)}
+        self.gen_names = [b for b in self.neg_names if b not in square]
 
     def product(self, x: str, y: str) -> dict:
         """Structure constants of x * y as {name: int}."""
@@ -307,7 +312,7 @@ def _block_order(algebra, keys):
 
 
 def _act(algebra, p, fbasis, pos, key, vec, aname):
-    """Right action of a basis element on a block vector of ints
+    """Right action of a basis element on a sparse block vector of ints
     (residues when p > 0); returns (newkey, newvec) or None when the
     image is zero."""
     asrc, atgt, adeg = algebra.basis[aname]
@@ -315,18 +320,21 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
     if asrc != tgtv:
         return None
     newkey = (atgt, d + adeg)
-    target = fbasis.get(newkey)
-    if not target:
+    npos = pos.get(newkey)
+    if not npos:
         return None
-    out = [0] * len(target)
-    npos = pos[newkey]
-    for (t, bname), c in zip(fbasis[key], vec):
-        if c:
-            for cname, k in algebra.product(bname, aname).items():
-                out[npos[(t, cname)]] += c * k
+    src = fbasis[key]
+    out = {}
+    for idx, c in vec.items():
+        t, bname = src[idx]
+        for cname, k in algebra.product(bname, aname).items():
+            j = npos[(t, cname)]
+            out[j] = out.get(j, 0) + c * k
     if p:
-        out = [x % p for x in out]
-    if not any(out):
+        out = {j: x % p for j, x in out.items() if x % p}
+    else:
+        out = {j: x for j, x in out.items() if x}
+    if not out:
         return None
     return newkey, out
 
@@ -336,12 +344,15 @@ def _advance(algebra, field, fbasis, pos, blocks, step):
     submodule M of the current free module; returns the generator
     multiset of its minimal cover together with the kernel, set up
     over the new free module. Raises ValueError when that free module
-    has more than MAX_FREE_RANK basis vectors."""
+    has more than MAX_FREE_RANK basis vectors.
+
+    M is given in full, block by block, so M*J is spanned by M times
+    the generators of J alone (by induction on degree)."""
     p = field.p
     spans = {}
     for key in _block_order(algebra, blocks):
         for vec in blocks[key]:
-            for aname in algebra.neg_names:
+            for aname in algebra.gen_names:
                 res = _act(algebra, p, fbasis, pos, key, vec, aname)
                 if res is not None:
                     nkey, nvec = res
@@ -366,12 +377,12 @@ def _advance(algebra, field, fbasis, pos, blocks, step):
         for (j, bname) in basis2:
             gkey, gvec = generators[j]
             res = _act(algebra, p, fbasis, pos, gkey, gvec, bname)
-            columns.append([0] * nrows if res is None else res[1])
+            columns.append({} if res is None else res[1])
         kern = kernel_basis(columns, nrows, field)
         if kern:
             idem = [idx for idx, (_, bname) in enumerate(basis2)
                     if bname in algebra._idem_names]
-            if any(vec[idx] for vec in kern for idx in idem):
+            if any(idx in vec for vec in kern for idx in idem):
                 raise RuntimeError("cover is not minimal")
             new_blocks[key2] = kern
     return new_summands, fbasis2, pos2, new_blocks
@@ -400,12 +411,9 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
     blocks = {}
     keep = algebra.idempotent[lam]
     for key in _block_order(algebra, fbasis):
-        lst = fbasis[key]
-        for i, (t, bname) in enumerate(lst):
+        for i, (t, bname) in enumerate(fbasis[key]):
             if bname != keep:
-                vec = [0] * len(lst)
-                vec[i] = 1
-                blocks.setdefault(key, []).append(vec)
+                blocks.setdefault(key, []).append({i: 1})
     finished = False
     for step in range(1, i_max + 1):
         if not blocks:

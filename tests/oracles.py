@@ -1,8 +1,8 @@
-"""Reference constructions shared by the test modules.
+"""Reference constructions and helpers shared by the test modules.
 
-The library no longer needs these: kl_inversion_check reads the
-parabolic KL table and the sparse Dyck rows instead. The tests keep
-them as independent routes to the same numbers.
+The library no longer needs the constructions: kl_inversion_check
+reads the parabolic KL table and the sparse Dyck rows instead. The
+tests keep them as independent routes to the same numbers.
 """
 
 from koszulbench import mult
@@ -43,3 +43,9 @@ def proj_delta_vector(space, lam):
         if p:
             out[nu] = p
     return out
+
+
+def sparse(row):
+    """The sparse vector {index: entry} of a dense row: nonzero
+    entries only, as _linalg.Echelon and kernel_basis take them."""
+    return {i: x for i, x in enumerate(row) if x}

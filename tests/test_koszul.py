@@ -20,6 +20,7 @@ from koszulbench.koszul import (
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
+from oracles import sparse
 
 
 
@@ -631,6 +632,83 @@ def test_builtin_resolutions_match_reference_engine(name, p):
         assert (res.steps, res.finished) == ref_steps(algebra, lam, p, 6)
 
 
+@st.composite
+def radical_cube_zero_docs(draw):
+    """One or two vertices, at most three elements in degree -1 and
+    three in degree -2, and every composable product of two degree -1
+    elements a drawn combination of the degree -2 elements between its
+    endpoints, coefficients in -3..3. J^3 = 0, so every such table is
+    associative."""
+    vertices = ["v%d" % i for i in range(draw(st.integers(1, 2)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    basis = []
+    for deg, prefix in ((-1, "a"), (-2, "b")):
+        for i, (src, tgt) in enumerate(draw(st.lists(ends, max_size=3))):
+            basis.append({"name": "%s%d" % (prefix, i), "src": src,
+                          "tgt": tgt, "deg": deg})
+    ones = [b for b in basis if b["deg"] == -1]
+    mult = []
+    for x in ones:
+        for y in ones:
+            if x["tgt"] == y["src"]:
+                result = {b["name"]: draw(st.integers(-3, 3)) for b in basis
+                          if b["deg"] == -2 and b["src"] == x["src"]
+                          and b["tgt"] == y["tgt"]}
+                result = {name: c for name, c in result.items() if c}
+                if result:
+                    mult.append({"left": x["name"], "right": y["name"],
+                                 "result": result})
+    return {"vertices": vertices, "basis": basis, "mult": mult}
+
+
+@fuzz(100)
+@given(radical_cube_zero_docs(), st.integers(1, 3))
+def test_multi_term_resolutions_match_reference_engine(doc, i_max):
+    """Products with several terms and non-unit coefficients, where a
+    degree -2 element may or may not be a generator of J and Ext may
+    depend on the field."""
+    algebra = load_algebra(doc)
+    for p in (0,) + PRIMES:
+        field = "F:%d" % p if p else "Q"
+        for lam in algebra.vertices:
+            res = minimal_resolution(algebra, lam, field, i_max)
+            assert (res.steps, res.finished) == ref_steps(algebra, lam, p,
+                                                          i_max)
+
+
+# e = a*x, 2c = x*y, d = a*c, 2d = e*y: over F_2 the element c is not in
+# J^2, and only a*c reaches d
+HALF_PRODUCT_DOC = {
+    "vertices": ["v0", "v1", "v2", "v3"],
+    "basis": [{"name": name, "src": "v%d" % src, "tgt": "v%d" % tgt,
+               "deg": deg}
+              for name, src, tgt, deg in (("a", 0, 1, -1), ("x", 1, 2, -1),
+                                          ("y", 2, 3, -1), ("e", 0, 2, -2),
+                                          ("c", 1, 3, -2), ("d", 0, 3, -3))],
+    "mult": [{"left": left, "right": right, "result": result}
+             for left, right, result in (("a", "x", {"e": 1}),
+                                         ("x", "y", {"c": 2}),
+                                         ("a", "c", {"d": 1}),
+                                         ("e", "y", {"d": 2}))]}
+
+
+@pytest.mark.parametrize("p", (0,) + PRIMES)
+def test_non_unit_product_keeps_its_result_a_generator(p):
+    algebra = load_algebra(HALF_PRODUCT_DOC)
+    assert algebra.gen_names == ["a", "x", "y", "c"]
+    field = "F:%d" % p if p else "Q"
+    for lam in algebra.vertices:
+        res = minimal_resolution(algebra, lam, field, 4)
+        assert (res.steps, res.finished) == ref_steps(algebra, lam, p, 4)
+
+
+def test_gen_names_drop_unit_single_term_products():
+    assert builtin_algebra("p1").gen_names == ["u", "v"]
+    assert builtin_algebra("torsion_p1:3").gen_names == ["u", "v", "w"]
+    assert load_algebra(exterior_doc(3)).gen_names == ["x0", "x1", "x2"]
+    assert load_algebra(truncation_doc(5)).gen_names == ["x1"]
+
+
 @fuzz(60)
 @given(PLUS_MINUS_ONE_DOCS, st.integers(1, 4))
 def test_ext_dims_match_over_q_and_every_fl(doc, i_max):
@@ -769,7 +847,7 @@ def int_matrices(max_n=8):
 def test_echelon_full_rank_iff_bareiss_det_is_a_unit(matrix, p):
     ech = _linalg.Echelon(p)
     for row in matrix:
-        ech.add([x % p for x in row] if p else row)
+        ech.add(sparse([x % p for x in row] if p else row))
     det = _linalg.det_bareiss(matrix)
     full = (det % p != 0) if p else det != 0
     assert (len(ech.rows) == len(matrix)) == full
@@ -783,14 +861,16 @@ def test_kernel_basis_spans_the_kernel(nrows, ncols, p, data):
         st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows),
         min_size=ncols, max_size=ncols))
     field = koszul.as_field("F:%d" % p if p else "Q")
-    kern = _linalg.kernel_basis(columns, nrows, field)
+    kern = _linalg.kernel_basis([sparse(col) for col in columns], nrows,
+                                field)
     rank = len(ref_rref([[col[i] for col in columns] for i in range(nrows)],
                         ref_field(p))[0])
     assert len(kern) == ncols - rank
     for vec in kern:
-        assert len(vec) == ncols
+        assert all(vec.values())
+        assert all(0 <= j < ncols for j in vec)
         for i in range(nrows):
-            total = sum(c * col[i] for c, col in zip(vec, columns))
+            total = sum(c * columns[j][i] for j, c in vec.items())
             assert (total % p if p else total) == 0
     ech = _linalg.Echelon(p)
     assert all(ech.add(vec) for vec in kern)
@@ -798,12 +878,12 @@ def test_kernel_basis_spans_the_kernel(nrows, ncols, p, data):
 
 def test_echelon_keeps_primitive_integer_rows_over_q():
     ech = _linalg.Echelon(0)
-    assert ech.add([0, 6, 4, 2])
-    assert ech.add([0, 3, 1, 5])
-    assert not ech.add([0, 9, 5, 7])
+    assert ech.add(sparse([0, 6, 4, 2]))
+    assert ech.add(sparse([0, 3, 1, 5]))
+    assert not ech.add(sparse([0, 9, 5, 7]))
     for row in ech.rows.values():
-        assert all(isinstance(x, int) for x in row)
-        assert _linalg.gcd(*row) == 1
+        assert all(isinstance(x, int) for x in row.values())
+        assert _linalg.gcd(*row.values()) == 1
 
 
 # -- Bareiss Laurent determinant against cofactor expansion ----------------
