@@ -14,6 +14,7 @@ produces (ranks in the dozens at most).
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import mul
 
 
 def is_prime(n: int) -> bool:
@@ -136,9 +137,8 @@ def char_poly(matrix):
 
 def mat_mul(a, b):
     """Product of two square matrices given as lists of rows."""
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def poly_eval(coeffs, x):

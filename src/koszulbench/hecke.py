@@ -263,44 +263,36 @@ class KLTable:
             col.update(dict.fromkeys((nbr[y] for y in colv), 1))
             self._cols[w] = col
             return col
+        # P_{x,w} = q^(1-c) P_{xs,v} + q^c P_{x,v}
+        #           - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+        # c = 1 when xs < x, z < v over zs < z. First the two terms of
+        # v: each y <= v gives x = y, and also x = ys when ys is not
+        # <= v; then ys lies above y, so c = 0 at y, and x <= w by
+        # lifting, with P_{x,w} = P_{y,v}.
         L = self._len
-        lw = L[w]
-        # columns of the z < v with zs < z and nonzero mu(z, v)
-        muz = []
-        for z, pz in colv.items():
-            lz = L[z]
-            gap = lw - 1 - lz
-            if L[nbr[z]] < lz and gap % 2:
-                m = pz >> (_BITS * (gap >> 1))
-                if m:
-                    muz.append((self._column(z), m,
-                                _BITS * ((gap + 1) >> 1), lz))
         col = {}
         for y, py in colv.items():
-            # x = y: either c = 0 (ys above y) or c = 1 (ys below y)
             ys = nbr[y]
-            if L[ys] > L[y]:
-                p = py + (colv.get(ys, 0) << _BITS)
+            pys = colv.get(ys)
+            if pys is None:
+                col[y] = col[ys] = py
+            elif L[ys] > L[y]:
+                col[y] = py + (pys << _BITS)
             else:
-                p = colv[ys] + (py << _BITS)
-            col[y] = _corrections(p, y, L[y], muz)
-        for y, py in colv.items():
-            # x = y s above v: x <= w via lifting, with xs = y
-            x = nbr[y]
-            if x not in colv and L[x] == L[y] + 1:
-                col[x] = _corrections(py, x, L[x], muz)
+                col[y] = pys + (py << _BITS)
+        # Then each mu term, scattered over the column of z: every x in
+        # it is <= z < v, so already a key of col.
+        lw = L[w]
+        for z, pz in colv.items():
+            gap = lw - 1 - L[z]
+            if gap % 2 and L[nbr[z]] < L[z]:
+                m = pz >> (_BITS * (gap >> 1))
+                if m:
+                    shift = _BITS * ((gap + 1) >> 1)
+                    for x, p in self._column(z).items():
+                        col[x] -= m * p << shift
         self._cols[w] = col
         return col
-
-
-def _corrections(p, x, lx, muz):
-    """Subtract the mu terms of the recursion from p, the entry at x."""
-    for colz, m, shift, lz in muz:
-        if lz >= lx:
-            pz = colz.get(x)
-            if pz:
-                p -= m * pz << shift
-    return p
 
 
 def parabolic_kl(k: int, n: int):

@@ -200,14 +200,15 @@ class MultiplicityMatrix:
 
     def render_text(self) -> str:
         names = [self.render_label(l) for l in self.labels]
-        cells = [[p.render() for p in row] for row in self.entries]
-        width = max([len(n) for n in names]
-                    + [len(c) for row in cells for c in row])
+        # a large matrix holds few distinct entries: render each once
+        texts = {p: p.render() for p in set().union(*self.entries)}
+        width = max(map(len, names + list(texts.values())))
+        cells = {p: text.rjust(width) for p, text in texts.items()}
         head = " " * (width + 2) + "  ".join(n.rjust(width) for n in names)
         lines = [head]
-        for name, row in zip(names, cells):
+        for name, row in zip(names, self.entries):
             lines.append(name.rjust(width) + "  "
-                         + "  ".join(c.rjust(width) for c in row))
+                         + "  ".join(map(cells.__getitem__, row)))
         return "\n".join(lines)
 
 

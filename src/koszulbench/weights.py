@@ -191,14 +191,14 @@ def _mat_sub_scalar(matrix, s):
 
 
 def _mat_pow(matrix, e):
-    n = len(matrix)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [list(r) for r in matrix]
-    while e:
-        if e & 1:
-            out = _linalg.mat_mul(out, base)
-        base = _linalg.mat_mul(base, base)
-        e >>= 1
+    """matrix ** e for e >= 1, squaring from the top bit of e down."""
+    if e < 1:
+        raise ValueError("exponent %d is below 1" % e)
+    out = matrix
+    for bit in bin(e)[3:]:
+        out = _linalg.mat_mul(out, out)
+        if bit == "1":
+            out = _linalg.mat_mul(out, matrix)
     return out
 
 

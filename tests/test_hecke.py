@@ -82,6 +82,26 @@ def test_textbook_recursion_matches_table_on_s5():
             assert tuple(hecke._coeffs(p)) == col[x], (x, w)
 
 
+def test_columns_match_under_inverse_and_w0_conjugation_on_s6():
+    """P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0, w0 w w0} for every x <= w
+    of S_6, whole columns at a time. Inversion and conjugation move the
+    first right descent of w, so the recursion reaches the two sides of
+    each comparison by different paths."""
+    n = 6
+    w0 = hecke.longest_element(n)
+
+    def conjugate(x):
+        return hecke.compose(hecke.compose(w0, x), w0)
+
+    table, other = KLTable(n), KLTable(n)
+    for w in itertools.permutations(range(1, n + 1)):
+        col = table.column(w)
+        assert ({hecke.inverse(x): p for x, p in col.items()}
+                == other.column(hecke.inverse(w))), w
+        assert ({conjugate(x): p for x, p in col.items()}
+                == other.column(conjugate(w))), w
+
+
 @pytest.fixture(scope="module")
 def big_tables():
     return {6: KLTable(6), 7: KLTable(7)}

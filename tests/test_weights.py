@@ -237,3 +237,31 @@ def test_phi_separated_implies_decomposable_seeded():
         assert report.applicable
         assert report.decomposable, (matrix, q, l, report)
         checked += 1
+
+
+@st.composite
+def square_pairs(draw):
+    """Two n x n integer matrices, n in 1..5, entries in -3..3."""
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(square_pairs(), st.integers(1, 6))
+def test_mat_pow_matches_chained_products(pair, e):
+    a, b = pair
+    n = len(a)
+    assert _linalg.mat_mul(a, b) == [
+        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)]
+    want = a
+    for _ in range(e - 1):
+        want = _linalg.mat_mul(want, a)
+    assert weights._mat_pow(a, e) == want
+
+
+def test_mat_pow_refuses_exponent_zero():
+    with pytest.raises(ValueError):
+        weights._mat_pow([[2]], 0)
