@@ -13,16 +13,21 @@ with Q the longest-element twist of the KL table. Both are pinned by
 requiring diagonal 1, entries in N[v^-1], and agreement between the
 two descriptions of the projective line. Matrices read whole Dyck
 rows or KL columns; delta_ic_gr and delta_ic_flag are per-pair routes.
+
+The matrix paths (delta_ic_matrix, graded_cartan, kl_inversion_check)
+compute on ints: each entry is packed at u = v^-1 = 2^64, so that sums
+and products of matrices are int sums and products. A LaurentPoly is
+built only for each distinct value returned, and shared between the
+cells that hold it.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly
-from .shapes import (Partition, SkewShape, _eval_encoded, dyck_depth,
+from .shapes import (Partition, SkewShape, dyck_depth,
                      enumerate_partitions_in_box, jump_sequence)
 from . import hecke
 
@@ -98,37 +103,55 @@ def delta_ic_gr(k: int, n: int, lam, mu) -> LaurentPoly:
 
 def dyck_rows(k: int, n: int):
     """The nonzero entries of the gr(k,n) multiplicity matrix, one row
-    per label of Space.gr(k, n).labels(): row i maps j to
-    [Delta_i : IC_j], the value of delta_ic_gr.
+    per label of Space.gr(k, n).labels(): row i maps j to the Dyck
+    depth d of labels[i] / labels[j], so that [Delta_i : IC_j] is
+    v^(-d), the value of delta_ic_gr.
 
-    One pass over the padded part tuples: a pair whose inner tuple is
-    not below the outer one is skipped, and every other pair goes to
-    the Dyck evaluator as its rows (inner_j, outer_j].
+    No pair is tested: the inner labels of a row are enumerated by the
+    strip criteria (i) and (ii) of shapes. The rows of the outer label
+    have fixed right ends c and free left ends, the inner parts, in
+    [lo, hi] and weakly decreasing. Walking from the top, row 0 is
+    either empty or opens a component of r rows. The component needs
+    (i), its last left end is c_0 - r by (ii), and row r may not
+    overlap it. Its remainder is the same problem on the right ends
+    c_1 - 1 .. c_{r-1} - 1 with left ends in [c_0 - r, hi], and so are
+    the rows from r on, with left ends in [lo, c_0 - r]; the depth is
+    1 plus the remainder's plus theirs. The rows below a component are
+    listed once per (c, lo, hi), in a memo that lives in the call; the
+    rest is generated as it is read, which keeps the memo small.
     """
-    labels = enumerate_partitions_in_box(k, n - k)
-    padded = [lam.parts + (0,) * (k - len(lam.parts)) for lam in labels]
-    sizes = [lam.size for lam in labels]
-    monomials = {}
-    rows = []
-    for outer, size in zip(padded, sizes):
-        row = {}
-        # labels are sorted by size, and inner <= outer needs a smaller one
-        for j in range(bisect_right(sizes, size)):
-            inner = padded[j]
-            enc = []
-            for a, b in zip(inner, outer):
-                if a > b:
-                    break
-                enc.append((a, b) if a < b else None)
-            else:
-                d = _eval_encoded(enc)
-                if d >= 0:
-                    p = monomials.get(d)
-                    if p is None:
-                        p = monomials[d] = LaurentPoly.monomial(-d)
-                    row[j] = p
-        rows.append(row)
-    return rows
+    padded = [lam.parts + (0,) * (k - len(lam.parts))
+              for lam in enumerate_partitions_in_box(k, n - k)]
+    index = {parts: i for i, parts in enumerate(padded)}
+    memo = {}
+
+    def fillings(c, lo, hi):
+        # (left ends, depth) of every Dyck shape with the right ends c
+        # and weakly decreasing left ends a_t in [lo, min(hi, c_t)]
+        if not c:
+            yield (), 0
+            return
+        c0 = c[0]
+        if lo <= c0 <= hi:
+            # row 0 is empty
+            for a, d in fillings(c[1:], lo, c0):
+                yield (c0,) + a, d
+        for r in range(1, min(c0 - lo, len(c)) + 1):
+            if r > 1 and c[r - 1] + r - 2 < c0:
+                break  # (i) fails at t = r - 1, so for every longer r
+            last = c0 - r
+            if last > hi or (r < len(c) and c[r] > last):
+                continue
+            key = (c[r:], lo, last)
+            rest = memo.get(key)
+            if rest is None:
+                rest = memo[key] = list(fillings(*key))
+            for a, d in fillings(tuple(b - 1 for b in c[1:r]), last, hi):
+                a += (last,)
+                for a2, d2 in rest:
+                    yield a + a2, d + 1 + d2
+
+    return [{index[a]: d for a, d in fillings(c, 0, c[0])} for c in padded]
 
 
 def delta_ic_flag(n: int, x, y) -> LaurentPoly:
@@ -147,19 +170,65 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
 
 
-def _from_packed(p, d, sign=1) -> LaurentPoly:
-    """sign * v^(-d) P(v^2) for P packed into one int (see hecke._BITS)."""
-    return LaurentPoly({2 * e - d: sign * c
-                        for e, c in enumerate(hecke._coeffs(p)) if c})
+# Packed entries. Inside the matrix paths every entry is one int, its
+# value at u = v^-1 = 2^_BITS (the Kronecker substitution): the
+# coefficient of v^-e fills digit e, and D, K and their products are
+# plain int sums and products. Digits are signed, so a value is read
+# back with balanced digits in [-2^63, 2^63), which is exact while
+# every coefficient of the true product lies in that range. Under the
+# rank limits each stays far below 2^63:
+#   - gr(k, n), n <= 10: D has coefficient 1, and a Cartan entry sums
+#     at most C(10, 5) = 252 of its monomials, so at most 252;
+#   - flag(n), n <= 5: D has the coefficients of KL polynomials of S_5,
+#     below 2^l(w0) = 2^10 (see hecke._BITS) and at most 5 per entry,
+#     so a Cartan coefficient sums at most 120 * 5 products of two:
+#     below 2^30;
+#   - kl_inversion_check: K has the coefficients of parabolic KL
+#     polynomials, below 2^(k(n-k)) <= 2^25 (see hecke.parabolic_kl),
+#     and a coefficient of D*K or K*D sums at most 252 of them: below
+#     2^33.
+# A flag entry v^(-d) q^e sits at digit d - 2e, which the KL degree
+# bound keeps >= 0; kl_inversion_check multiplies K by u^S to keep
+# that true for whatever its table holds.
+_BITS = hecke._BITS
+_MASK = hecke._MASK
+
+
+def _repack(p, d):
+    """v^(-d) P(v^2) packed at u = v^-1, for P packed at q (see
+    hecke._BITS); needs d >= 2 deg P."""
+    x = 0
+    while p:
+        x += (p & _MASK) << (_BITS * d)
+        p >>= _BITS
+        d -= 2
+    return x
+
+
+def _unpack(x, shift=0) -> LaurentPoly:
+    """The LaurentPoly of u^(-shift) x, for x packed at u = v^-1 with
+    balanced digits."""
+    coeffs = {}
+    e = shift
+    while x:
+        c = x & _MASK
+        if c >> (_BITS - 1):
+            c -= 1 << _BITS
+        if c:
+            coeffs[e] = c
+        x = (x - c) >> _BITS
+        e -= 1
+    return LaurentPoly(coeffs)
 
 
 def _delta_rows(space: Space, labels):
-    """Sparse rows of delta_ic_matrix: row i maps j to the nonzero
-    [Delta_labels[i] : IC_labels[j]]. On flag(n), column j needs
-    Q_{y,x} = P_{w0 x, w0 y} for y = labels[j] and every x >= y: the
-    whole column of w0 y in a KLTable local to the call."""
+    """Sparse packed rows of delta_ic_matrix: row i maps j to the
+    nonzero [Delta_labels[i] : IC_labels[j]]. On flag(n), column j
+    needs Q_{y,x} = P_{w0 x, w0 y} for y = labels[j] and every x >= y:
+    the whole column of w0 y in a KLTable local to the call."""
     if space.kind == "gr":
-        return dyck_rows(space.k, space.n)
+        return [{j: 1 << _BITS * d for j, d in row.items()}
+                for row in dyck_rows(space.k, space.n)]
     table = hecke.KLTable(space.n)
     w0 = hecke.longest_element(space.n)
     index = {hecke.compose(w0, x): i for i, x in enumerate(labels)}
@@ -168,7 +237,7 @@ def _delta_rows(space: Space, labels):
     for j, y in enumerate(labels):
         for w0x, p in table.column(hecke.compose(w0, y)).items():
             i = index[w0x]
-            rows[i][j] = _from_packed(p, lengths[i] - lengths[j])
+            rows[i][j] = _repack(p, lengths[i] - lengths[j])
     return rows
 
 
@@ -215,9 +284,17 @@ class MultiplicityMatrix:
 def delta_ic_matrix(space: Space) -> MultiplicityMatrix:
     """Rows nu, columns lam, entry [Delta_nu : IC_lam]."""
     labels = space.labels()
+    rows = _delta_rows(space, labels)
+    # one shared LaurentPoly per distinct value
+    values = {x for row in rows for x in row.values()}
+    polys = {x: _unpack(x) for x in values}
     zero = LaurentPoly.zero()
-    entries = [[row.get(j, zero) for j in range(len(labels))]
-               for row in _delta_rows(space, labels)]
+    entries = []
+    for row in rows:
+        line = [zero] * len(labels)
+        for j, x in row.items():
+            line[j] = polys[x]
+        entries.append(line)
     return MultiplicityMatrix(space, "delta_ic", labels, entries)
 
 
@@ -227,25 +304,21 @@ def graded_cartan(space: Space) -> MultiplicityMatrix:
     Symmetric, diagonal constant term 1, all exponents <= 0.
     """
     labels = space.labels()
-    # coefficient maps of the upper triangle; no term cancels, since
-    # every multiplicity lies in N[v^-1]
-    acc = {}
+    # packed sums over the upper triangle, acc[ia][ib] for ia <= ib
+    acc = [{} for _ in labels]
     for row in _delta_rows(space, labels):
-        terms = [(j, list(p.items())) for j, p in row.items()]
-        for ia, pa in terms:
-            for ib, pb in terms:
-                if ib < ia:
-                    continue
-                cell = acc.get((ia, ib))
-                if cell is None:
-                    cell = acc[ia, ib] = {}
-                for ea, ca in pa:
-                    for eb, cb in pb:
-                        cell[ea + eb] = cell.get(ea + eb, 0) + ca * cb
+        terms = sorted(row.items())
+        for s, (ia, pa) in enumerate(terms):
+            cell = acc[ia]
+            for ib, pb in terms[s:]:
+                cell[ib] = cell.get(ib, 0) + pa * pb
+    values = {x for cell in acc for x in cell.values()}
+    polys = {x: _unpack(x) for x in values}
     zero = LaurentPoly.zero()
     entries = [[zero] * len(labels) for _ in labels]
-    for (ia, ib), cell in acc.items():
-        entries[ia][ib] = entries[ib][ia] = LaurentPoly(cell)
+    for ia, cell in enumerate(acc):
+        for ib, x in cell.items():
+            entries[ia][ib] = entries[ib][ia] = polys[x]
     return MultiplicityMatrix(space, "cartan", labels, entries)
 
 
@@ -284,47 +357,51 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
     representative of its coset of S_k x S_{n-k}, so K comes from
     hecke.parabolic_kl (Deodhar's parabolic recursion), which stays
     inside the C(n, k) cosets; D comes from dyck_rows. Both products
-    run over sparse rows.
+    run over sparse rows of packed entries. K is packed times u^S,
+    with S the least shift that leaves no positive power of v in it
+    (S = 0 when the KL degree bound holds), and compared with u^S.
     """
     if n > 10:
         raise ValueError("kl_inversion_check supports n <= 10")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     labels = enumerate_partitions_in_box(k, n - k)
+    sizes = [lam.size for lam in labels]
     # the k-subset of w0 x_lam, which fixes its coset
     index = {sum(1 << (n - t) for t in jump_sequence(lam, k)): i
              for i, lam in enumerate(labels)}
-    D = dyck_rows(k, n)
+    entries = [(index[x], index[w], p)
+               for w, col in hecke.parabolic_kl(k, n).items()
+               for x, p in col.items()]
+    # v^(-d) q^e has the u-exponent d - 2e
+    shift = max(0, max(2 * ((p.bit_length() - 1) // _BITS)
+                       - (sizes[i] - sizes[j]) for i, j, p in entries))
     K = [{} for _ in labels]
-    for w, col in hecke.parabolic_kl(k, n).items():
-        j = index[w]
-        for x, p in col.items():
-            i = index[x]
-            d = labels[i].size - labels[j].size
-            K[i][j] = _from_packed(p, d, -1 if d % 2 else 1)
+    for i, j, p in entries:
+        d = sizes[i] - sizes[j]
+        x = _repack(p, d + shift)
+        K[i][j] = -x if d % 2 else x
+    D = _delta_rows(Space.gr(k, n), labels)
     for A, B in ((D, K), (K, D)):
-        failure = _first_defect(A, B)
+        failure = _first_defect(A, B, 1 << _BITS * shift)
         if failure is not None:
-            i, j, s = failure
-            return InversionReport(k, n, False, (labels[i], labels[j], s))
+            i, j, x = failure
+            return InversionReport(k, n, False, (labels[i], labels[j],
+                                                 _unpack(x, shift)))
     return InversionReport(k, n, True, None)
 
 
-def _first_defect(A, B):
+def _first_defect(A, B, one):
     """The first (i, j, entry) of A*B in row-major order that differs
-    from the identity matrix, or None; A and B are lists of sparse rows
-    {column: LaurentPoly}."""
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
+    from one times the identity matrix, or None; A and B are lists of
+    sparse rows {column: packed entry}."""
     for i, row in enumerate(A):
-        acc = {}
+        acc = [0] * len(B)
         for t, a in row.items():
             for j, b in B[t].items():
-                acc[j] = acc[j] + a * b if j in acc else a * b
-        bad = [j for j, s in acc.items() if s != (one if j == i else zero)]
-        if i not in acc:
-            bad.append(i)
-        if bad:
-            j = min(bad)
-            return i, j, acc.get(j, zero)
+                acc[j] += a * b
+        acc[i] -= one
+        for j, x in enumerate(acc):
+            if x:
+                return i, j, x + one if j == i else x
     return None

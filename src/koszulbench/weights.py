@@ -40,7 +40,8 @@ def wt_from_blocks(blocks):
     that the placed copies form one overlapping chain, so offsets are
     searched within the total span of all blocks.
     """
-    norm = sorted({_normalize_block(b) for b in blocks},
+    # a Cartan matrix repeats a few blocks over many cells
+    norm = sorted({_normalize_block(b) for b in set(map(tuple, blocks))},
                   key=lambda b: (-len(b), -(b[-1] if b else 0), b))
     keep = []
     for b in norm:
@@ -90,16 +91,23 @@ def cartan_blocks(space) -> list:
     from v-degrees to q-degrees (each block is parity-pure; shift to
     even, halve, normalize to min 0)."""
     matrix = mult.graded_cartan(space)
+    # the matrix shares one object per distinct entry: block each once
+    block_of = {}
     blocks = []
     for row in matrix.entries:
         for p in row:
             if not p:
                 continue
-            exps = sorted(-e for e in p.support())
-            parity = exps[0] % 2
-            if any(e % 2 != parity for e in exps):
-                raise ValueError("mixed-parity Cartan entry %s" % p.render())
-            blocks.append(tuple((e - parity) // 2 for e in exps))
+            block = block_of.get(p)
+            if block is None:
+                exps = sorted(-e for e in p.support())
+                parity = exps[0] % 2
+                if any(e % 2 != parity for e in exps):
+                    raise ValueError("mixed-parity Cartan entry %s"
+                                     % p.render())
+                block = block_of[p] = tuple((e - parity) // 2
+                                            for e in exps)
+            blocks.append(block)
     return blocks
 
 

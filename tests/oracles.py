@@ -5,8 +5,74 @@ reads the parabolic KL table and the sparse Dyck rows instead. The
 tests keep them as independent routes to the same numbers.
 """
 
+import itertools
+from bisect import bisect_right
+
 from koszulbench import mult
-from koszulbench.shapes import enumerate_partitions_in_box, jump_sequence
+from koszulbench.shapes import (_eval_encoded, enumerate_partitions_in_box,
+                                jump_sequence)
+
+
+def pair_scan_rows(k: int, n: int):
+    """mult.dyck_rows by brute force: every pair of labels whose inner
+    tuple is below the outer one goes to the Dyck evaluator as its rows
+    (inner_j, outer_j]. Row i maps j to the Dyck depth."""
+    labels = enumerate_partitions_in_box(k, n - k)
+    padded = [lam.parts + (0,) * (k - len(lam.parts)) for lam in labels]
+    sizes = [lam.size for lam in labels]
+    rows = []
+    for outer, size in zip(padded, sizes):
+        row = {}
+        # labels are sorted by size, and inner <= outer needs a smaller one
+        for j in range(bisect_right(sizes, size)):
+            enc = []
+            for a, b in zip(padded[j], outer):
+                if a > b:
+                    break
+                enc.append((a, b) if a < b else None)
+            else:
+                d = _eval_encoded(enc)
+                if d >= 0:
+                    row[j] = d
+        rows.append(row)
+    return rows
+
+
+def cup_rows(k: int, n: int):
+    """mult.dyck_rows from cup diagrams (Lascoux-Schutzenberger;
+    Brundan-Stroppel, Khovanov's diagram algebra I). Walk the boundary
+    path of lam from the bottom left of the box to the top right: an
+    east step opens a cup, and the next unmatched north step closes it.
+    Row lam maps mu to r when mu's path is lam's with r of its cups
+    reversed (north first, then east)."""
+    labels = enumerate_partitions_in_box(k, n - k)
+    index = {lam.parts: i for i, lam in enumerate(labels)}
+    rows = []
+    for lam in labels:
+        parts = lam.parts + (0,) * (k - len(lam.parts))
+        path, col = [], 0  # True for an east step
+        for part in reversed(parts):
+            path += [True] * (part - col) + [False]
+            col = part
+        path += [True] * (n - k - col)
+        cups, open_ = [], []
+        for p, east in enumerate(path):
+            if east:
+                open_.append(p)
+            elif open_:
+                cups.append((open_.pop(), p))
+        row = {}
+        for r in range(len(cups) + 1):
+            for chosen in itertools.combinations(cups, r):
+                mu = list(path)
+                for p, q in chosen:
+                    mu[p], mu[q] = False, True
+                # a north step closes the row of the easts before it
+                ends = list(itertools.accumulate(mu))
+                inner = [ends[p] for p, east in enumerate(mu) if not east]
+                row[index[tuple(x for x in reversed(inner) if x)]] = r
+        rows.append(row)
+    return rows
 
 
 def grassmannian_permutations(k: int, n: int):

@@ -2,12 +2,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
 
-from oracles import delta_ic, grassmannian_permutations, proj_delta_vector
+from oracles import (cup_rows, delta_ic, grassmannian_permutations,
+                     pair_scan_rows, proj_delta_vector)
 
 
 def v_poly(*pairs):
@@ -212,6 +214,65 @@ def test_flag_matrices_make_no_per_pair_call(monkeypatch):
     assert len(mult.graded_cartan(space).entries) == 24
 
 
+def test_matrix_paths_make_no_laurent_arithmetic(monkeypatch):
+    """The matrix paths multiply and add packed ints, and build a
+    LaurentPoly only for each distinct value they return."""
+    def refuse(*args):
+        raise AssertionError("LaurentPoly arithmetic")
+    for attr in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, attr, refuse)
+    assert len(mult.graded_cartan(mult.Space.gr(4, 8)).entries) == 70
+    assert len(mult.graded_cartan(mult.Space.flag(4)).entries) == 24
+    assert len(mult.delta_ic_matrix(mult.Space.flag(4)).entries) == 24
+    assert mult.kl_inversion_check(3, 6).ok
+
+
+def u_polys(bound):
+    """Laurent polynomials in u = v^-1 of degree <= 40 with
+    coefficients in [-bound, bound]."""
+    return st.dictionaries(st.integers(0, 40),
+                           st.integers(-bound, bound)).map(
+        lambda terms: LaurentPoly({-e: c for e, c in terms.items()}))
+
+
+def packed(poly, shift=0):
+    """poly * u^shift at u = 2^_BITS, straight from the definition."""
+    return sum(c << mult._BITS * (shift - e) for e, c in poly.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(u_polys(2 ** 40), u_polys(2 ** 40), u_polys(2 ** 16),
+       u_polys(2 ** 16), st.integers(0, 40))
+def test_packed_arithmetic_matches_laurent(a, b, c, d, shift):
+    """Sums and products of packed values decode to the LaurentPoly
+    sums and products, with and without the offset u^shift that
+    kl_inversion_check puts on K. One factor of each product has
+    coefficients below 2^16, so that every coefficient of a*c + b*d
+    stays below the 2^63 that balanced 64-bit digits can hold."""
+    assert mult._unpack(packed(a)) == a
+    assert mult._unpack(packed(a) + packed(b)) == a + b
+    assert mult._unpack(packed(a) * packed(c) + packed(b) * packed(d)) \
+        == a * c + b * d
+    # with the offset, v-exponents run up to shift
+    A, B = a.shift(shift), b.shift(shift)
+    assert mult._unpack(packed(A, shift) - packed(B, shift), shift) \
+        == A - B
+    assert mult._unpack(packed(c) * packed(A, shift)
+                        + packed(d) * packed(B, shift), shift) \
+        == c * A + d * B
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 2 ** 40), max_size=8), st.integers(0, 8))
+def test_repack_matches_the_kl_entry(coeffs, extra):
+    """_repack turns P packed at q into v^(-d) P(v^2) packed at u."""
+    p = sum(c << hecke._BITS * e for e, c in enumerate(coeffs))
+    d = 2 * max(len(coeffs) - 1, 0) + extra
+    want = LaurentPoly({2 * e - d: c for e, c in enumerate(coeffs)})
+    assert mult._unpack(mult._repack(p, d)) == want
+    assert mult._unpack(-mult._repack(p, d)) == -want
+
+
 # -- sparse Dyck rows and the coset-sized inversion check -------------------
 
 
@@ -248,8 +309,24 @@ def test_dyck_rows_match_delta_ic_gr_on_every_pair():
             for row, lam in zip(rows, labels):
                 for j, mu in enumerate(labels):
                     want = mult.delta_ic_gr(k, n, lam, mu)
-                    assert row.get(j, LaurentPoly.zero()) == want, (lam, mu)
+                    got = (LaurentPoly.monomial(-row[j]) if j in row
+                           else LaurentPoly.zero())
+                    assert got == want, (lam, mu)
                     assert (j in row) == bool(want)
+
+
+def test_dyck_rows_match_the_pair_scan():
+    for n in range(2, 11):
+        for k in range(1, n):
+            assert mult.dyck_rows(k, n) == pair_scan_rows(k, n), (k, n)
+
+
+def test_dyck_rows_match_cup_diagrams():
+    """A third route to D: reversing r cups of lam's cup diagram gives
+    exactly the labels at Dyck depth r below lam."""
+    for n in range(2, 12):
+        for k in range(1, n):
+            assert mult.dyck_rows(k, n) == cup_rows(k, n), (k, n)
 
 
 @pytest.mark.parametrize("space,build,oracle", [
