@@ -1,7 +1,9 @@
 """Exact linear algebra helpers: one incremental row echelon form on
 sparse int rows over Q and F_p, integer characteristic polynomials,
-saturated integer kernels by unimodular column operations, and
-Bareiss determinants.
+saturated integer kernels by unimodular column operations, and one
+fraction-free (Bareiss) elimination that gives integer determinants
+and, on LaurentPoly entries, determinants and adjugates over
+Z[v, v^-1].
 
 The echelon form and kernel_basis, which the minimal resolutions run
 on, take sparse vectors: dicts {index: int} that store nonzero
@@ -159,31 +161,48 @@ def poly_div_linear(coeffs, r):
     return quot, rem
 
 
-def det_bareiss(matrix) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
+def bareiss(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the first
+    n = len(rows) columns of rows, over the ints or over LaurentPoly;
+    every division is exact, and an inexact one raises ArithmeticError.
+
+    The pass ends at [d I | R] with d the last pivot, d = +-det by the
+    row swaps. Returns det and the columns past n of +-[d I | R], signed
+    so that for rows [M | I] they are det M^-1, the adjugate. A singular
+    matrix stops at its zero pivot and returns it, the zero of the
+    entries' ring, with None. Only columns past the pivot are updated,
+    so the row width sets the cost: a determinant appends no columns."""
+    n = len(rows)
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
             if swap is None:
-                return 0
+                return m[k][k], None
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                if val % prev:
-                    raise ArithmeticError("inexact Bareiss step: %d / %d"
-                                          % (val, prev))
-                m[i][j] = val // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot, mk = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                # columns up to k are not read again
+                for j in range(k + 1, len(mi)):
+                    q, r = divmod(pivot * mi[j] - c * mk[j], prev)
+                    if r:
+                        raise ArithmeticError("inexact Bareiss step: %r "
+                                              "leaves %r" % (prev, r))
+                    mi[j] = q
+        prev = pivot
+    if sign > 0:
+        return prev, [row[n:] for row in m]
+    return -prev, [[-x for x in row[n:]] for row in m]
+
+
+def det_bareiss(matrix):
+    """Exact determinant of an int or LaurentPoly matrix."""
+    return bareiss(matrix)[0]
 
 
 def smith_kernel_basis(matrix, ncols):

@@ -45,12 +45,6 @@ subcommands:
 every subcommand accepts --json"""
 
 
-# Each resolution step can be far larger than the last (torsion_p1:3
-# over F3 doubles: i = 16 takes 0.6 s, i = 20 takes 13 s and 110 MB),
-# so the cutoff is bounded; the builtins' defaults are at most 8.
-_MAX_IMAX = 32
-
-
 class _UsageError(Exception):
     pass
 
@@ -227,16 +221,19 @@ def _cmd_phidec(args) -> int:
     if (not isinstance(doc, list) or not doc
             or not all(isinstance(row, list) for row in doc)):
         raise ValueError("matrix file must hold a JSON array of rows")
-    matrix = [[int(x) for x in row] for row in doc]
-    report = weights_mod.is_phi_decomposable(matrix, ns.q, ns.l)
+    for r, row in enumerate(doc):
+        if not all(type(x) is int for x in row):  # bool and float refused
+            raise ValueError("matrix row %d has an entry that is not an "
+                             "integer: %r" % (r, row))
+    report = weights_mod.is_phi_decomposable(doc, ns.q, ns.l)
     _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if (report.applicable and report.decomposable) else 2
 
 
 def _check_imax(imax):
-    if imax is not None and not 1 <= imax <= _MAX_IMAX:
+    if imax is not None and not 1 <= imax <= koszul_mod.MAX_IMAX:
         raise ValueError("--imax must lie in 1..%d, got %d"
-                         % (_MAX_IMAX, imax))
+                         % (koszul_mod.MAX_IMAX, imax))
 
 
 def _load_cli_algebra(ns) -> koszul_mod.GradedAlgebra:

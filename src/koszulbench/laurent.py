@@ -2,8 +2,9 @@
 
 Coefficients are arbitrary-precision ints keyed by integer exponents.
 Zero coefficients are never stored, so structural equality of the
-coefficient maps is mathematical equality. The variable q is v squared
-by convention; see as_q_monomial_set and in_q.
+coefficient maps is mathematical equality. Besides the ring operations
+there is long division with remainder (divmod), which
+_linalg.bareiss uses as exact division.
 """
 
 from __future__ import annotations
@@ -127,6 +128,39 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def __divmod__(self, other):
+        """(q, r) with self == q * other + r, by long division from the
+        top exponent down. It stops where the top coefficient of the
+        remainder is not a multiple of other's, or where the next
+        quotient term would fall below every exponent an exact quotient
+        can have, so r == 0 exactly when other divides self in
+        Z[v, v^-1]."""
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        bc = other._coeffs
+        if not bc:
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        btop = max(bc)
+        lead = bc[btop]
+        rem = dict(self._coeffs)
+        floor = min(rem) - min(bc) if rem else 0
+        quot = {}
+        while rem:
+            top = max(rem)
+            e = top - btop
+            c, r = divmod(rem[top], lead)
+            if r or e < floor:
+                break
+            quot[e] = c
+            for eb, cb in bc.items():
+                s = rem.get(eb + e, 0) - c * cb
+                if s:
+                    rem[eb + e] = s
+                else:
+                    del rem[eb + e]
+        return LaurentPoly(quot), LaurentPoly(rem)
+
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -156,24 +190,6 @@ class LaurentPoly:
         """
         oc = other._coeffs
         return all(e in oc for e in self._coeffs)
-
-    def as_q_monomial_set(self):
-        """Read the polynomial as a sum of distinct-exponent q-monomials.
-
-        Requires every exponent even and every coefficient positive.
-        Returns {e // 2 for e in support}. Raises ValueError naming the
-        offending exponent otherwise.
-        """
-        out = set()
-        for e, c in self._coeffs.items():
-            if e % 2:
-                raise ValueError(
-                    "not expressible in q = v^2: odd exponent %d" % e)
-            if c < 0:
-                raise ValueError(
-                    "not a graded dimension: negative coefficient at exponent %d" % e)
-            out.add(e // 2)
-        return out
 
     def render(self, var: str = "v") -> str:
         """Human-readable text, exponents descending, e.g. 'v^2 + 3*v^-1'."""
@@ -216,7 +232,3 @@ def _coerce(x):
         return LaurentPoly({0: x})
     return None
 
-
-def in_q(qpoly) -> LaurentPoly:
-    """Build a LaurentPoly in v from a dict of q-exponents (q = v^2)."""
-    return LaurentPoly({2 * e: c for e, c in qpoly.items()})

@@ -319,6 +319,65 @@ def test_imax_bounds_are_accepted(capsys):
                        "i = %d)\n" % imax)
 
 
+# A dual-number loop at a resolves forever; the loop z at b is so deep
+# that the uncapped default cutoff, 2 * (2 + 10^9), would run for days.
+DEEP_LOOP = {"vertices": ["a", "b"],
+             "basis": [{"name": "x", "src": "a", "tgt": "a", "deg": -1},
+                       {"name": "z", "src": "b", "tgt": "b",
+                        "deg": -10 ** 9}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--field", "F:2", "--json"],
+    ["koszul", "integral", "--l", "2", "--json"],
+], ids=["koszul", "integral"])
+def test_default_imax_is_capped(argv, capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(DEEP_LOOP))
+    start = time.monotonic()
+    code, out, err = run(argv + ["--algebra", str(path)], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and err == ""
+    if argv[1] != "integral":
+        assert json.loads(out)["i_max"] == 32
+
+
+def loop_algebra(coeff):
+    return {"vertices": ["a"],
+            "basis": [{"name": "x", "src": "a", "tgt": "a", "deg": -1},
+                      {"name": "w", "src": "a", "tgt": "a", "deg": -2}],
+            "mult": [{"left": "x", "right": "x", "result": {"w": coeff}}]}
+
+
+# Each document holds one number that is not a JSON integer; int()
+# would truncate it (0.5 to 0 drops the product x * x) instead.
+NOT_INTEGERS = {
+    "float-degree": (["koszul"], {"vertices": ["a"], "basis": [
+        {"name": "x", "src": "a", "tgt": "a", "deg": -1.9}]},
+        "degree that is not an integer"),
+    "float-coefficient": (["koszul"], loop_algebra(0.5),
+                          "coefficient that is not an integer"),
+    "bool-coefficient": (["koszul"], loop_algebra(True),
+                         "coefficient that is not an integer"),
+    "float-matrix-entry": (["phidec", "--q", "3", "--l", "5"],
+                           [[1, 0], [0.5, 3]],
+                           "row 1 has an entry that is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_non_integer_numbers_exit_one(case, capsys, tmp_path):
+    argv, doc, reason = NOT_INTEGERS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    option = "--matrix" if argv[0] == "phidec" else "--algebra"
+    code, out, err = run(argv + [option, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reason in err
+
+
 def test_resolution_above_free_rank_limit_exits_one(capsys):
     """torsion_p1:3 over F3 doubles per step; step 19 would need more
     than 4096 basis vectors."""

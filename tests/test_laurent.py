@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from koszulbench.laurent import LaurentPoly, in_q
+from koszulbench.laurent import LaurentPoly
 
 
 def rand_poly(rng, span=6, terms=4):
@@ -41,6 +42,24 @@ def test_ring_axioms_random():
         assert a + LaurentPoly.zero() == a
         assert a * LaurentPoly.one() == a
         assert a - a == LaurentPoly.zero()
+
+
+POLY = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5),
+                       max_size=4).map(LaurentPoly)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(POLY, POLY.filter(bool))
+def test_divmod_is_division_with_remainder(a, b):
+    q, r = divmod(a, b)
+    assert a == q * b + r
+    assert divmod(a * b, b) == (a, 0)
+    assert divmod(a, 1) == (a, 0)
+
+
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        divmod(LaurentPoly.one(), LaurentPoly.zero())
 
 
 def test_int_coercion_both_sides():
@@ -87,20 +106,6 @@ def test_dominates_meaning():
     assert not big.dominates(small)
     assert LaurentPoly.zero().dominates(big)
     assert not big.dominates(LaurentPoly.zero())
-
-
-def test_as_q_monomial_set():
-    p = LaurentPoly.from_pairs([(0, 1), (-2, 1), (-4, 2)])
-    assert p.as_q_monomial_set() == {0, -1, -2}
-    with pytest.raises(ValueError):
-        LaurentPoly.monomial(-3).as_q_monomial_set()
-    with pytest.raises(ValueError):
-        LaurentPoly.monomial(-2, -1).as_q_monomial_set()
-
-
-def test_in_q_doubles_exponents():
-    q_poly = LaurentPoly.from_pairs([(0, 1), (1, 1)])
-    assert in_q(q_poly) == LaurentPoly.from_pairs([(0, 1), (2, 1)])
 
 
 def test_render_descending():
