@@ -8,12 +8,16 @@ implicit. Composition is written left to right: x * y is the path x
 followed by y and needs tgt(x) = src(y).
 
 Right modules over such an algebra have finite-dimensional graded
-pieces, so minimal projective resolutions can be computed degree by
-degree over any coefficient field. The algebra is Koszul when the
-i-th step of the resolution of every simple is generated in degree
-exactly -i. When every resolution terminates, their Euler matrix is the
-inverse of the graded Cartan matrix, which cartan_inverse computes over
-Z[v, v^-1] by _linalg.bareiss.
+pieces, so minimal projective resolutions can be computed block by
+block, one (vertex, degree) at a time, over any coefficient field. A
+step (_advance) visits the blocks of the last kernel M from degree 0
+down: the images of the generators found above a block span M*J
+there, the vectors of M outside that span are its new generators, and
+the kernel of the images is the next kernel. The algebra is Koszul
+when the i-th step of the resolution of every simple is generated in
+degree exactly -i. When every resolution terminates, their Euler
+matrix is the inverse of the graded Cartan matrix, which
+cartan_inverse computes over Z[v, v^-1] by _linalg.bareiss.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ MAX_FREE_RANK = 4096
 
 # Largest resolution cutoff the CLI accepts, and the cap on
 # default_imax. Each step can be far larger than the last (torsion_p1:3
-# over F3 doubles: i = 16 takes 0.6 s, i = 20 takes 13 s and 110 MB),
-# and the uncapped default grows with the deepest degree, which no
-# limit bounds; the builtins' defaults are at most 8.
+# over F3 doubles, and its step 19 passes MAX_FREE_RANK), and the
+# uncapped default grows with the deepest degree, which no limit
+# bounds; the builtins' defaults are at most 8.
 MAX_IMAX = 32
 
 # Largest algebra document load_algebra accepts, counted in records and
@@ -119,11 +123,6 @@ class GradedAlgebra:
                 self.mult[(left, right)] = clean
         self.neg_names = [b for b in self.basis_order if self.basis[b][2] < 0]
         self._check_associativity()
-        # c = +-x*y lies in J^2 over every ring, so the rest of J spans
-        # J modulo J^2 and generates J as an ideal
-        square = {c for result in self.mult.values() if len(result) == 1
-                  for c, k in result.items() if k in (1, -1)}
-        self.gen_names = [b for b in self.neg_names if b not in square]
 
     def product(self, x: str, y: str) -> dict:
         """Structure constants of x * y as {name: int}."""
@@ -318,9 +317,12 @@ def _free_blocks(algebra, summands):
             src, tgt, deg = algebra.basis[bname]
             if src == vtx:
                 fbasis.setdefault((tgt, deg + s), []).append((t, bname))
-    pos = {key: {tb: i for i, tb in enumerate(lst)}
-           for key, lst in fbasis.items()}
-    return fbasis, pos
+    return fbasis, _positions(fbasis)
+
+
+def _positions(fbasis):
+    return {key: {tb: i for i, tb in enumerate(lst)}
+            for key, lst in fbasis.items()}
 
 
 def _block_order(algebra, keys):
@@ -356,52 +358,74 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
 
 
 def _advance(algebra, field, fbasis, pos, blocks, step):
-    """Step `step` of the minimal resolution. blocks describes a
-    submodule M of the current free module; returns the generator
-    multiset of its minimal cover together with the kernel, set up
-    over the new free module. Raises ValueError when that free module
-    has more than MAX_FREE_RANK basis vectors.
+    """Step `step` of the minimal resolution. blocks holds a submodule
+    M of the current free module: at each (vertex, degree) key, a basis
+    of M there as sparse vectors over fbasis[key]. Returns the summands
+    (vertex, shift) of M's minimal cover P -> M, one per generator, the
+    layout of P as _free_blocks(summands) gives it, and the kernel of
+    P -> M as blocks over P.
 
-    M is given in full, block by block, so M*J is spanned by M times
-    the generators of J alone (by induction on degree)."""
+    One pass visits the keys in _block_order, degree 0 first. A
+    generator t found at (v, d) lays out (t, b) at (tgt b, d + deg b)
+    for each b leaving v, in basis order; the idempotent lands at
+    (v, d) itself and every other b at a later key. At each key the
+    images of the (t, b) laid out there so far, one _act each, span
+    M*J (the generators above the key generate M, by graded Nakayama).
+    Their kernel is the kernel of P -> M there: the new generators,
+    which their idempotents map to themselves, are independent of the
+    images and add no kernel vector. The first vectors of M outside the
+    images' span are the new generators, so no vector of M is ever
+    acted on.
+
+    Raises ValueError as soon as P passes MAX_FREE_RANK basis vectors,
+    and RuntimeError when the vectors at a key are not a basis of a
+    module holding the images there."""
     p = field.p
-    spans = {}
-    for key in _block_order(algebra, blocks):
-        for vec in blocks[key]:
-            for aname in algebra.gen_names:
-                res = _act(algebra, p, fbasis, pos, key, vec, aname)
-                if res is not None:
-                    nkey, nvec = res
-                    spans.setdefault(nkey, Echelon(p)).add(nvec)
-    generators = []
-    for key in _block_order(algebra, blocks):
-        span = spans.setdefault(key, Echelon(p))
-        for vec in blocks[key]:
-            if span.add(vec):
-                generators.append((key, vec))
-    new_summands = [(key[0], key[1]) for key, _ in generators]
-    fbasis2, pos2 = _free_blocks(algebra, new_summands)
-    rank = sum(map(len, fbasis2.values()))
-    if rank > MAX_FREE_RANK:
-        raise ValueError("step %d of the resolution needs a free module "
-                         "with %d basis vectors; the limit is %d"
-                         % (step, rank, MAX_FREE_RANK))
-    new_blocks = {}
-    for key2, basis2 in fbasis2.items():
-        nrows = len(fbasis.get(key2, []))
+    leaving = {}
+    for bname in algebra.basis_order:
+        src, tgt, deg = algebra.basis[bname]
+        leaving.setdefault(src, []).append((bname, tgt, deg))
+    keys = set(blocks)
+    keys.update((tgt, d + deg) for v, d in blocks
+                for _, tgt, deg in leaving[v])
+    generators, fbasis2, new_blocks = [], {}, {}
+    rank = 0
+    for key in _block_order(algebra, keys):
         columns = []
-        for (j, bname) in basis2:
-            gkey, gvec = generators[j]
-            res = _act(algebra, p, fbasis, pos, gkey, gvec, bname)
+        for t, bname in fbasis2.get(key, ()):
+            res = _act(algebra, p, fbasis, pos, *generators[t], bname)
             columns.append({} if res is None else res[1])
-        kern = kernel_basis(columns, nrows, field)
+        kern = (kernel_basis(columns, len(fbasis.get(key, ())), field)
+                if columns else [])
         if kern:
-            idem = [idx for idx, (_, bname) in enumerate(basis2)
-                    if bname in algebra._idem_names]
-            if any(idx in vec for vec in kern for idx in idem):
-                raise RuntimeError("cover is not minimal")
-            new_blocks[key2] = kern
-    return new_summands, fbasis2, pos2, new_blocks
+            new_blocks[key] = kern
+        vecs = blocks.get(key, ())
+        missing = len(vecs) - (len(columns) - len(kern))
+        if not missing:
+            continue
+        span = Echelon(p)
+        for col in columns:
+            span.add(col)
+        vtx, d = key
+        for vec in vecs:
+            if not missing:
+                break
+            if span.add(vec):
+                missing -= 1
+                t = len(generators)
+                generators.append((key, vec))
+                for bname, tgt, deg in leaving[vtx]:
+                    fbasis2.setdefault((tgt, d + deg), []).append((t, bname))
+                rank += len(leaving[vtx])
+                if rank > MAX_FREE_RANK:
+                    raise ValueError("step %d of the resolution needs a free "
+                                     "module with at least %d basis vectors; "
+                                     "the limit is %d"
+                                     % (step, rank, MAX_FREE_RANK))
+        if missing:
+            raise RuntimeError("cover is not minimal")
+    summands = [key for key, _ in generators]
+    return summands, fbasis2, _positions(fbasis2), new_blocks
 
 
 @dataclass

@@ -695,18 +695,10 @@ HALF_PRODUCT_DOC = {
 @pytest.mark.parametrize("p", (0,) + PRIMES)
 def test_non_unit_product_keeps_its_result_a_generator(p):
     algebra = load_algebra(HALF_PRODUCT_DOC)
-    assert algebra.gen_names == ["a", "x", "y", "c"]
     field = "F:%d" % p if p else "Q"
     for lam in algebra.vertices:
         res = minimal_resolution(algebra, lam, field, 4)
         assert (res.steps, res.finished) == ref_steps(algebra, lam, p, 4)
-
-
-def test_gen_names_drop_unit_single_term_products():
-    assert builtin_algebra("p1").gen_names == ["u", "v"]
-    assert builtin_algebra("torsion_p1:3").gen_names == ["u", "v", "w"]
-    assert load_algebra(exterior_doc(3)).gen_names == ["x0", "x1", "x2"]
-    assert load_algebra(truncation_doc(5)).gen_names == ["x1"]
 
 
 @fuzz(60)
@@ -978,3 +970,58 @@ def test_resolution_step_above_free_rank_limit_is_rejected():
     # over Q the steps stay small: each has one summand
     steps = minimal_resolution(algebra, "a", "Q", 32).steps
     assert list(map(len, steps)) == [1] * 33
+
+
+def test_free_rank_refusal_counts_the_generators_found_so_far():
+    """Generators appear block by block, and the step is refused at the
+    first one that takes the free module past the limit: step 19 of
+    torsion_p1:3 over F3 has 5,619 basis vectors, but the refusal
+    counts 4,098, the first multiple of 3 (the rank of P_a and of P_b)
+    past 4,096."""
+    algebra = builtin_algebra("torsion_p1:3")
+    with pytest.raises(ValueError, match="^step 19 of the resolution needs "
+                       "a free module with at least 4098 basis vectors; "
+                       "the limit is 4096$"):
+        minimal_resolution(algebra, "a", "F:3", 32)
+    with mock.patch.object(koszul, "MAX_FREE_RANK", 10 ** 6):
+        steps = minimal_resolution(algebra, "a", "F:3", 19).steps
+    fbasis, _ = koszul._free_blocks(algebra, steps[19])
+    assert sum(map(len, fbasis.values())) == 5619
+
+
+# -- work done by one resolution step ------------------------------------
+
+
+@pytest.mark.parametrize("algebra", [load_algebra(exterior_doc(3)),
+                                     builtin_algebra("p1")],
+                         ids=["exterior_3", "p1"])
+@pytest.mark.parametrize("field", ["Q", "F:2"])
+def test_steps_act_only_on_generators(algebra, field):
+    """_act runs once per generator and non-idempotent basis element
+    leaving its vertex, and never on the other vectors of M: M*J comes
+    from the images of the generators already found."""
+    calls = []
+    act = koszul._act
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+
+    for lam in algebra.vertices:
+        calls.clear()
+        with mock.patch.object(koszul, "_act", counted):
+            steps = minimal_resolution(algebra, lam, field, 6).steps
+        want = sum(1 for step in steps[1:] for vtx, _ in step
+                   for b in algebra.neg_names if algebra.basis[b][0] == vtx)
+        assert want and len(calls) == want
+
+
+def test_dependent_vectors_in_a_block_are_refused():
+    """The vectors of a block must be a basis of M there; two multiples
+    of one vector cover only one generator."""
+    algebra = builtin_algebra("p1")
+    fbasis, pos = koszul._free_blocks(algebra, [("a", 0)])
+    assert fbasis[("b", -1)] == [(0, "u")]
+    blocks = {("b", -1): [{0: 1}, {0: 2}]}
+    with pytest.raises(RuntimeError, match="cover is not minimal"):
+        koszul._advance(algebra, koszul.as_field("Q"), fbasis, pos, blocks, 1)

@@ -1,9 +1,12 @@
 import ast
+import importlib.util
 import pathlib
 
+from koszulbench import koszul
 from koszulbench.hecke import KLTable
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "koszulbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "koszulbench"
 
 
 def test_no_assert_in_library():
@@ -66,3 +69,22 @@ def test_library_keeps_no_module_level_state():
     # interned ids and columns belong to one table, never to the module
     fresh = KLTable(4)
     assert not fresh._ids and not fresh._cols
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """The traced benchmark run wraps library names where they are
+    looked up, koszul.kernel_basis among them, and fails on a name the
+    library renamed or dropped. Installing and uninstalling the tracer
+    checks every name and puts each original back."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = dict(vars(koszul))
+    recorder = tracer.Tracer()
+    try:
+        recorder.install()
+        assert vars(koszul) != before
+    finally:
+        recorder.uninstall()
+    assert vars(koszul) == before
