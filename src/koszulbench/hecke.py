@@ -1,22 +1,17 @@
 """Symmetric group combinatorics and Kazhdan-Lusztig polynomials.
 
 A permutation is a tuple of images in one-line notation, so (2, 3, 1)
-sends 1 to 2. KL polynomials are computed by KLTable with the descent
-recursion and mu corrections, whole Bruhat columns at a time, on
-per-table integer ids of permutations. They are stored as polynomials
-in q (one LaurentPoly exponent per power of q; q is v squared
-everywhere else in the package); KLTable.column hands out a whole
-column packed (see _BITS). Every memo belongs to one KLTable.
+sends 1 to 2. KL polynomials are polynomials in q (v squared elsewhere
+in the package), packed into one int (see _BITS). parabolic_kl, the
+engine of every multiplicity matrix, computes them between maximal
+representatives of the cosets of a Young subgroup, the Borel orbits of
+a partial flag variety: (1^n) gives the full flags, (k, n-k) gr(k, n).
 
-Three classical facts keep the recursion small: P_{x,w} = 1 whenever
-l(w) - l(x) <= 2; every column of a permutation avoiding the patterns
-3412 and 4231 is identically 1 (smooth Schubert variety); and when
-v = ws < w, the interval [e, w] is [e, v] together with [e, v] s
-(lifting property), so a smooth column is read off the column of v.
-
-parabolic_kl computes, for one Grassmannian, only the polynomials
-between maximal coset representatives, with no table of S_n; it is an
-independent route to the same values, which the tests compare.
+KLTable answers single queries on S_n, whole Bruhat columns at a time;
+the tests compare the two engines. Three classical facts keep it small:
+P_{x,w} = 1 whenever l(w) - l(x) <= 2; every column of a permutation
+avoiding 3412 and 4231 is identically 1 (smooth Schubert variety); and
+when v = ws < w, [e, w] is [e, v] together with [e, v] s (lifting).
 """
 
 from __future__ import annotations
@@ -171,13 +166,6 @@ class KLTable:
         p = self._value(self._id(x), self._id(w))
         return LaurentPoly({e: c for e, c in enumerate(_coeffs(p)) if c})
 
-    def column(self, w):
-        """P_{x,w} for every x <= w: a dict from the permutation x to
-        the polynomial packed into one int (see _BITS), the format
-        parabolic_kl returns."""
-        perm = self._perm
-        return {perm[x]: p for x, p in self._column(self._id(w)).items()}
-
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}, the inverse KL polynomial."""
         check_permutation(y, self.n)
@@ -295,76 +283,93 @@ class KLTable:
         return col
 
 
-def parabolic_kl(k: int, n: int):
-    """P_{x,w} for every pair x <= w of maximal representatives of the
-    cosets w (S_k x S_{n-k}) in S_n, by Deodhar's parabolic recursion.
+def coset_word(blocks):
+    """The word of the coset w W_J, W_J the Young subgroup of a
+    composition (n_1, ..., n_r): blocks[i] holds the values of w on the
+    positions of block i. The value j gets the letter r - 1 - i, in bits
+    [W (j-1), W j) of one int, W = max(1, (r-1).bit_length()); the last
+    block, letter 0, may be left out. For (k, n-k) the word is the
+    bitmask of w({1..k}), and for (1^n) it fixes w."""
+    r = len(blocks)
+    width = max(1, (r - 1).bit_length())
+    return sum((r - 1 - i) << width * (j - 1)
+               for i, block in enumerate(blocks) for j in block)
 
-    A maximal representative is fixed by its k-subset S = w({1..k}),
-    here a bitmask with bit j - 1 for the value j; w lists S and then
-    its complement, both decreasing. Returns a dict from the mask of w
-    to its column, a dict from the mask of every x <= w to P_{x,w}
-    packed into one int (see _BITS). Nothing is kept between calls.
 
-    The column of w comes from the left-descent form of the recursion,
+def parabolic_kl(composition):
+    """P_{x,w} for every pair x <= w of maximal representatives (each
+    block's values decreasing) of the cosets w W_J in S_n, W_J the Young
+    subgroup of a composition of n, by Deodhar's parabolic recursion: a
+    dict from the word of w (see coset_word) to its column, a dict from
+    the word of every x <= w to P_{x,w} packed into one int (see _BITS).
+
+    Left multiplication by s = s_{b+1} swaps the letters b and b + 1 of
+    a word; it lowers the coset when letter b < letter b + 1 and fixes
+    it when they are equal. The cosets are generated level by level
+    from the lowest word, whose letters never increase: each w one
+    level up is s v for some v with letter b > letter b + 1, which
+    gives its length and a descent, v = s w < w. Then
 
         P_{x,w} = q^(1-c) P_{sx,v} + q^c P_{x,v}
                   - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
 
-    v = s w < w, c = 1 when s x < x, z < v over s z < z, with s = s_i
-    for some i + 1 in S, i not in S, so that v is maximal too. Two facts keep it inside the maximal representatives:
-    P_{y,v} depends only on the coset of y, as v is maximal, so
-    P_{sx,v} = P_{x,v} when s fixes the coset of x; and a z = v t with
-    t in S_k x S_{n-k}, z < v, has s z = w t > z, so every z of the mu
-    terms is maximal.
-
-    Each coefficient of a column is at most the sum of two entries of
-    the column below it, so below 2^(k(n-k)); the packing is exact for
-    k(n-k) < _BITS, far beyond what fits in time.
+    c = 1 when s x < x, z < v over s z <= z. As v is maximal, P_{y,v}
+    depends only on the coset of y, so P_{sx,v} = P_{x,v} when s fixes
+    the coset of x; and z = v t, t in W_J, z < v, has s z = w t > z.
+    A coefficient is at most the sum of two in the column below, so
+    below 2^dim, dim = (n^2 - sum n_i^2) / 2 the greatest length; the
+    packing is exact for dim < _BITS.
     """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    if k * (n - k) >= _BITS:
-        raise ValueError("gr(%d,%d) is too large for packed polynomials"
-                         % (k, n))
-    # length of the maximal representative, up to the constant length
-    # of the longest element of S_k x S_{n-k}
-    length = {}
-    for subset in itertools.combinations(range(n), k):
-        mask = sum(1 << j for j in subset)
-        length[mask] = sum(1 for a in subset for b in range(a)
-                           if not mask >> b & 1)
-    cols = {}
-    for w in sorted(length, key=length.get):
-        # the lowest b with value b + 2 in S and value b + 1 not in it
-        low = (w >> 1) & ~w
-        if not low:
-            cols[w] = {w: 1}
-            continue
-        b = (low & -low).bit_length() - 1
-        swap = 3 << b
-        colv = cols[w ^ swap]
-        col = {}
-        for x in list(colv) + [y ^ swap for y in colv
-                               if (y >> b & 3) in (1, 2)]:
-            px = colv.get(x, 0)
-            side = x >> b & 3
-            if side in (0, 3):
-                # s fixes the coset of x: P_{sx,v} = P_{x,v}
-                col[x] = px + (px << _BITS)
-            elif side == 2:
-                # s x < x
-                col[x] = colv.get(x ^ swap, 0) + (px << _BITS)
-            else:
-                col[x] = (colv.get(x ^ swap, 0) << _BITS) + px
-        lw = length[w]
-        for z, pz in colv.items():
-            gap = lw - 1 - length[z]
-            # z < v with s z < z and an odd gap; m is then mu(z, v)
-            if gap % 2 and (z >> b & 3) != 1:
-                m = pz >> (_BITS * (gap >> 1))
-                if m:
-                    shift = _BITS * ((gap + 1) >> 1)
-                    for x, p in cols[z].items():
-                        col[x] -= m * p << shift
-        cols[w] = col
+    comp = tuple(composition)
+    if not comp or min(comp) < 1:
+        raise ValueError("need a composition of positive parts: %r" % (comp,))
+    n = sum(comp)
+    dim = (n * n - sum(p * p for p in comp)) // 2
+    if dim >= _BITS:
+        raise ValueError("dim G/P = %d is too large to pack" % dim)
+    width = max(1, (len(comp) - 1).bit_length())
+    letter = (1 << width) - 1
+    pair = 1 | 1 << width
+    ends = list(itertools.accumulate(comp))
+    low = coset_word([range(e - p + 1, e + 1) for p, e in zip(comp, ends)])
+    length = {low: 0}
+    cols = {low: {low: 1}}
+    level = [low]
+    for lw in range(1, dim + 1):
+        above = {}
+        for v in level:
+            for b in range(n - 1):
+                t = v >> width * b
+                lo, hi = t & letter, t >> width & letter
+                if lo > hi:
+                    above.setdefault(v ^ (lo ^ hi) * pair << width * b,
+                                    (v, b))
+        for w, (v, b) in above.items():
+            length[w] = lw
+            at = width * b  # the bit of letter b
+            colv = cols[v]
+            col = {}
+            for y, py in colv.items():
+                t = y >> at
+                lo, hi = t & letter, t >> width & letter
+                if lo == hi:
+                    # s fixes the coset of y: P_{sy,v} = P_{y,v}
+                    col[y] = py + (py << _BITS)
+                elif lo > hi:
+                    # s y > y: both are <= w by lifting, with the same
+                    # value (when s y < y, s y sets both)
+                    ys = y ^ (lo ^ hi) * pair << at
+                    col[y] = col[ys] = py + (colv.get(ys, 0) << _BITS)
+            for z, pz in colv.items():
+                gap = lw - 1 - length[z]
+                # z < v with s z <= z and an odd gap; m is then mu(z, v)
+                if gap % 2 and (z >> at & letter
+                                <= z >> at + width & letter):
+                    m = pz >> (_BITS * (gap >> 1))
+                    if m:
+                        shift = _BITS * ((gap + 1) >> 1)
+                        for x, p in cols[z].items():
+                            col[x] -= m * p << shift
+            cols[w] = col
+        level = list(above)
     return cols

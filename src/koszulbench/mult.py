@@ -12,7 +12,7 @@ on Dyck shapes, and the flag entry is v^(-(l(x)-l(y))) Q_{y,x}(v^2)
 with Q the longest-element twist of the KL table. Both are pinned by
 requiring diagonal 1, entries in N[v^-1], and agreement between the
 two descriptions of the projective line. Matrices read whole Dyck
-rows or KL columns; delta_ic_gr and delta_ic_flag are per-pair routes.
+rows or parabolic KL columns; delta_ic_gr is a per-pair route.
 
 The matrix paths (delta_ic_matrix, graded_cartan, kl_inversion_check)
 compute on ints: each entry is packed at u = v^-1 = 2^64, so that sums
@@ -154,22 +154,6 @@ def dyck_rows(k: int, n: int):
     return [{index[a]: d for a, d in fillings(c, 0, c[0])} for c in padded]
 
 
-def delta_ic_flag(n: int, x, y) -> LaurentPoly:
-    """[Delta_x : IC_y] on the full flag variety of rank n.
-
-    Realized as v^(-(l(x)-l(y))) * Q_{y,x}(v^2) with Q the inverse KL
-    polynomial; zero unless y <= x in Bruhat order. Each call builds
-    its own KLTable; matrices read whole columns instead (_delta_rows).
-    """
-    hecke.check_permutation(x, n)
-    hecke.check_permutation(y, n)
-    # inverse_kl is 0 here too, but reaching it through the table costs more.
-    if not hecke.bruhat_leq(y, x):
-        return LaurentPoly.zero()
-    q_poly = hecke.KLTable(n).inverse_kl(y, x)
-    return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
-
-
 # Packed entries. Inside the matrix paths every entry is one int, its
 # value at u = v^-1 = 2^_BITS (the Kronecker substitution): the
 # coefficient of v^-e fills digit e, and D, K and their products are
@@ -180,11 +164,11 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
 #   - gr(k, n), n <= 10: D has coefficient 1, and a Cartan entry sums
 #     at most C(10, 5) = 252 of its monomials, so at most 252;
 #   - flag(n), n <= 5: D has the coefficients of KL polynomials of S_5,
-#     below 2^l(w0) = 2^10 (see hecke._BITS) and at most 5 per entry,
-#     so a Cartan coefficient sums at most 120 * 5 products of two:
-#     below 2^30;
+#     below 2^dim = 2^10 (see hecke.parabolic_kl) and at most 5 per
+#     entry, so a Cartan coefficient sums at most 120 * 5 products of
+#     two: below 2^30;
 #   - kl_inversion_check: K has the coefficients of parabolic KL
-#     polynomials, below 2^(k(n-k)) <= 2^25 (see hecke.parabolic_kl),
+#     polynomials, below 2^dim = 2^(k(n-k)) <= 2^25 (the same rule),
 #     and a coefficient of D*K or K*D sums at most 252 of them: below
 #     2^33.
 # A flag entry v^(-d) q^e sits at digit d - 2e, which the KL degree
@@ -223,22 +207,41 @@ def _unpack(x, shift=0) -> LaurentPoly:
 
 def _delta_rows(space: Space, labels):
     """Sparse packed rows of delta_ic_matrix: row i maps j to the
-    nonzero [Delta_labels[i] : IC_labels[j]]. On flag(n), column j
-    needs Q_{y,x} = P_{w0 x, w0 y} for y = labels[j] and every x >= y:
-    the whole column of w0 y in a KLTable local to the call."""
+    nonzero [Delta_labels[i] : IC_labels[j]]. On flag(n), that is
+    v^(-(l(x)-l(y))) Q_{y,x}(v^2) for x, y = labels[i], labels[j], and
+    Q_{y,x} = P_{w0 x, w0 y}."""
     if space.kind == "gr":
         return [{j: 1 << _BITS * d for j, d in row.items()}
                 for row in dyck_rows(space.k, space.n)]
-    table = hecke.KLTable(space.n)
-    w0 = hecke.longest_element(space.n)
-    index = {hecke.compose(w0, x): i for i, x in enumerate(labels)}
-    lengths = [hecke.length(x) for x in labels]
-    rows = [{} for _ in labels]
-    for j, y in enumerate(labels):
-        for w0x, p in table.column(hecke.compose(w0, y)).items():
-            i = index[w0x]
-            rows[i][j] = _repack(p, lengths[i] - lengths[j])
-    return rows
+    n = space.n
+    words = [hecke.coset_word([(n + 1 - a,) for a in x]) for x in labels]
+    return _kl_rows((1,) * n, words, list(map(hecke.length, labels)))[0]
+
+
+def _kl_rows(composition, words, lengths, signed=False):
+    """(rows, S): hecke.parabolic_kl(composition) as sparse packed rows,
+    one per coset of words: row i maps j to v^(-d) P(v^2) for every
+    nonzero P = P_{words[i], words[j]}, d = lengths[i] - lengths[j].
+    Unsigned rows (the flag D) have S = 0 by the KL degree bound, which
+    _repack enforces. Signed rows (K) are times (-1)^d u^S, with S the
+    least shift that leaves no positive power of v, whatever P holds."""
+    length = dict(zip(words, lengths))
+    cols = hecke.parabolic_kl(composition)
+    shift = 0
+    if signed:
+        # v^(-d) q^e has the u-exponent d - 2e
+        shift = max(0, max(2 * ((p.bit_length() - 1) // _BITS) - length[x]
+                           + length[w] for w, col in cols.items()
+                           for x, p in col.items()))
+    index = {w: i for i, w in enumerate(words)}
+    rows = [{} for _ in words]
+    for w, col in cols.items():
+        j, lw = index[w], length[w]
+        for x, p in col.items():
+            d = length[x] - lw
+            entry = _repack(p, d + shift)
+            rows[index[x]][j] = -entry if signed and d % 2 else entry
+    return rows, shift
 
 
 @dataclass
@@ -366,21 +369,11 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     labels = enumerate_partitions_in_box(k, n - k)
-    sizes = [lam.size for lam in labels]
-    # the k-subset of w0 x_lam, which fixes its coset
-    index = {sum(1 << (n - t) for t in jump_sequence(lam, k)): i
-             for i, lam in enumerate(labels)}
-    entries = [(index[x], index[w], p)
-               for w, col in hecke.parabolic_kl(k, n).items()
-               for x, p in col.items()]
-    # v^(-d) q^e has the u-exponent d - 2e
-    shift = max(0, max(2 * ((p.bit_length() - 1) // _BITS)
-                       - (sizes[i] - sizes[j]) for i, j, p in entries))
-    K = [{} for _ in labels]
-    for i, j, p in entries:
-        d = sizes[i] - sizes[j]
-        x = _repack(p, d + shift)
-        K[i][j] = -x if d % 2 else x
+    # the first block of w0 x_lam, which fixes its coset
+    words = [hecke.coset_word(({n + 1 - t for t in jump_sequence(lam, k)},
+                               ())) for lam in labels]
+    K, shift = _kl_rows((k, n - k), words, [lam.size for lam in labels],
+                        signed=True)
     D = _delta_rows(Space.gr(k, n), labels)
     for A, B in ((D, K), (K, D)):
         failure = _first_defect(A, B, 1 << _BITS * shift)

@@ -1,14 +1,15 @@
 """Reference constructions and helpers shared by the test modules.
 
-The library no longer needs the constructions: kl_inversion_check
-reads the parabolic KL table and the sparse Dyck rows instead. The
-tests keep them as independent routes to the same numbers.
+The library no longer needs the constructions: the matrices read
+parabolic KL columns and the sparse Dyck rows instead. The tests keep
+them as independent routes to the same numbers.
 """
 
 import itertools
 from bisect import bisect_right
 
-from koszulbench import mult
+from koszulbench import hecke, mult
+from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import (_eval_encoded, enumerate_partitions_in_box,
                                 jump_sequence)
 
@@ -93,11 +94,29 @@ def grassmannian_permutations(k: int, n: int):
     return out
 
 
+def delta_ic_flag(n: int, x, y) -> LaurentPoly:
+    """[Delta_x : IC_y] on the full flag variety of rank n.
+
+    Realized as v^(-(l(x)-l(y))) * Q_{y,x}(v^2) with Q the inverse KL
+    polynomial of a KLTable built for the call; zero unless y <= x in
+    Bruhat order. The matrices of mult read parabolic KL columns
+    instead.
+    """
+    hecke.check_permutation(x, n)
+    hecke.check_permutation(y, n)
+    # inverse_kl is 0 here too, but reaching it through the table costs more.
+    if not hecke.bruhat_leq(y, x):
+        return LaurentPoly.zero()
+    q_poly = hecke.KLTable(n).inverse_kl(y, x)
+    return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
+
+
 def delta_ic(space, a, b):
-    """[Delta_a : IC_b] through the per-pair functions of mult."""
+    """[Delta_a : IC_b] through the per-pair routes: mult.delta_ic_gr
+    and delta_ic_flag."""
     if space.kind == "gr":
         return mult.delta_ic_gr(space.k, space.n, a, b)
-    return mult.delta_ic_flag(space.n, a, b)
+    return delta_ic_flag(space.n, a, b)
 
 
 def proj_delta_vector(space, lam):

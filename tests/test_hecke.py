@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import hecke
 from koszulbench.hecke import KLTable
@@ -69,42 +69,71 @@ def textbook_kl(n):
     return table
 
 
+def flag_word(w):
+    """The word of the permutation w under the composition (1^n)."""
+    return hecke.coset_word([(a,) for a in w])
+
+
+def maximal_representatives(composition):
+    """{word: maximal representative} over the cosets of the Young
+    subgroup of composition: every way to deal the values into the
+    blocks, each block's values listed decreasing."""
+    out = {}
+
+    def deal(rest, blocks):
+        if len(blocks) == len(composition):
+            out[hecke.coset_word(blocks)] = tuple(
+                j for block in blocks for j in sorted(block, reverse=True))
+            return
+        for block in itertools.combinations(sorted(rest),
+                                            composition[len(blocks)]):
+            deal(rest - set(block), blocks + [block])
+
+    deal(set(range(1, sum(composition) + 1)), [])
+    return out
+
+
 def test_textbook_recursion_matches_table_on_s5():
     table = KLTable(5)
-    columns = KLTable(5)
+    cols = hecke.parabolic_kl((1,) * 5)
+    assert len(cols) == 120
     for w, col in textbook_kl(5).items():
         for x, p in col.items():
             assert table.kl_polynomial(x, w) == q_poly(*p), (x, w)
-        # column(w): exactly the x <= w, packed as parabolic_kl packs
-        got = columns.column(w)
-        assert set(got) == {x for x in col if hecke.bruhat_leq(x, w)}, w
-        for x, p in got.items():
-            assert tuple(hecke._coeffs(p)) == col[x], (x, w)
+        # the parabolic column of (1^5): exactly the x <= w, packed
+        got = cols[flag_word(w)]
+        assert set(got) == {flag_word(x) for x in col
+                            if hecke.bruhat_leq(x, w)}, w
+        for x, p in col.items():
+            assert tuple(hecke._coeffs(got.get(flag_word(x), 0))) == p, \
+                (x, w)
 
 
 def test_columns_match_under_inverse_and_w0_conjugation_on_s6():
     """P_{x,w} = P_{x^-1,w^-1} = P_{w0 x w0, w0 w w0} for every x <= w
-    of S_6, whole columns at a time. Inversion and conjugation move the
-    first right descent of w, so the recursion reaches the two sides of
-    each comparison by different paths."""
+    of S_6, whole parabolic columns of (1^6) at a time. Inversion and
+    conjugation move the left descents of w, so the recursion reaches
+    the two sides of each comparison by different paths."""
     n = 6
     w0 = hecke.longest_element(n)
 
     def conjugate(x):
         return hecke.compose(hecke.compose(w0, x), w0)
 
-    table, other = KLTable(n), KLTable(n)
-    for w in itertools.permutations(range(1, n + 1)):
-        col = table.column(w)
-        assert ({hecke.inverse(x): p for x, p in col.items()}
-                == other.column(hecke.inverse(w))), w
-        assert ({conjugate(x): p for x, p in col.items()}
-                == other.column(conjugate(w))), w
+    perms = list(itertools.permutations(range(1, n + 1)))
+    cols = hecke.parabolic_kl((1,) * n)
+    assert sorted(cols) == sorted(map(flag_word, perms))
+    for move in (hecke.inverse, conjugate):
+        # the move on words
+        moved = {flag_word(x): flag_word(move(x)) for x in perms}
+        for w, col in cols.items():
+            assert ({moved[x]: p for x, p in col.items()}
+                    == cols[moved[w]]), (move, w)
 
 
 @pytest.fixture(scope="module")
-def big_tables():
-    return {6: KLTable(6), 7: KLTable(7)}
+def tables():
+    return {n: KLTable(n) for n in range(1, 8)}
 
 
 @st.composite
@@ -128,10 +157,10 @@ def comparable_pairs(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(comparable_pairs())
-def test_kl_symmetries_and_support(big_tables, pair):
+def test_kl_symmetries_and_support(tables, pair):
     x, w = pair
     n = len(w)
-    table = big_tables[n]
+    table = tables[n]
     w0 = hecke.longest_element(n)
     p = table.kl_polynomial(x, w)
     assert p == table.kl_polynomial(hecke.inverse(x), hecke.inverse(w))
@@ -326,43 +355,108 @@ def _unpack(p):
     return LaurentPoly({e: c for e, c in enumerate(hecke._coeffs(p)) if c})
 
 
+# every (k, n - k) with n <= 8, (1^n) with n <= 5, and some longer ones
+FULL_TABLE_COMPOSITIONS = sorted(
+    [(k, n - k) for n in range(2, 9) for k in range(1, n)]
+    + [(1,) * n for n in range(1, 6)]
+    + [(2, 1, 2), (1, 3, 2), (1, 2, 1, 2), (1, 1, 4, 1)],
+    key=lambda c: (sum(c), c))
+
+
+def full_table_value(table, composition, x, w):
+    """P_{x,w} from the S_n table for maximal representatives x, w of
+    composition. For a composition later than its reverse, the value
+    is read as P_{w0 x w0, w0 w w0}: conjugation by w0 maps the
+    maximal representatives onto those of the reverse, which comes
+    first, so the table reuses its columns."""
+    if tuple(reversed(composition)) < composition:
+        w0 = hecke.longest_element(table.n)
+        x = hecke.compose(hecke.compose(w0, x), w0)
+        w = hecke.compose(hecke.compose(w0, w), w0)
+    return table.kl_polynomial(x, w)
+
+
 def test_parabolic_kl_matches_full_table():
-    """Every Grassmannian pair of every gr(k, n) with n <= 8:
-    Q_{x_mu,x_lam} from the S_n table equals P_{w0 x_lam, w0 x_mu}
-    from the parabolic recursion, zeros included."""
-    for n in range(2, 9):
-        table = KLTable(n)
-        w0 = hecke.longest_element(n)
-        for k in range(1, n):
-            cols = hecke.parabolic_kl(k, n)
-            perms = dict(grassmannian_permutations(k, n))
-            top = {lam: hecke.compose(w0, x) for lam, x in perms.items()}
-            mask = {lam: sum(1 << (w[i] - 1) for i in range(k))
-                    for lam, w in top.items()}
-            assert sorted(cols) == sorted(mask.values())
-            for lam, xl in perms.items():
-                for mu, xm in perms.items():
-                    if 2 * k <= n:
-                        want = table.inverse_kl(xm, xl)
-                    else:
-                        # the same P_{w0 xl, w0 xm}, as P_{a,b} =
-                        # P_{a^-1,b^-1}; for k > n/2 the table builds
-                        # far fewer columns of S_8 this way
-                        want = table.kl_polynomial(
-                            hecke.inverse(top[lam]), hecke.inverse(top[mu]))
-                    got = _unpack(cols[mask[mu]].get(mask[lam], 0))
-                    assert got == want, (k, n, lam, mu)
+    """For every composition above and every pair x, w of maximal
+    coset representatives, P_{x,w} from the parabolic recursion equals
+    P_{x,w} from the S_n table, zeros included."""
+    tables = {}
+    for composition in FULL_TABLE_COMPOSITIONS:
+        n = sum(composition)
+        table = tables.setdefault(n, KLTable(n))
+        reps = maximal_representatives(composition)
+        cols = hecke.parabolic_kl(composition)
+        assert sorted(cols) == sorted(reps), composition
+        for w, rw in reps.items():
+            for x, rx in reps.items():
+                got = _unpack(cols[w].get(x, 0))
+                want = full_table_value(table, composition, rx, rw)
+                assert got == want, (composition, rx, rw)
+
+
+@st.composite
+def compositions(draw):
+    """Compositions of n <= 7: any of n <= 6, and those of 7 in at
+    most four parts, which have at most 630 cosets."""
+    n = draw(st.integers(2, 7))
+    cut = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    if n == 7:
+        for b in draw(st.permutations(range(6)))[3:]:
+            cut[b] = False
+    parts = [1]
+    for c in cut:
+        if c:
+            parts.append(1)
+        else:
+            parts[-1] += 1
+    return tuple(parts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(compositions(), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                max_size=3))
+@example((1, 2, 3, 1), [0, 210, 419])
+def test_parabolic_kl_matches_full_table_on_random_compositions(
+        tables, composition, picks):
+    """Whole columns of random compositions, zeros included: the same
+    differential check as above, with the tables shared between
+    examples."""
+    reps = maximal_representatives(composition)
+    cols = hecke.parabolic_kl(composition)
+    assert sorted(cols) == sorted(reps)
+    table = tables[sum(composition)]
+    words = sorted(reps)
+    for pick in picks:
+        w = words[pick % len(words)]
+        for x, rx in reps.items():
+            assert (_unpack(cols[w].get(x, 0))
+                    == table.kl_polynomial(rx, reps[w])), (composition, x, w)
 
 
 def test_parabolic_kl_columns():
-    cols = hecke.parabolic_kl(2, 4)
+    cols = hecke.parabolic_kl((2, 2))
     # S = {1, 2} is the bottom coset, S = {3, 4} the top one
     assert cols[0b0011] == {0b0011: 1}
     assert len(cols[0b1100]) == 6
     # S = {1, 2} belongs to w0 x_(2,2) and S = {2, 4} to w0 x_(1), so
     # this is Q_{x_(1),x_(2,2)}
     assert _unpack(cols[0b1010][0b0011]) == q_poly(1, 1)
-    with pytest.raises(ValueError):
-        hecke.parabolic_kl(4, 4)
-    with pytest.raises(ValueError):
-        hecke.parabolic_kl(8, 16)
+    # a single block is a single coset
+    assert hecke.parabolic_kl((4,)) == {0: {0: 1}}
+    assert hecke.parabolic_kl([1]) == {0: {0: 1}}
+    # dim G/P = (n^2 - sum n_i^2) / 2 must stay below 64: (1, 63) has
+    # 63, (1, 64) and (8, 8) have 64
+    assert len(hecke.parabolic_kl((1, 63))) == 64
+    for bad in ((), (2, 0, 2), (3, -1), (1, 64), (8, 8), (1,) * 12):
+        with pytest.raises(ValueError):
+            hecke.parabolic_kl(bad)
+
+
+def test_coset_word():
+    # (k, n - k): the bitmask of the first block
+    assert hecke.coset_word(({2, 4}, {1, 3})) == 0b1010
+    assert hecke.coset_word(({2, 4}, ())) == 0b1010
+    # three-bit letters r - 1 - i for five blocks
+    assert hecke.coset_word([(2,), (1,), (3,), (5,), (4,)]) == (
+        3 | 4 << 3 | 2 << 6 | 0 << 9 | 1 << 12)
+    assert hecke.coset_word([(1, 3), (2,)]) == 0b101

@@ -8,8 +8,9 @@ from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
 
-from oracles import (cup_rows, delta_ic, grassmannian_permutations,
-                     pair_scan_rows, proj_delta_vector)
+from oracles import (cup_rows, delta_ic, delta_ic_flag,
+                     grassmannian_permutations, pair_scan_rows,
+                     proj_delta_vector)
 
 
 def v_poly(*pairs):
@@ -121,18 +122,18 @@ def test_delta_ic_flag_socle_and_loewy():
         for x in itertools.permutations(range(1, n + 1)):
             lx = hecke.length(x)
             bound = LaurentPoly.from_pairs([(-i, 1) for i in range(lx + 1)])
-            assert not mult.delta_ic_flag(n, x, e).is_zero()
+            assert not delta_ic_flag(n, x, e).is_zero()
             for y in itertools.permutations(range(1, n + 1)):
-                p = mult.delta_ic_flag(n, x, y)
+                p = delta_ic_flag(n, x, y)
                 assert p.dominates(bound)
 
 
 def test_delta_ic_flag_values():
-    assert mult.delta_ic_flag(3, (3, 2, 1), (1, 2, 3)) == v_poly((-3, 1))
-    assert mult.delta_ic_flag(3, (3, 2, 1), (3, 2, 1)) == v_poly((0, 1))
-    assert mult.delta_ic_flag(2, (2, 1), (1, 2)) == v_poly((-1, 1))
-    assert mult.delta_ic_flag(3, (1, 2, 3), (3, 2, 1)).is_zero()
-    got = mult.delta_ic_flag(4, (4, 3, 2, 1), (1, 3, 2, 4))
+    assert delta_ic_flag(3, (3, 2, 1), (1, 2, 3)) == v_poly((-3, 1))
+    assert delta_ic_flag(3, (3, 2, 1), (3, 2, 1)) == v_poly((0, 1))
+    assert delta_ic_flag(2, (2, 1), (1, 2)) == v_poly((-1, 1))
+    assert delta_ic_flag(3, (1, 2, 3), (3, 2, 1)).is_zero()
+    got = delta_ic_flag(4, (4, 3, 2, 1), (1, 3, 2, 4))
     assert got == v_poly((-3, 1), (-5, 1))
 
 
@@ -202,12 +203,12 @@ def test_dyck_matrix_unitriangular():
 
 
 def test_flag_matrices_make_no_per_pair_call(monkeypatch):
-    """delta_ic_matrix and graded_cartan read whole KL columns; the
-    per-pair routes are not reached. The per-pair test below compares
-    the values."""
+    """delta_ic_matrix and graded_cartan read whole parabolic KL
+    columns: they build no KLTable, so no per-pair route is reached.
+    The per-pair test below compares the values."""
     def per_pair(*args):
         raise AssertionError("per-pair call")
-    monkeypatch.setattr(mult, "delta_ic_flag", per_pair)
+    monkeypatch.setattr(hecke.KLTable, "__init__", per_pair)
     monkeypatch.setattr(hecke.KLTable, "inverse_kl", per_pair)
     space = mult.Space.flag(4)
     assert len(mult.delta_ic_matrix(space).entries) == 24
@@ -365,8 +366,8 @@ def test_kl_inversion_check_reports_a_corrupted_entry(k, n, lam, mu,
 
     clean = hecke.parabolic_kl
 
-    def corrupted(k_, n_):
-        cols = clean(k_, n_)
+    def corrupted(composition):
+        cols = clean(composition)
         col = cols[mask(mu)]
         col[mask(lam)] = col.get(mask(lam), 0) + (1 << hecke._BITS)
         return cols
