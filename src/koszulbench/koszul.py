@@ -357,7 +357,7 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
     return newkey, out
 
 
-def _advance(algebra, field, fbasis, pos, blocks, step):
+def _advance(algebra, field, fbasis, pos, blocks, step, last=False):
     """Step `step` of the minimal resolution. blocks holds a submodule
     M of the current free module: at each (vertex, degree) key, a basis
     of M there as sparse vectors over fbasis[key]. Returns the summands
@@ -377,6 +377,10 @@ def _advance(algebra, field, fbasis, pos, blocks, step):
     images' span are the new generators, so no vector of M is ever
     acted on.
 
+    With last, only whether the kernel is zero is wanted: no kernel
+    vector is computed, and the returned blocks map each key where the
+    images are dependent to None.
+
     Raises ValueError as soon as P passes MAX_FREE_RANK basis vectors,
     and RuntimeError when the vectors at a key are not a basis of a
     module holding the images there."""
@@ -395,17 +399,25 @@ def _advance(algebra, field, fbasis, pos, blocks, step):
         for t, bname in fbasis2.get(key, ()):
             res = _act(algebra, p, fbasis, pos, *generators[t], bname)
             columns.append({} if res is None else res[1])
-        kern = (kernel_basis(columns, len(fbasis.get(key, ())), field)
-                if columns else [])
-        if kern:
-            new_blocks[key] = kern
+        if last:
+            span = Echelon(p)
+            independent = sum(map(span.add, columns))
+            if independent < len(columns):
+                new_blocks[key] = None
+        else:
+            kern = (kernel_basis(columns, len(fbasis.get(key, ())), field)
+                    if columns else [])
+            if kern:
+                new_blocks[key] = kern
+            independent = len(columns) - len(kern)
         vecs = blocks.get(key, ())
-        missing = len(vecs) - (len(columns) - len(kern))
+        missing = len(vecs) - independent
         if not missing:
             continue
-        span = Echelon(p)
-        for col in columns:
-            span.add(col)
+        if not last:
+            span = Echelon(p)
+            for col in columns:
+                span.add(col)
         vtx, d = key
         for vec in vecs:
             if not missing:
@@ -459,8 +471,9 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
         if not blocks:
             finished = True
             break
+        # the kernel of the last step is only tested for zero
         new_summands, fbasis, pos, blocks = _advance(
-            algebra, field, fbasis, pos, blocks, step)
+            algebra, field, fbasis, pos, blocks, step, step == i_max)
         steps.append(new_summands)
     if not blocks:
         finished = True

@@ -387,14 +387,35 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
 def _first_defect(A, B, one):
     """The first (i, j, entry) of A*B in row-major order that differs
     from one times the identity matrix, or None; A and B are lists of
-    sparse rows {column: packed entry}."""
+    sparse rows {column: packed entry}. When every entry of A, or else
+    of B, is a power of two, as D's u^d = 2^(_BITS d) are, each of its
+    products is a shift."""
+    left = _exponents(A)
+    right = None if left else _exponents(B)
     for i, row in enumerate(A):
         acc = [0] * len(B)
-        for t, a in row.items():
-            for j, b in B[t].items():
-                acc[j] += a * b
+        if left:
+            for t, e in left[i].items():
+                for j, b in B[t].items():
+                    acc[j] += b << e
+        elif right:
+            for t, a in row.items():
+                for j, e in right[t].items():
+                    acc[j] += a << e
+        else:
+            for t, a in row.items():
+                for j, b in B[t].items():
+                    acc[j] += a * b
         acc[i] -= one
         for j, x in enumerate(acc):
             if x:
                 return i, j, x + one if j == i else x
+    return None
+
+
+def _exponents(M):
+    """The rows of M with each entry 2^e replaced by e, or None unless
+    every entry is a power of two."""
+    if all(x > 0 and not x & (x - 1) for row in M for x in row.values()):
+        return [{j: x.bit_length() - 1 for j, x in row.items()} for row in M]
     return None

@@ -94,12 +94,162 @@ def grassmannian_permutations(k: int, n: int):
     return out
 
 
+def mul_s(w, i):
+    """Right multiply by the simple transposition s_{i+1} (0-based i)."""
+    l = list(w)
+    l[i], l[i + 1] = l[i + 1], l[i]
+    return tuple(l)
+
+
+def first_descent(w):
+    """0-based index of the first right descent, or -1 for identity."""
+    for i in range(len(w) - 1):
+        if w[i] > w[i + 1]:
+            return i
+    return -1
+
+
+class FullKLTable:
+    """hecke.KLTable by the full route: whole Bruhat columns of S_n.
+
+    The engine works on small-int ids, interned the first time the
+    table touches a permutation, with its tuple, length, first right
+    descent, smoothness flag and neighbour under each right s_i. The
+    column of w is a dict from the id of every x in [e, w] to P_{x,w}
+    packed into one int (see hecke._BITS), built from the column of
+    v = ws < w, s the first right descent of w; every mu column is
+    scattered over the column of z. P_{x,w} = 1 whenever
+    l(w) - l(x) <= 2; a column of a permutation avoiding 3412 and 4231
+    is identically 1; and when v = ws < w, [e, w] is [e, v] together
+    with [e, v] s (lifting). It shares no code with hecke's coset
+    engine but the Bruhat test, the pattern test and the packing.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._ids = {}
+        self._perm = []
+        self._len = []
+        self._desc = []
+        self._smooth = []
+        self._nbr = [[] for _ in range(n - 1)]
+        self._cols = {}
+        self._w0 = hecke.longest_element(n)
+
+    def kl_polynomial(self, x, w) -> LaurentPoly:
+        p = self._value(self._id(x), self._id(w))
+        return LaurentPoly({e: c for e, c in enumerate(hecke._coeffs(p))
+                            if c})
+
+    def inverse_kl(self, y, w) -> LaurentPoly:
+        """Q_{y,w} := P_{w0 w, w0 y}."""
+        w0 = self._w0
+        return self.kl_polynomial(hecke.compose(w0, w), hecke.compose(w0, y))
+
+    def mu(self, x, w) -> int:
+        x, w = self._id(x), self._id(w)
+        gap = self._len[w] - self._len[x]
+        if gap < 0 or gap % 2 == 0:
+            return 0
+        return self._value(x, w) >> (hecke._BITS * (gap >> 1))
+
+    def _id(self, w) -> int:
+        hecke.check_permutation(w, self.n)
+        return self._intern(w)
+
+    def _intern(self, w, lw=None) -> int:
+        k = self._ids.get(w)
+        if k is None:
+            k = self._ids[w] = len(self._perm)
+            self._perm.append(w)
+            self._len.append(hecke.length(w) if lw is None else lw)
+            self._desc.append(first_descent(w))
+            self._smooth.append(None)
+            for nbr in self._nbr:
+                nbr.append(-1)
+        return k
+
+    def _step(self, x, i) -> int:
+        """Id of x * s_{i+1} (0-based i)."""
+        y = self._nbr[i][x]
+        if y < 0:
+            p = self._perm[x]
+            y = self._intern(mul_s(p, i),
+                             self._len[x] + (1 if p[i] < p[i + 1] else -1))
+            self._nbr[i][x] = y
+            self._nbr[i][y] = x
+        return y
+
+    def _is_smooth(self, w) -> bool:
+        if self._smooth[w] is None:
+            self._smooth[w] = hecke.is_smooth(self._perm[w])
+        return self._smooth[w]
+
+    def _value(self, x, w):
+        lx = self._len[x]
+        lw = self._len[w]
+        if lx >= lw:
+            return int(x == w)
+        col = self._cols.get(w)
+        if col is not None:
+            return col.get(x, 0)
+        if lw - lx <= 2 or self._is_smooth(w):
+            return int(hecke.bruhat_leq(self._perm[x], self._perm[w]))
+        return self._column(w).get(x, 0)
+
+    def _column(self, w):
+        col = self._cols.get(w)
+        if col is not None:
+            return col
+        i = self._desc[w]
+        if i < 0:
+            col = self._cols[w] = {w: 1}
+            return col
+        colv = self._column(self._step(w, i))
+        nbr = self._nbr[i]
+        for y in colv:
+            if nbr[y] < 0:
+                self._step(y, i)
+        if self._is_smooth(w):
+            col = dict.fromkeys(colv, 1)
+            col.update(dict.fromkeys((nbr[y] for y in colv), 1))
+            self._cols[w] = col
+            return col
+        # P_{x,w} = q^(1-c) P_{xs,v} + q^c P_{x,v}
+        #           - sum_z mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+        # c = 1 when xs < x, z < v over zs < z. Each y <= v gives x = y,
+        # and also x = ys when ys is not <= v, with P_{x,w} = P_{y,v}.
+        bits = hecke._BITS
+        L = self._len
+        col = {}
+        for y, py in colv.items():
+            ys = nbr[y]
+            pys = colv.get(ys)
+            if pys is None:
+                col[y] = col[ys] = py
+            elif L[ys] > L[y]:
+                col[y] = py + (pys << bits)
+            else:
+                col[y] = pys + (py << bits)
+        lw = L[w]
+        for z, pz in colv.items():
+            gap = lw - 1 - L[z]
+            if gap % 2 and L[nbr[z]] < L[z]:
+                m = pz >> (bits * (gap >> 1))
+                if m:
+                    shift = bits * ((gap + 1) >> 1)
+                    for x, p in self._column(z).items():
+                        col[x] -= m * p << shift
+        self._cols[w] = col
+        return col
+
+
 def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     """[Delta_x : IC_y] on the full flag variety of rank n.
 
     Realized as v^(-(l(x)-l(y))) * Q_{y,x}(v^2) with Q the inverse KL
-    polynomial of a KLTable built for the call; zero unless y <= x in
-    Bruhat order. The matrices of mult read parabolic KL columns
+    polynomial of a FullKLTable built for the call; zero unless y <= x
+    in Bruhat order. The matrices of mult read parabolic KL columns
     instead.
     """
     hecke.check_permutation(x, n)
@@ -107,7 +257,7 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     # inverse_kl is 0 here too, but reaching it through the table costs more.
     if not hecke.bruhat_leq(y, x):
         return LaurentPoly.zero()
-    q_poly = hecke.KLTable(n).inverse_kl(y, x)
+    q_poly = FullKLTable(n).inverse_kl(y, x)
     return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
 
 

@@ -9,7 +9,8 @@ from koszulbench.hecke import KLTable
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition
 
-from oracles import grassmannian_permutations
+from oracles import (FullKLTable, first_descent, grassmannian_permutations,
+                     mul_s)
 
 
 def q_poly(*coeffs):
@@ -136,6 +137,11 @@ def tables():
     return {n: KLTable(n) for n in range(1, 8)}
 
 
+@pytest.fixture(scope="module")
+def full_tables():
+    return {n: FullKLTable(n) for n in range(1, 8)}
+
+
 @st.composite
 def comparable_pairs(draw):
     """(x, w) in S_6 or S_7: w random, x random or below w by a chain
@@ -193,9 +199,9 @@ def test_length_compose_inverse():
 
 def test_mul_s_and_descent():
     w = (2, 1, 4, 3)
-    assert hecke.mul_s(w, 0) == (1, 2, 4, 3)
-    assert hecke.first_descent((1, 2, 3, 4)) == -1
-    assert hecke.first_descent(w) == 0
+    assert mul_s(w, 0) == (1, 2, 4, 3)
+    assert first_descent((1, 2, 3, 4)) == -1
+    assert first_descent(w) == 0
 
 
 def test_bruhat_order():
@@ -348,7 +354,80 @@ def test_grassmannian_permutations():
         assert hecke.length(w) == lam.size
 
 
-# -- parabolic KL against the full table -----------------------------------
+# -- the quotient engine against the full route ---------------------------
+
+
+def test_table_matches_full_route_on_s5():
+    """kl_polynomial, inverse_kl and mu agree with whole Bruhat columns
+    on all 14,400 pairs of S_5."""
+    perms = list(itertools.permutations(range(1, 6)))
+    table, full = KLTable(5), FullKLTable(5)
+    for w in perms:
+        for x in perms:
+            assert table.kl_polynomial(x, w) == full.kl_polynomial(x, w), \
+                (x, w)
+            assert table.inverse_kl(x, w) == full.inverse_kl(x, w), (x, w)
+            assert table.mu(x, w) == full.mu(x, w), (x, w)
+
+
+@st.composite
+def singular_queries(draw):
+    """(x, w) in S_6, S_7 or S_8 with w singular: x random or below w by
+    a chain of swaps of inverted pairs, then moved inside its coset
+    x W_J, J = D_R(w), by right descents of w, so that it is seldom
+    the maximal representative the quotient engine stores."""
+    n = draw(st.sampled_from([6, 7, 8]))
+    w = tuple(draw(st.permutations(range(1, n + 1)).filter(
+        lambda w: not hecke.is_smooth(w))))
+    x = list(w)
+    if draw(st.booleans()):
+        x = list(draw(st.permutations(range(1, n + 1))))
+    else:
+        for _ in range(draw(st.integers(0, 6))):
+            inverted = [(a, b) for a in range(n) for b in range(a + 1, n)
+                        if x[a] > x[b]]
+            if not inverted:
+                break
+            a, b = draw(st.sampled_from(inverted))
+            x[a], x[b] = x[b], x[a]
+    descents = [i for i in range(n - 1) if w[i] > w[i + 1]]
+    for i in draw(st.lists(st.sampled_from(descents), max_size=3)):
+        x = list(mul_s(x, i))
+    return tuple(x), w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(singular_queries())
+# e is in the coset of 13245768 < w = 34127856 but is not its maximal
+# representative
+@example(((1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 1, 2, 7, 8, 5, 6)))
+# x not below w
+@example(((4, 1, 2, 3, 8, 5, 6, 7), (1, 2, 3, 4, 7, 8, 5, 6)))
+def test_table_matches_full_route_on_random_queries(pair):
+    """inverse_kl only renames the pair, and the S_5 test covers it."""
+    x, w = pair
+    n = len(w)
+    table, full = KLTable(n), FullKLTable(n)
+    assert table.kl_polynomial(x, w) == full.kl_polynomial(x, w)
+    assert table.mu(x, w) == full.mu(x, w)
+
+
+def test_rank_9_query_stores_quotient_columns_only():
+    """P_{e,978563412}, the slowest rank-9 query of the whole-column
+    engine (millions of stored entries), reads the quotient by
+    J = D_R(w), composition (2, 2, 2, 2, 1): a pinned count of stored
+    columns and entries guards the memory without timing it."""
+    table = KLTable(9)
+    w = hecke.parse_permutation("978563412")
+    assert (table.kl_polynomial(tuple(range(1, 10)), w)
+            == q_poly(1, 6, 18, 35, 45, 36, 14))
+    (composition, quotient), = table._quotients.items()
+    assert composition == (2, 2, 2, 2, 1)
+    assert len(quotient.cols) == 811
+    assert sum(map(len, quotient.cols.values())) == 560105
+
+
+# -- parabolic KL against the full route ------------------------------------
 
 
 def _unpack(p):
@@ -379,11 +458,11 @@ def full_table_value(table, composition, x, w):
 def test_parabolic_kl_matches_full_table():
     """For every composition above and every pair x, w of maximal
     coset representatives, P_{x,w} from the parabolic recursion equals
-    P_{x,w} from the S_n table, zeros included."""
+    P_{x,w} from whole Bruhat columns of S_n, zeros included."""
     tables = {}
     for composition in FULL_TABLE_COMPOSITIONS:
         n = sum(composition)
-        table = tables.setdefault(n, KLTable(n))
+        table = tables.setdefault(n, FullKLTable(n))
         reps = maximal_representatives(composition)
         cols = hecke.parabolic_kl(composition)
         assert sorted(cols) == sorted(reps), composition
@@ -417,14 +496,14 @@ def compositions(draw):
                                 max_size=3))
 @example((1, 2, 3, 1), [0, 210, 419])
 def test_parabolic_kl_matches_full_table_on_random_compositions(
-        tables, composition, picks):
+        full_tables, composition, picks):
     """Whole columns of random compositions, zeros included: the same
     differential check as above, with the tables shared between
     examples."""
     reps = maximal_representatives(composition)
     cols = hecke.parabolic_kl(composition)
     assert sorted(cols) == sorted(reps)
-    table = tables[sum(composition)]
+    table = full_tables[sum(composition)]
     words = sorted(reps)
     for pick in picks:
         w = words[pick % len(words)]

@@ -274,6 +274,36 @@ def test_repack_matches_the_kl_entry(coeffs, extra):
     assert mult._unpack(-mult._repack(p, d)) == -want
 
 
+def sparse_matrices(n, monomial):
+    """n x n sparse int matrices with no empty row, all of whose entries
+    are powers of two (the monomials u^d of D) when monomial, and none
+    otherwise."""
+    entry = (st.integers(0, 130).map(lambda e: 1 << e) if monomial
+             else st.integers(-50, 50).filter(lambda x: x < 0 or x & (x - 1)))
+    return st.lists(st.dictionaries(st.integers(0, n - 1), entry, min_size=1),
+                    min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("monomial", [(True, False), (False, True),
+                                      (False, False)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.data(), st.sampled_from([1, 1 << 64]))
+def test_first_defect_matches_the_dense_product(monomial, data, one):
+    """Shifts for a monomial factor on either side, products otherwise:
+    the first entry of A*B off one times the identity, as a dense
+    product finds it."""
+    n = data.draw(st.integers(1, 4))
+    A = data.draw(sparse_matrices(n, monomial[0]))
+    B = data.draw(sparse_matrices(n, monomial[1]))
+    want = None
+    for i, j in itertools.product(range(n), repeat=2):
+        x = sum(a * B[t].get(j, 0) for t, a in A[i].items())
+        if x != (one if i == j else 0):
+            want = (i, j, x)
+            break
+    assert mult._first_defect(A, B, one) == want
+
+
 # -- sparse Dyck rows and the coset-sized inversion check -------------------
 
 

@@ -66,9 +66,10 @@ def test_library_keeps_no_module_level_state():
                 found.append("%s:%d %s" % (path.name, node.lineno,
                                            ", ".join(names)))
     assert found == []
-    # interned ids and columns belong to one table, never to the module
+    # queries and quotient columns belong to one table, never to the
+    # module
     fresh = KLTable(4)
-    assert not fresh._ids and not fresh._cols
+    assert not fresh._queries and not fresh._quotients
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
