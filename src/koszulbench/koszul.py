@@ -10,6 +10,8 @@ followed by y and needs tgt(x) = src(y).
 Right modules over such an algebra have finite-dimensional graded
 pieces, so minimal projective resolutions can be computed block by
 block, one (vertex, degree) at a time, over any coefficient field. A
+free summand at (v, s) has one basis vector for each basis element b
+leaving v (GradedAlgebra.leaving), in the block (tgt b, s + deg b). A
 step (_advance) visits the blocks of the last kernel M from degree 0
 down: the images of the generators found above a block span M*J
 there, the vectors of M outside that span are its new generators, and
@@ -55,7 +57,11 @@ class GradedAlgebra:
     def __init__(self, vertices, basis, mult, name="algebra"):
         """vertices: list of str. basis: list of (name, src, tgt, deg)
         including one degree-0 loop per vertex. mult: dict
-        (left, right) -> {name: int} for non-idempotent products."""
+        (left, right) -> {name: int} for non-idempotent products.
+
+        leaving maps each vertex v to the (name, tgt, deg) of every
+        basis element with source v, in basis order: the layout of a
+        free summand at v, which minimal resolutions read."""
         self.name = name
         if not vertices:
             raise ValueError("algebra needs at least one vertex")
@@ -65,6 +71,7 @@ class GradedAlgebra:
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self.basis = {}
         self.basis_order = []
+        self.leaving = {v: [] for v in self.vertices}
         for bname, src, tgt, deg in basis:
             if bname in self.basis:
                 raise ValueError("duplicate basis element %r" % bname)
@@ -76,6 +83,7 @@ class GradedAlgebra:
                                  % (bname, deg))
             self.basis[bname] = (src, tgt, deg)
             self.basis_order.append(bname)
+            self.leaving[src].append((bname, tgt, deg))
         self.idempotent = {}
         for bname, (src, tgt, deg) in self.basis.items():
             if deg == 0:
@@ -98,8 +106,6 @@ class GradedAlgebra:
             if left in self._idem_names or right in self._idem_names:
                 raise ValueError("products with idempotents are implicit; "
                                  "remove %r * %r" % (left, right))
-            if (left, right) in self.mult:
-                raise ValueError("product %r * %r listed twice" % (left, right))
             lsrc, ltgt, ldeg = self.basis[left]
             rsrc, rtgt, rdeg = self.basis[right]
             if ltgt != rsrc:
@@ -310,21 +316,6 @@ def _checked_imax(algebra: GradedAlgebra, i_max) -> int:
     return i_max
 
 
-def _free_blocks(algebra, summands):
-    fbasis = {}
-    for t, (vtx, s) in enumerate(summands):
-        for bname in algebra.basis_order:
-            src, tgt, deg = algebra.basis[bname]
-            if src == vtx:
-                fbasis.setdefault((tgt, deg + s), []).append((t, bname))
-    return fbasis, _positions(fbasis)
-
-
-def _positions(fbasis):
-    return {key: {tb: i for i, tb in enumerate(lst)}
-            for key, lst in fbasis.items()}
-
-
 def _block_order(algebra, keys):
     return sorted(keys, key=lambda k: (-k[1], algebra.vertex_index(k[0])))
 
@@ -357,19 +348,20 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
     return newkey, out
 
 
-def _advance(algebra, field, fbasis, pos, blocks, step, last=False):
-    """Step `step` of the minimal resolution. blocks holds a submodule
-    M of the current free module: at each (vertex, degree) key, a basis
-    of M there as sparse vectors over fbasis[key]. Returns the summands
-    (vertex, shift) of M's minimal cover P -> M, one per generator, the
-    layout of P as _free_blocks(summands) gives it, and the kernel of
-    P -> M as blocks over P.
+def _advance(algebra, field, fbasis, blocks, step, last=False):
+    """Step `step` of the minimal resolution. fbasis lays out the
+    current free module: at each (vertex, degree) key, its basis vectors
+    (t, b) there, b leaving the vertex of summand t. blocks holds a
+    submodule M of it: at each key, a basis of M there as sparse vectors
+    over fbasis[key]. Returns the summands (vertex, shift) of M's
+    minimal cover P -> M, one per generator, the layout of P, and the
+    kernel of P -> M as blocks over P.
 
     One pass visits the keys in _block_order, degree 0 first. A
     generator t found at (v, d) lays out (t, b) at (tgt b, d + deg b)
-    for each b leaving v, in basis order; the idempotent lands at
-    (v, d) itself and every other b at a later key. At each key the
-    images of the (t, b) laid out there so far, one _act each, span
+    for each (b, tgt b, deg b) in algebra.leaving[v]; the idempotent
+    lands at (v, d) itself and every other b at a later key. At each key
+    the images of the (t, b) laid out there so far, one _act each, span
     M*J (the generators above the key generate M, by graded Nakayama).
     Their kernel is the kernel of P -> M there: the new generators,
     which their idempotents map to themselves, are independent of the
@@ -385,10 +377,9 @@ def _advance(algebra, field, fbasis, pos, blocks, step, last=False):
     and RuntimeError when the vectors at a key are not a basis of a
     module holding the images there."""
     p = field.p
-    leaving = {}
-    for bname in algebra.basis_order:
-        src, tgt, deg = algebra.basis[bname]
-        leaving.setdefault(src, []).append((bname, tgt, deg))
+    leaving = algebra.leaving
+    pos = {key: {tb: i for i, tb in enumerate(lst)}
+           for key, lst in fbasis.items()}
     keys = set(blocks)
     keys.update((tgt, d + deg) for v, d in blocks
                 for _, tgt, deg in leaving[v])
@@ -437,7 +428,7 @@ def _advance(algebra, field, fbasis, pos, blocks, step, last=False):
         if missing:
             raise RuntimeError("cover is not minimal")
     summands = [key for key, _ in generators]
-    return summands, fbasis2, _positions(fbasis2), new_blocks
+    return summands, fbasis2, new_blocks
 
 
 @dataclass
@@ -457,27 +448,23 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
     if lam not in algebra.idempotent:
         raise ValueError("unknown vertex %r" % lam)
     i_max = _checked_imax(algebra, i_max)
-    summands = [(lam, 0)]
     steps = [[(lam, 0)]]
-    fbasis, pos = _free_blocks(algebra, summands)
-    blocks = {}
-    keep = algebra.idempotent[lam]
-    for key in _block_order(algebra, fbasis):
-        for i, (t, bname) in enumerate(fbasis[key]):
-            if bname != keep:
-                blocks.setdefault(key, []).append({i: 1})
-    finished = False
+    # P_lam lays out (0, b) for each b leaving lam; M is its radical,
+    # spanned by every (0, b) but the idempotent's, the one b of degree 0
+    fbasis, blocks = {}, {}
+    for bname, tgt, deg in algebra.leaving[lam]:
+        row = fbasis.setdefault((tgt, deg), [])
+        if deg:
+            blocks.setdefault((tgt, deg), []).append({len(row): 1})
+        row.append((0, bname))
     for step in range(1, i_max + 1):
         if not blocks:
-            finished = True
             break
         # the kernel of the last step is only tested for zero
-        new_summands, fbasis, pos, blocks = _advance(
-            algebra, field, fbasis, pos, blocks, step, step == i_max)
+        new_summands, fbasis, blocks = _advance(
+            algebra, field, fbasis, blocks, step, step == i_max)
         steps.append(new_summands)
-    if not blocks:
-        finished = True
-    return Resolution(lam, steps, finished, i_max)
+    return Resolution(lam, steps, not blocks, i_max)
 
 
 @dataclass

@@ -359,8 +359,9 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
     Q_{x_mu,x_lam} = P_{w0 x_lam, w0 x_mu}, and w0 x_lam is the maximal
     representative of its coset of S_k x S_{n-k}, so K comes from
     hecke.parabolic_kl (Deodhar's parabolic recursion), which stays
-    inside the C(n, k) cosets; D comes from dyck_rows. Both products
-    run over sparse rows of packed entries. K is packed times u^S,
+    inside the C(n, k) cosets; D comes from dyck_rows. K is held as
+    sparse rows of packed entries and D as the shifts of its monomials,
+    so both products are sums of shifts. K is packed times u^S,
     with S the least shift that leaves no positive power of v in it
     (S = 0 when the KL degree bound holds), and compared with u^S.
     """
@@ -374,48 +375,35 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
                                ())) for lam in labels]
     K, shift = _kl_rows((k, n - k), words, [lam.size for lam in labels],
                         signed=True)
-    D = _delta_rows(Space.gr(k, n), labels)
-    for A, B in ((D, K), (K, D)):
-        failure = _first_defect(A, B, 1 << _BITS * shift)
-        if failure is not None:
-            i, j, x = failure
-            return InversionReport(k, n, False, (labels[i], labels[j],
-                                                 _unpack(x, shift)))
-    return InversionReport(k, n, True, None)
+    D = [{j: _BITS * d for j, d in row.items()} for row in dyck_rows(k, n)]
+    failure = _first_defect(D, K, 1 << _BITS * shift)
+    if failure is None:
+        return InversionReport(k, n, True, None)
+    i, j, x = failure
+    return InversionReport(k, n, False, (labels[i], labels[j],
+                                         _unpack(x, shift)))
 
 
-def _first_defect(A, B, one):
-    """The first (i, j, entry) of A*B in row-major order that differs
-    from one times the identity matrix, or None; A and B are lists of
-    sparse rows {column: packed entry}. When every entry of A, or else
-    of B, is a power of two, as D's u^d = 2^(_BITS d) are, each of its
-    products is a shift."""
-    left = _exponents(A)
-    right = None if left else _exponents(B)
-    for i, row in enumerate(A):
-        acc = [0] * len(B)
-        if left:
-            for t, e in left[i].items():
-                for j, b in B[t].items():
-                    acc[j] += b << e
-        elif right:
-            for t, a in row.items():
-                for j, e in right[t].items():
-                    acc[j] += a << e
-        else:
-            for t, a in row.items():
-                for j, b in B[t].items():
-                    acc[j] += a * b
-        acc[i] -= one
-        for j, x in enumerate(acc):
-            if x:
-                return i, j, x + one if j == i else x
-    return None
-
-
-def _exponents(M):
-    """The rows of M with each entry 2^e replaced by e, or None unless
-    every entry is a power of two."""
-    if all(x > 0 and not x & (x - 1) for row in M for x in row.values()):
-        return [{j: x.bit_length() - 1 for j, x in row.items()} for row in M]
+def _first_defect(D, K, one):
+    """The first (i, j, entry) of D*K, and then of K*D, in row-major
+    order that differs from one times the identity matrix, or None. K
+    is a list of sparse rows {column: packed entry}; D one of shifts
+    {column: e} for its monomial entries u^d = 2^e, e = _BITS d, so
+    each product with one of them is a shift."""
+    n = len(K)
+    for left in (True, False):
+        for i in range(n):
+            acc = [0] * n
+            if left:
+                for t, e in D[i].items():
+                    for j, b in K[t].items():
+                        acc[j] += b << e
+            else:
+                for t, a in K[i].items():
+                    for j, e in D[t].items():
+                        acc[j] += a << e
+            acc[i] -= one
+            for j, x in enumerate(acc):
+                if x:
+                    return i, j, x + one if j == i else x
     return None

@@ -57,33 +57,29 @@ def wt_from_blocks(blocks):
     if not keep:
         return (0,)
     span = sum(b[-1] for b in keep) + 1
-    best = {"size": None, "solutions": []}
+    best = None  # (size, least normalized solution of that size)
 
     def place(idx, current):
-        if best["size"] is not None and len(current) > best["size"]:
+        nonlocal best
+        if best is not None and len(current) > best[0]:
             return
         if idx == len(keep):
-            if best["size"] is None or len(current) < best["size"]:
-                best["size"] = len(current)
-                best["solutions"] = [frozenset(current)]
-            elif len(current) == best["size"]:
-                best["solutions"].append(frozenset(current))
+            base = min(current)
+            found = (len(current), tuple(sorted(x - base for x in current)))
+            if best is None or found < best:
+                best = found
             return
         block = keep[idx]
         lo = min(current) - span
         hi = max(current) + span
         for off in range(lo, hi + 1):
             trial = current | {x + off for x in block}
-            if best["size"] is not None and len(trial) > best["size"]:
+            if best is not None and len(trial) > best[0]:
                 continue
             place(idx + 1, trial)
 
     place(1, set(keep[0]))
-    outs = set()
-    for sol in best["solutions"]:
-        base = min(sol)
-        outs.add(tuple(sorted(x - base for x in sol)))
-    return min(outs)
+    return best[1]
 
 
 def cartan_blocks(space) -> list:

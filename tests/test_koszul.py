@@ -340,8 +340,8 @@ def test_report_rendering():
 # The Fraction/rref engine that koszul.py used before the integer
 # Echelon: fields as objects with arithmetic methods, a dense reduced
 # row echelon form for kernels and a separate incremental echelon for
-# spans. It shares only the block bookkeeping (_free_blocks,
-# _block_order) with the library.
+# spans. It lays out its free modules itself (ref_layout) and shares
+# only the block order, _block_order, with the library.
 
 
 class RefQ:
@@ -461,6 +461,22 @@ class RefEchelon:
             vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
 
 
+def ref_layout(algebra, summands):
+    """(fbasis, pos) of the free module with these (vertex, shift)
+    summands: summand t at (v, s) has (t, b) at (tgt b, s + deg b) for
+    each basis element b leaving v, in basis order, and pos maps each
+    (t, b) to its index in its block."""
+    fbasis = {}
+    for t, (vtx, s) in enumerate(summands):
+        for bname in algebra.basis_order:
+            src, tgt, deg = algebra.basis[bname]
+            if src == vtx:
+                fbasis.setdefault((tgt, deg + s), []).append((t, bname))
+    pos = {key: {tb: i for i, tb in enumerate(lst)}
+           for key, lst in fbasis.items()}
+    return fbasis, pos
+
+
 def ref_act(algebra, field, fbasis, pos, key, vec, aname):
     asrc, atgt, adeg = algebra.basis[aname]
     if asrc != key[0]:
@@ -493,7 +509,7 @@ def ref_advance(algebra, field, fbasis, pos, blocks):
         span = spans.setdefault(key, RefEchelon(field))
         generators += [(key, vec) for vec in blocks[key] if span.add(vec)]
     new_summands = [key for key, _ in generators]
-    fbasis2, pos2 = koszul._free_blocks(algebra, new_summands)
+    fbasis2, pos2 = ref_layout(algebra, new_summands)
     new_blocks = {}
     for key2, basis2 in fbasis2.items():
         nrows = len(fbasis.get(key2, []))
@@ -511,7 +527,7 @@ def ref_steps(algebra, lam, p, i_max):
     """(steps, finished) of the minimal resolution of the simple at
     lam, from the reference engine."""
     field = ref_field(p)
-    fbasis, pos = koszul._free_blocks(algebra, [(lam, 0)])
+    fbasis, pos = ref_layout(algebra, [(lam, 0)])
     blocks = {}
     for key in koszul._block_order(algebra, fbasis):
         for i, (t, bname) in enumerate(fbasis[key]):
@@ -985,7 +1001,7 @@ def test_free_rank_refusal_counts_the_generators_found_so_far():
         minimal_resolution(algebra, "a", "F:3", 32)
     with mock.patch.object(koszul, "MAX_FREE_RANK", 10 ** 6):
         steps = minimal_resolution(algebra, "a", "F:3", 19).steps
-    fbasis, _ = koszul._free_blocks(algebra, steps[19])
+    fbasis, _ = ref_layout(algebra, steps[19])
     assert sum(map(len, fbasis.values())) == 5619
 
 
@@ -1016,12 +1032,33 @@ def test_steps_act_only_on_generators(algebra, field):
         assert want and len(calls) == want
 
 
+def test_last_step_only_tests_its_kernel_for_zero():
+    """The step at i_max computes no kernel vector: over F2 the exterior
+    algebra on three generators never terminates, and with i_max 1 its
+    one step calls no kernel_basis yet reports that a kernel is left.
+    With i_max 2 the first step is not the last and does call it."""
+    algebra = load_algebra(exterior_doc(3))
+    calls = []
+    kernel = koszul.kernel_basis
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(koszul, "kernel_basis", counted):
+        res = minimal_resolution(algebra, "pt", "F:2", 1)
+        assert not calls and not res.finished
+        assert list(map(len, res.steps)) == [1, 3]
+        res = minimal_resolution(algebra, "pt", "F:2", 2)
+        assert calls and not res.finished
+
+
 def test_dependent_vectors_in_a_block_are_refused():
     """The vectors of a block must be a basis of M there; two multiples
     of one vector cover only one generator."""
     algebra = builtin_algebra("p1")
-    fbasis, pos = koszul._free_blocks(algebra, [("a", 0)])
+    fbasis, _ = ref_layout(algebra, [("a", 0)])
     assert fbasis[("b", -1)] == [(0, "u")]
     blocks = {("b", -1): [{0: 1}, {0: 2}]}
     with pytest.raises(RuntimeError, match="cover is not minimal"):
-        koszul._advance(algebra, koszul.as_field("Q"), fbasis, pos, blocks, 1)
+        koszul._advance(algebra, koszul.as_field("Q"), fbasis, blocks, 1)

@@ -274,34 +274,69 @@ def test_repack_matches_the_kl_entry(coeffs, extra):
     assert mult._unpack(-mult._repack(p, d)) == -want
 
 
-def sparse_matrices(n, monomial):
-    """n x n sparse int matrices with no empty row, all of whose entries
-    are powers of two (the monomials u^d of D) when monomial, and none
-    otherwise."""
-    entry = (st.integers(0, 130).map(lambda e: 1 << e) if monomial
-             else st.integers(-50, 50).filter(lambda x: x < 0 or x & (x - 1)))
+def sparse_rows(n, entry):
+    """n x n sparse matrices with no empty row, entries drawn from
+    entry."""
     return st.lists(st.dictionaries(st.integers(0, n - 1), entry, min_size=1),
                     min_size=n, max_size=n)
 
 
-@pytest.mark.parametrize("monomial", [(True, False), (False, True),
-                                      (False, False)])
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
-@given(st.data(), st.sampled_from([1, 1 << 64]))
-def test_first_defect_matches_the_dense_product(monomial, data, one):
-    """Shifts for a monomial factor on either side, products otherwise:
-    the first entry of A*B off one times the identity, as a dense
-    product finds it."""
-    n = data.draw(st.integers(1, 4))
-    A = data.draw(sparse_matrices(n, monomial[0]))
-    B = data.draw(sparse_matrices(n, monomial[1]))
-    want = None
+def dense_defect(A, B, one):
+    """The first (i, j, entry) of the dense product A*B off one times
+    the identity, or None."""
+    n = len(A)
     for i, j in itertools.product(range(n), repeat=2):
         x = sum(a * B[t].get(j, 0) for t, a in A[i].items())
         if x != (one if i == j else 0):
-            want = (i, j, x)
-            break
-    assert mult._first_defect(A, B, one) == want
+            return i, j, x
+    return None
+
+
+def unitriangular_inverse(D):
+    """The inverse of an upper unitriangular int matrix, both as sparse
+    rows: row i is e_i minus D[i][t] times row t, over t > i."""
+    K = [None] * len(D)
+    for i in reversed(range(len(D))):
+        row = {i: 1}
+        for t, a in D[i].items():
+            if t != i:
+                for j, b in K[t].items():
+                    row[j] = row.get(j, 0) - a * b
+        K[i] = {j: x for j, x in row.items() if x}
+    return K
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([1, 1 << 64]))
+def test_first_defect_matches_the_dense_product(data, one):
+    """D given as shifts e, for its entries 2^e, and K as packed ints:
+    the first entry of D*K, and then of K*D, off one times the
+    identity, as dense products find it. Either D is upper
+    unitriangular, as the Dyck matrices are, and K is one times its
+    inverse with at most one entry changed, so that both products are
+    checked in full; or both are any matrices."""
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        pairs = list(itertools.combinations(range(n), 2))
+        above = data.draw(st.lists(st.none() | st.integers(0, 130),
+                                   min_size=len(pairs), max_size=len(pairs)))
+        shifts = [{i: 0} for i in range(n)]
+        for (i, j), e in zip(pairs, above):
+            if e is not None:
+                shifts[i][j] = e
+        D = [{j: 1 << e for j, e in row.items()} for row in shifts]
+        K = [{j: one * x for j, x in row.items()}
+             for row in unitriangular_inverse(D)]
+        i, j, delta = data.draw(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1),
+                                          st.integers(-2, 2)))
+        K[i][j] = K[i].get(j, 0) + delta
+    else:
+        shifts = data.draw(sparse_rows(n, st.integers(0, 130)))
+        K = data.draw(sparse_rows(n, st.integers(-50, 50)))
+        D = [{j: 1 << e for j, e in row.items()} for row in shifts]
+    want = dense_defect(D, K, one) or dense_defect(K, D, one)
+    assert mult._first_defect(shifts, K, one) == want
 
 
 # -- sparse Dyck rows and the coset-sized inversion check -------------------

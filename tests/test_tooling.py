@@ -72,6 +72,34 @@ def test_library_keeps_no_module_level_state():
     assert not fresh._queries and not fresh._quotients
 
 
+def test_every_private_definition_is_used_in_the_library():
+    """Each private function or class in src/ (a name with one leading
+    underscore) is referenced somewhere in src/ outside its own
+    definition: bookkeeping that only the tests call does not stay in
+    the library."""
+    defined, used = [], set()
+
+    def walk(node, path, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append("%s:%d %s" % (path.name, node.lineno,
+                                             node.name))
+                inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, path, inside)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path,
+             frozenset())
+    assert len(defined) > 20
+    assert [d for d in defined if d.split()[1] not in used] == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     """The traced benchmark run wraps library names where they are
     looked up, koszul.kernel_basis among them, and fails on a name the
