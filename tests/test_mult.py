@@ -306,17 +306,21 @@ def unitriangular_inverse(D):
     return K
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@pytest.mark.parametrize("monomial", [(True, True), (True, False),
+                                      (False, False)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.data(), st.sampled_from([1, 1 << 64]))
-def test_first_defect_matches_the_dense_product(data, one):
+def test_first_defect_matches_the_dense_product(monomial, data, one):
     """D given as shifts e, for its entries 2^e, and K as packed ints:
     the first entry of D*K, and then of K*D, off one times the
-    identity, as dense products find it. Either D is upper
-    unitriangular, as the Dyck matrices are, and K is one times its
-    inverse with at most one entry changed, so that both products are
-    checked in full; or both are any matrices."""
+    identity, as dense products find it. monomial = (triangular,
+    inverse): whether D is upper unitriangular, as the Dyck matrices
+    are, and then whether K is one times its inverse with at most one
+    entry changed, so that both products are checked in full; K is any
+    matrix otherwise."""
+    triangular, inverse = monomial
     n = data.draw(st.integers(1, 4))
-    if data.draw(st.booleans()):
+    if triangular:
         pairs = list(itertools.combinations(range(n), 2))
         above = data.draw(st.lists(st.none() | st.integers(0, 130),
                                    min_size=len(pairs), max_size=len(pairs)))
@@ -324,7 +328,10 @@ def test_first_defect_matches_the_dense_product(data, one):
         for (i, j), e in zip(pairs, above):
             if e is not None:
                 shifts[i][j] = e
-        D = [{j: 1 << e for j, e in row.items()} for row in shifts]
+    else:
+        shifts = data.draw(sparse_rows(n, st.integers(0, 130)))
+    D = [{j: 1 << e for j, e in row.items()} for row in shifts]
+    if inverse:
         K = [{j: one * x for j, x in row.items()}
              for row in unitriangular_inverse(D)]
         i, j, delta = data.draw(st.tuples(st.integers(0, n - 1),
@@ -332,9 +339,7 @@ def test_first_defect_matches_the_dense_product(data, one):
                                           st.integers(-2, 2)))
         K[i][j] = K[i].get(j, 0) + delta
     else:
-        shifts = data.draw(sparse_rows(n, st.integers(0, 130)))
         K = data.draw(sparse_rows(n, st.integers(-50, 50)))
-        D = [{j: 1 << e for j, e in row.items()} for row in shifts]
     want = dense_defect(D, K, one) or dense_defect(K, D, one)
     assert mult._first_defect(shifts, K, one) == want
 
