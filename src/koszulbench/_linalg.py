@@ -143,13 +143,6 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_div_linear(coeffs, r):
     """Divide the polynomial by (t - r). Returns (quotient, remainder)."""
     quot = [0] * (len(coeffs) - 1)

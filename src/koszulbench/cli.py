@@ -51,6 +51,11 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
 
+    def parse_args(self, args=None, namespace=None):
+        # every subcommand takes --json; added last, it ends the -h text
+        self.add_argument("--json", action="store_true")
+        return super().parse_args(args, namespace)
+
     def error(self, message):
         raise _UsageError("%s: error: %s" % (self.prog, message))
 
@@ -92,7 +97,6 @@ def _render_shape(shape: SkewShape) -> str:
 def _cmd_dyck_depth(args) -> int:
     parser = _Parser(prog="koszulbench dyck depth")
     parser.add_argument("shape")
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     shape = _parse_shape(ns.shape)
     verdict = dyck_depth(shape)
@@ -110,7 +114,6 @@ def _cmd_dyck_depth(args) -> int:
 def _cmd_dyck_enumerate(args) -> int:
     parser = _Parser(prog="koszulbench dyck enumerate")
     parser.add_argument("--box", required=True)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     try:
         rows_text, cols_text = ns.box.lower().split("x", 1)
@@ -136,7 +139,6 @@ def _cmd_kl(args) -> int:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--x", required=True)
     parser.add_argument("--w", required=True)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     x = hecke.parse_permutation(ns.x, ns.n)
     w = hecke.parse_permutation(ns.w, ns.n)
@@ -153,7 +155,6 @@ def _cmd_kl_invert_check(args) -> int:
     parser = _Parser(prog="koszulbench kl invert-check")
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     report = mult.kl_inversion_check(ns.k, ns.n)
     _emit(report.render_text, report.to_json_dict, ns.json)
@@ -167,7 +168,6 @@ def _cmd_mult(kind: str, args) -> int:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--tag", choices=["delta_ic", "cartan"],
                         default="delta_ic")
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     space = mult.Space.gr(ns.k, ns.n) if kind == "gr" else mult.Space.flag(ns.n)
     matrix = (mult.delta_ic_matrix(space) if ns.tag == "delta_ic"
@@ -179,7 +179,6 @@ def _cmd_mult(kind: str, args) -> int:
 def _cmd_weights(args) -> int:
     parser = _Parser(prog="koszulbench weights")
     parser.add_argument("--space", required=True)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     space = mult.Space.parse(ns.space)
     wt = weights_mod.wt_space(space)
@@ -194,7 +193,6 @@ def _cmd_primes(args) -> int:
     parser.add_argument("--l", type=int, required=True)
     parser.add_argument("--wt", required=True)
     parser.add_argument("--bound", type=int, default=100)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     try:
         wt = [int(p) for p in ns.wt.split(",") if p.strip()]
@@ -212,7 +210,6 @@ def _cmd_phidec(args) -> int:
     parser.add_argument("--matrix", required=True)
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--l", type=int, required=True)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     with open(ns.matrix, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -253,7 +250,6 @@ def _cmd_koszul(args) -> int:
     parser.add_argument("--builtin")
     parser.add_argument("--field", default="Q")
     parser.add_argument("--imax", type=int, default=None)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)
@@ -268,7 +264,6 @@ def _cmd_koszul_integral(args) -> int:
     parser.add_argument("--builtin")
     parser.add_argument("--l", type=int, required=True)
     parser.add_argument("--imax", type=int, default=None)
-    parser.add_argument("--json", action="store_true")
     ns = parser.parse_args(args)
     _check_imax(ns.imax)
     algebra = _load_cli_algebra(ns)

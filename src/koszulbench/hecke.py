@@ -11,12 +11,11 @@ words (_Quotient). parabolic_kl, behind every multiplicity matrix,
 returns every column of one composition. KLTable answers single
 queries on S_n in the quotient by the right descents of w, where
 P_{x,w} is constant on cosets (Kazhdan-Lusztig 1979), so only the
-columns of that quotient are stored; smooth w go to bruhat_leq.
+columns of that quotient are stored. Smooth w take the same route.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 
 from .laurent import LaurentPoly
@@ -86,15 +85,6 @@ def bruhat_leq(x, w) -> bool:
     return True
 
 
-def is_smooth(w) -> bool:
-    """Pattern avoidance of 3412 and 4231, which for type A is
-    equivalent to every P_{x,w} being 1."""
-    for a, b, c, d in itertools.combinations(w, 4):
-        if c < d < a < b or d < b < c < a:
-            return False
-    return True
-
-
 # Inside the engine a polynomial in q is one int, its value at
 # q = 2^_BITS: coefficient e fills bits [_BITS e, _BITS (e + 1)). This
 # is exact because the coefficients of P_{x,w} are nonnegative and the
@@ -124,9 +114,9 @@ class KLTable:
     descents, and projects x onto its coset word (see coset_word). The
     table keeps one _Quotient per composition it met, each with the
     columns its recursions reached, and per w its quotient and column,
-    so a warm query costs one dict lookup and one word. A w avoiding
-    3412 and 4231 (smooth Schubert variety) has P_{x,w} = 1 on [e, w]
-    and goes to bruhat_leq instead.
+    so a warm query costs one dict lookup and one word. A smooth w
+    (avoiding 3412 and 4231) takes the same route; its column is all
+    ones.
 
     Nothing is precomputed, so building a table is O(1). Growth is
     bounded by the rank limit 9. Confine one table to one thread; every
@@ -173,15 +163,11 @@ class KLTable:
         if query is None:
             query = self._queries[w] = self._query(
                 check_permutation(w, self.n))
-        if not query:
-            return int(bruhat_leq(x, w))
         quotient, col = query
         return col.get(quotient.word(x), 0)
 
     def _query(self, w):
-        """(quotient, column of w) for singular w; () for smooth w."""
-        if is_smooth(w):
-            return ()
+        """(quotient, column of w)."""
         # J = D_R(w): a block of positions ends at each ascent of w
         ends = [i for i in range(1, self.n) if w[i - 1] < w[i]] + [self.n]
         comp = tuple(b - a for a, b in zip([0] + ends, ends))

@@ -424,22 +424,6 @@ class BoxScan:
     bound_violations: int
 
 
-def _row_successors(cols: int) -> dict:
-    """Maps (la, lb, gap) to the nonempty rows (a, b] that may follow
-    the nonempty row (la, lb] of a shape in a box cols wide: directly
-    below it (gap False: a <= la and b <= lb, the two partitions weakly
-    decrease) or after one or more empty rows (gap True: strictly to
-    the left, b <= la)."""
-    succ = {}
-    for la in range(cols):
-        for lb in range(la + 1, cols + 1):
-            succ[la, lb, False] = [(a, b) for a in range(la + 1)
-                                   for b in range(a + 1, lb + 1)]
-            succ[la, lb, True] = [(a, b) for a in range(la)
-                                  for b in range(a + 1, la + 1)]
-    return succ
-
-
 def _add_product(acc, p, q):
     """acc += p * q for depth polynomials, lists of counts indexed by
     depth; acc grows as needed."""
@@ -476,20 +460,24 @@ def scan_box(rows: int, cols: int) -> BoxScan:
     if cols >= 16 or rows >= 16:
         raise ValueError("scanner supports boxes up to 15x15")
     K, M = rows, cols
-    succ = _row_successors(M)
     memo = {}
 
     def completions(depth, la, lb, gap, touched0):
         # fillings of rows depth.. after the nonempty row (la, lb] in
-        # which some row starts at column 0
+        # which some row starts at column 0. The next nonempty row
+        # (a, b] lies directly below it (a <= la, b <= lb) or, after
+        # one or more empty rows, strictly to its left (b <= la)
         if depth == K:
             return 1 if touched0 else 0
         key = (depth, la, lb, gap, touched0)
         n = memo.get(key)
         if n is None:
             n = completions(depth + 1, la, lb, True, touched0)
-            for a, b in succ[la, lb, gap]:
-                n += completions(depth + 1, a, b, False, touched0 or a == 0)
+            top = la if gap else lb
+            for a in range(la + 1):
+                for b in range(a + 1, top + 1):
+                    n += completions(depth + 1, a, b, False,
+                                     touched0 or a == 0)
             memo[key] = n
         return n
 
@@ -569,39 +557,3 @@ def scan_box(rows: int, cols: int) -> BoxScan:
     return BoxScan(rows=K, cols=M, shapes=count, dyck=sum(depths) - 1,
                    max_depth=max(depth_counts), depth_counts=depth_counts,
                    bound_violations=nviol)
-
-
-def enumerate_box_shapes(rows: int, cols: int):
-    """Yield every normalized nonempty skew shape in the box as a
-    SkewShape. Intended for tests on small boxes; the scanner above is
-    the fast path for large sweeps."""
-    if rows < 1 or cols < 1:
-        raise ValueError("box dimensions must be positive")
-    succ = _row_successors(cols)
-    buf = [None] * rows
-
-    def build():
-        cells = []
-        for j, ab in enumerate(buf):
-            if ab is not None:
-                a, b = ab
-                cells.extend((i, j + 1) for i in range(a + 1, b + 1))
-        return shape_from_cells(cells)
-
-    def rec(depth, la, lb, gap, touched0):
-        if depth == rows:
-            if touched0:
-                yield build()
-            return
-        buf[depth] = None
-        yield from rec(depth + 1, la, lb, True, touched0)
-        for a, b in succ[la, lb, gap]:
-            buf[depth] = (a, b)
-            yield from rec(depth + 1, a, b, False, touched0 or a == 0)
-        buf[depth] = None
-
-    for a in range(cols):
-        for b in range(a + 1, cols + 1):
-            buf[0] = (a, b)
-            yield from rec(1, a, b, False, a == 0)
-        buf[0] = None

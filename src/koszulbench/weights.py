@@ -212,35 +212,22 @@ def has_weights_in(matrix, q: int):
     (False, None)."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    n = len(matrix)
-    coeffs = _linalg.char_poly(matrix)
-    if q == 1:
-        rem = list(coeffs)
-        for _ in range(n):
-            rem, r = _linalg.poly_div_linear(rem, 1)
-            if r != 0:
-                return False, None
-        return True, {0: n}
-    cauchy = 1 + max(abs(c) for c in coeffs)
+    rem = _linalg.char_poly(matrix)
+    cauchy = 1 + max(abs(c) for c in rem)  # every root lies below it
     weights = {}
-    rem = list(coeffs)
-    while len(rem) > 1:
-        root_exp = None
-        power = 1
-        i = 0
-        while power <= cauchy:
-            if _linalg.poly_eval(rem, power) == 0:
-                root_exp = i
-                break
-            power *= q
+    i = 0
+    # a quotient has no root that rem lacks, so i never goes back
+    while len(rem) > 1 and q ** i <= cauchy:
+        quot, r = _linalg.poly_div_linear(rem, q ** i)
+        if r == 0:
+            rem = quot
+            weights[i] = weights.get(i, 0) + 1
+        elif q == 1:
+            break  # q^i is 1 for every i
+        else:
             i += 1
-        if root_exp is None:
-            return False, None
-        rem, r = _linalg.poly_div_linear(rem, q ** root_exp)
-        if r:
-            raise ArithmeticError("root q^%d left remainder %d"
-                                  % (root_exp, r))
-        weights[root_exp] = weights.get(root_exp, 0) + 1
+    if len(rem) > 1:
+        return False, None
     return True, weights
 
 
@@ -304,8 +291,10 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
         for vec in _linalg.smith_kernel_basis(M, n):
             columns.append(vec)
     if len(columns) != n:
-        return PhiReport(True, weights, False, 0, tuple(
-            pow(q, i, l) for i in sorted(weights)))
+        # the characteristic polynomial splits, so Q^n is the sum of the
+        # generalized eigenspaces, each saturated kernel of rank m_i
+        raise RuntimeError("weight kernels have %d vectors, not %d"
+                           % (len(columns), n))
     stacked = [[columns[j][i] for j in range(n)] for i in range(n)]
     index = abs(_linalg.det_bareiss(stacked))
     residues = tuple(pow(q, i, l) for i in sorted(weights))

@@ -11,7 +11,43 @@ from bisect import bisect_right
 from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import (_eval_encoded, enumerate_partitions_in_box,
-                                jump_sequence)
+                                jump_sequence, shape_from_cells)
+
+
+def box_encodings(rows: int, cols: int):
+    """Every normalized nonempty skew shape in a rows x cols box, as a
+    list of one entry per row in the format of shapes.encode_shape: the
+    interval (a, b] or None. The first row is nonempty, some row starts
+    at column 0, and a nonempty row lies directly below the previous
+    nonempty one (a <= la, b <= lb) or, after one or more empty rows,
+    strictly to its left (b <= la)."""
+    buf = [None] * rows
+
+    def rec(t, la, lb, gap, touched0):
+        if t == rows:
+            if touched0:
+                yield list(buf)
+            return
+        buf[t] = None
+        yield from rec(t + 1, la, lb, True, touched0)
+        top = la if gap else lb
+        for a in range(la + 1):
+            for b in range(a + 1, top + 1):
+                buf[t] = (a, b)
+                yield from rec(t + 1, a, b, False, touched0 or a == 0)
+        buf[t] = None
+
+    for a in range(cols):
+        for b in range(a + 1, cols + 1):
+            buf[0] = (a, b)
+            yield from rec(1, a, b, False, a == 0)
+
+
+def box_shapes(rows: int, cols: int):
+    """box_encodings as SkewShapes."""
+    for enc in box_encodings(rows, cols):
+        yield shape_from_cells((i, j + 1) for j, ab in enumerate(enc) if ab
+                               for i in range(ab[0] + 1, ab[1] + 1))
 
 
 def pair_scan_rows(k: int, n: int):
@@ -101,6 +137,15 @@ def mul_s(w, i):
     return tuple(l)
 
 
+def is_smooth(w) -> bool:
+    """Pattern avoidance of 3412 and 4231, which for type A is
+    equivalent to every P_{x,w} being 1 (Lakshmibai-Sandhya 1990)."""
+    for a, b, c, d in itertools.combinations(w, 4):
+        if c < d < a < b or d < b < c < a:
+            return False
+    return True
+
+
 def first_descent(w):
     """0-based index of the first right descent, or -1 for identity."""
     for i in range(len(w) - 1):
@@ -122,7 +167,7 @@ class FullKLTable:
     l(w) - l(x) <= 2; a column of a permutation avoiding 3412 and 4231
     is identically 1; and when v = ws < w, [e, w] is [e, v] together
     with [e, v] s (lifting). It shares no code with hecke's coset
-    engine but the Bruhat test, the pattern test and the packing.
+    engine but the packing.
     """
 
     def __init__(self, n: int):
@@ -182,7 +227,7 @@ class FullKLTable:
 
     def _is_smooth(self, w) -> bool:
         if self._smooth[w] is None:
-            self._smooth[w] = hecke.is_smooth(self._perm[w])
+            self._smooth[w] = is_smooth(self._perm[w])
         return self._smooth[w]
 
     def _value(self, x, w):

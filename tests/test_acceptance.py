@@ -13,7 +13,7 @@ from koszulbench import hecke, koszul, mult, shapes, weights
 from koszulbench.laurent import LaurentPoly
 from koszulbench.mult import Space
 
-from oracles import delta_ic_flag
+from oracles import box_shapes, delta_ic_flag
 
 
 def _all_perms(n):
@@ -183,7 +183,7 @@ def test_criterion_10_property_suites():
             assert a.dominates(c)
 
     for rows, cols in ((3, 3), (2, 4)):
-        for shape in shapes.enumerate_box_shapes(rows, cols):
+        for shape in box_shapes(rows, cols):
             assert shapes.dyck_depth(shape) == shapes.dyck_depth(
                 shapes.transpose(shape))
 

@@ -10,7 +10,7 @@ from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import Partition
 
 from oracles import (FullKLTable, first_descent, grassmannian_permutations,
-                     mul_s)
+                     is_smooth, mul_s)
 
 
 def q_poly(*coeffs):
@@ -216,12 +216,12 @@ def test_bruhat_order():
 
 
 def test_smoothness_pattern_avoidance():
-    assert not hecke.is_smooth((3, 4, 1, 2))
-    assert not hecke.is_smooth((4, 2, 3, 1))
-    assert hecke.is_smooth((4, 3, 2, 1))
-    assert hecke.is_smooth((2, 4, 1, 3))
-    assert not hecke.is_smooth((1, 3, 4, 5, 2, 6)[:4] + (5, 6)) or True
-    assert not hecke.is_smooth((5, 3, 4, 1, 2))
+    assert not is_smooth((3, 4, 1, 2))
+    assert not is_smooth((4, 2, 3, 1))
+    assert is_smooth((4, 3, 2, 1))
+    assert is_smooth((2, 4, 1, 3))
+    assert not is_smooth((1, 3, 4, 5, 2, 6)[:4] + (5, 6)) or True
+    assert not is_smooth((5, 3, 4, 1, 2))
 
 
 def test_s3_all_trivial():
@@ -371,14 +371,13 @@ def test_table_matches_full_route_on_s5():
 
 
 @st.composite
-def singular_queries(draw):
-    """(x, w) in S_6, S_7 or S_8 with w singular: x random or below w by
-    a chain of swaps of inverted pairs, then moved inside its coset
-    x W_J, J = D_R(w), by right descents of w, so that it is seldom
-    the maximal representative the quotient engine stores."""
+def queries(draw):
+    """(x, w) in S_6, S_7 or S_8, w smooth or singular: x random or
+    below w by a chain of swaps of inverted pairs, then moved inside its
+    coset x W_J, J = D_R(w), by right descents of w, so that it is
+    seldom the maximal representative the quotient engine stores."""
     n = draw(st.sampled_from([6, 7, 8]))
-    w = tuple(draw(st.permutations(range(1, n + 1)).filter(
-        lambda w: not hecke.is_smooth(w))))
+    w = tuple(draw(st.permutations(range(1, n + 1))))
     x = list(w)
     if draw(st.booleans()):
         x = list(draw(st.permutations(range(1, n + 1))))
@@ -391,13 +390,14 @@ def singular_queries(draw):
             a, b = draw(st.sampled_from(inverted))
             x[a], x[b] = x[b], x[a]
     descents = [i for i in range(n - 1) if w[i] > w[i + 1]]
-    for i in draw(st.lists(st.sampled_from(descents), max_size=3)):
-        x = list(mul_s(x, i))
+    if descents:  # w = e has none
+        for i in draw(st.lists(st.sampled_from(descents), max_size=3)):
+            x = list(mul_s(x, i))
     return tuple(x), w
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(singular_queries())
+@given(queries())
 # e is in the coset of 13245768 < w = 34127856 but is not its maximal
 # representative
 @example(((1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 1, 2, 7, 8, 5, 6)))
@@ -410,6 +410,50 @@ def test_table_matches_full_route_on_random_queries(pair):
     table, full = KLTable(n), FullKLTable(n)
     assert table.kl_polynomial(x, w) == full.kl_polynomial(x, w)
     assert table.mu(x, w) == full.mu(x, w)
+
+
+def test_smooth_w_reads_all_ones_from_the_quotient_engine(monkeypatch):
+    """For smooth w (avoiding 3412 and 4231) P_{x,w} is 1 on [e, w] and
+    0 elsewhere (Lakshmibai-Sandhya). The expected values come from
+    bruhat_leq; KLTable must give them with bruhat_leq patched to
+    raise, so smooth w go through the quotient engine like the rest."""
+    rng = random.Random(19)
+    cases = []
+    for n in (7, 8, 9):
+        ws = [(5, 6, 7, 4, 8, 3, 9, 2, 1)] if n == 9 else []
+        while len(ws) < 3:
+            w = tuple(rng.sample(range(1, n + 1), n))
+            if is_smooth(w):
+                ws.append(w)
+        for w in ws:
+            xs = [tuple(range(1, n + 1)), w]
+            xs += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(20)]
+            for _ in range(20):
+                # below w: swap inverted pairs
+                x = list(w)
+                for _ in range(rng.randint(1, 6)):
+                    inverted = [(a, b) for a in range(n)
+                                for b in range(a + 1, n) if x[a] > x[b]]
+                    if inverted:
+                        a, b = rng.choice(inverted)
+                        x[a], x[b] = x[b], x[a]
+                xs.append(tuple(x))
+            for x in xs:
+                below = hecke.bruhat_leq(x, w)
+                mu = int(below and hecke.length(w) - hecke.length(x) == 1)
+                cases.append((x, w, int(below), mu))
+    assert {below for _, _, below, _ in cases} == {0, 1}
+
+    def refuse(x, w):
+        raise AssertionError("bruhat_leq called")
+
+    monkeypatch.setattr(hecke, "bruhat_leq", refuse)
+    tables = {n: KLTable(n) for n in (7, 8, 9)}
+    for x, w, below, mu in cases:
+        table = tables[len(w)]
+        want = LaurentPoly.one() if below else LaurentPoly.zero()
+        assert table.kl_polynomial(x, w) == want, (x, w)
+        assert table.mu(x, w) == mu, (x, w)
 
 
 def test_rank_9_query_stores_quotient_columns_only():

@@ -11,7 +11,6 @@ from koszulbench.shapes import (
     connected_components,
     dyck_depth,
     encode_shape,
-    enumerate_box_shapes,
     enumerate_partitions_in_box,
     is_border_strip,
     is_dyck_cbs,
@@ -24,6 +23,8 @@ from koszulbench.shapes import (
     _eval_encoded,
 )
 from koszulbench import shapes
+
+from oracles import box_encodings, box_shapes
 
 
 def sh(outer, inner=()):
@@ -236,7 +237,7 @@ def test_depth_invariant_under_translation():
     # the evaluator reads each component relative to its top row, so
     # empty rows before or after a shape and a shift of its columns
     # leave the result alone
-    for shape in enumerate_box_shapes(4, 4):
+    for shape in box_shapes(4, 4):
         enc = encode_shape(shape)
         want = _eval_encoded(enc)
         for pad in (1, 2):
@@ -250,12 +251,12 @@ def test_depth_invariant_under_translation():
 
 def test_depth_transpose_symmetry_small_boxes():
     for rows, cols in [(3, 3), (2, 4)]:
-        for shape in enumerate_box_shapes(rows, cols):
+        for shape in box_shapes(rows, cols):
             assert dyck_depth(transpose(shape)) == dyck_depth(shape)
 
 
 def test_depth_parity_and_width_bound():
-    for shape in enumerate_box_shapes(4, 4):
+    for shape in box_shapes(4, 4):
         v = dyck_depth(shape)
         if v.is_dyck:
             assert v.depth <= shape.width()
@@ -267,7 +268,7 @@ def test_scanner_agrees_with_recursion():
         shapes = 0
         dyck = 0
         counts = {0: 1}
-        for shape in enumerate_box_shapes(rows, cols):
+        for shape in box_shapes(rows, cols):
             shapes += 1
             d = oracle_depth(shape)
             if d is not None:
@@ -295,52 +296,22 @@ def test_scan_box_frozen_counts():
 
 def brute_scan_box(rows, cols):
     """Every normalized shape in the box through _eval_encoded, with no
-    counter and no depth polynomials: one evaluation per shape, with
-    its own copy of the row-transition rule."""
-    K, M = rows, cols
-    count = 0
-    ndyck = 0
-    maxdp = 0
-    nviol = 0
+    counter and no depth polynomials: one evaluation per shape of
+    box_encodings."""
+    count = ndyck = maxdp = nviol = 0
     depth_counts = {0: 1}
-    buf = [None] * K
-
-    def rec(depth, la, lb, gap, touched0, minw, maxw):
-        nonlocal count, ndyck, maxdp, nviol
-        if depth == K:
-            if touched0:
-                count += 1
-                d = _eval_encoded(buf)
-                if d >= 0:
-                    ndyck += 1
-                    depth_counts[d] = depth_counts.get(d, 0) + 1
-                    maxdp = max(maxdp, d)
-                    if d > maxw - minw:
-                        nviol += 1
-            return
-        buf[depth] = None
-        rec(depth + 1, la, lb, True, touched0, minw, maxw)
-        if gap:
-            lim = min(la, M)
-            for a in range(M):
-                for b in range(a + 1, lim + 1):
-                    buf[depth] = (a, b)
-                    rec(depth + 1, a, b, False, touched0 or a == 0,
-                        min(a, minw), max(b, maxw))
-        else:
-            for a in range(la + 1):
-                for b in range(a + 1, lb + 1):
-                    buf[depth] = (a, b)
-                    rec(depth + 1, a, b, False, touched0 or a == 0,
-                        min(a, minw), max(b, maxw))
-        buf[depth] = None
-
-    for a in range(M):
-        for b in range(a + 1, M + 1):
-            buf[0] = (a, b)
-            rec(1, a, b, False, a == 0, a, b)
-        buf[0] = None
-    return BoxScan(rows=K, cols=M, shapes=count, dyck=ndyck, max_depth=maxdp,
+    for enc in box_encodings(rows, cols):
+        count += 1
+        d = _eval_encoded(enc)
+        if d >= 0:
+            ndyck += 1
+            depth_counts[d] = depth_counts.get(d, 0) + 1
+            maxdp = max(maxdp, d)
+            # a row starts at column 0, so the width is the last column
+            if d > max(ab[1] for ab in enc if ab):
+                nviol += 1
+    return BoxScan(rows=rows, cols=cols, shapes=count, dyck=ndyck,
+                   max_depth=maxdp,
                    depth_counts=dict(sorted(depth_counts.items())),
                    bound_violations=nviol)
 
@@ -404,7 +375,7 @@ def test_pruning_lemma_holds_on_dyck_shapes(k, m):
     the components and the depths come from the object-level code, not
     from the row-interval evaluator."""
     seen = 0
-    for shape in enumerate_box_shapes(k, m):
+    for shape in box_shapes(k, m):
         if oracle_depth(shape) is None:
             continue
         for comp in connected_components(shape):
@@ -458,7 +429,7 @@ def wide_skew_shapes(draw):
     return sh(outer, inner)
 
 
-SMALL_SHAPES = list(enumerate_box_shapes(3, 3))
+SMALL_SHAPES = list(box_shapes(3, 3))
 
 
 def dyck_ribbon(choices, n):

@@ -178,6 +178,25 @@ def test_has_weights_in():
     assert ok and wts == {0: 2}
 
 
+def test_has_weights_in_q_one_needs_every_root_one():
+    ok, wts = weights.has_weights_in([[1, 0], [0, 2]], 1)
+    assert not ok and wts is None
+    ok, wts = weights.has_weights_in([[1, 5], [0, 1]], 1)
+    assert ok and wts == {0: 2}
+
+
+def test_phi_decomposable_refuses_a_short_weight_kernel(monkeypatch):
+    """A split characteristic polynomial makes Q^n the sum of the
+    generalized eigenspaces, so the weight kernels always hold n
+    vectors; a kernel routine that lost one raises instead of
+    reporting a verdict."""
+    kernel = _linalg.smith_kernel_basis
+    monkeypatch.setattr(_linalg, "smith_kernel_basis",
+                        lambda matrix, ncols: kernel(matrix, ncols)[:-1])
+    with pytest.raises(RuntimeError):
+        weights.is_phi_decomposable([[1, 1], [0, 3]], 3, 5)
+
+
 def test_phi_not_decomposable_witness():
     for l in (2, 3, 5):
         q = l + 1
