@@ -1,5 +1,6 @@
 """Exact linear algebra helpers: one incremental row echelon form on
-sparse int rows over Q and F_p, integer characteristic polynomials,
+sparse int rows over Q and F_p, integer characteristic polynomials
+together with the adjugate terms of tI - A from the same pass,
 saturated integer kernels by unimodular column operations, and one
 fraction-free (Bareiss) elimination that gives integer determinants
 and, on LaurentPoly entries, determinants and adjugates over
@@ -119,22 +120,32 @@ def kernel_basis(columns, nrows, field):
 
 
 def char_poly(matrix):
-    """Characteristic polynomial of an integer matrix, monic,
-    coefficients ascending, via the Faddeev-LeVerrier recursion."""
+    """Characteristic polynomial det(tI - A) of an integer matrix A,
+    monic, coefficients ascending, with the terms [M_1, ..., M_n] of
+    adj(tI - A) = sum_k M_k t^(n-k) (Gantmacher, The Theory of Matrices
+    I, Ch. IV), from one Faddeev-LeVerrier pass: M_1 = I,
+    M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k. A M_1 is
+    A and only the trace of A M_n is read, so it takes n - 2 products.
+    Returns (coefficients, terms)."""
     n = len(matrix)
     coeffs = [0] * n + [1]
+    terms = []
     M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[n - k + 1]
-        AM = mat_mul(matrix, M)
-        trace = sum(AM[i][i] for i in range(n))
+        terms.append(M)
+        if k == n:
+            trace = sum(sum(map(mul, matrix[i], (row[i] for row in M)))
+                        for i in range(n))
+        else:
+            M = mat_mul(matrix, M) if k > 1 else [list(r) for r in matrix]
+            trace = sum(M[i][i] for i in range(n))
         if trace % k:
             raise ArithmeticError("trace %d of step %d is not divisible by %d"
                                   % (trace, k, k))
         coeffs[n - k] = -trace // k
-        M = AM
-    return coeffs
+    return coeffs, terms
 
 
 def mat_mul(a, b):

@@ -19,6 +19,7 @@ Three layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _linalg
 from . import mult
@@ -210,14 +211,19 @@ def has_weights_in(matrix, q: int):
     """Whether the characteristic polynomial splits as a product of
     (t - q^i) with i >= 0. Returns (True, {i: multiplicity}) or
     (False, None)."""
+    return _split(_linalg.char_poly(matrix)[0], q)
+
+
+def _split(rem, q: int):
+    """has_weights_in on the coefficients of a monic polynomial."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    rem = _linalg.char_poly(matrix)
     cauchy = 1 + max(abs(c) for c in rem)  # every root lies below it
     weights = {}
     i = 0
-    # a quotient has no root that rem lacks, so i never goes back
-    while len(rem) > 1 and q ** i <= cauchy:
+    # a quotient has no root that rem lacks, so i never goes back; an
+    # integer root divides rem[0], so once q^i does not, no later one does
+    while len(rem) > 1 and q ** i <= cauchy and rem[0] % q ** i == 0:
         quot, r = _linalg.poly_div_linear(rem, q ** i)
         if r == 0:
             rem = quot
@@ -257,6 +263,24 @@ class PhiReport:
         return out
 
 
+def _simple_kernel(terms, lam):
+    """The primitive vector spanning the kernel of A - lam I when lam is
+    a simple eigenvalue of A. Then adj(lam I - A) = sum_k M_k
+    lam^(n-k) has rank 1 and its columns span the kernel, so the first
+    nonzero one, found by Horner's rule column by column and divided by
+    the gcd of its entries, is the kernel's generator up to sign."""
+    n = len(terms)
+    for j in range(n):
+        col = [0] * n
+        for M in terms:
+            col = [c * lam + row[j] for c, row in zip(col, M)]
+        if any(col):
+            g = gcd(*col)
+            return [c // g for c in col]
+    raise RuntimeError("the adjugate vanishes at the simple eigenvalue %d"
+                       % lam)
+
+
 def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     """Whether the saturated weight sublattices of an integer matrix
     with q-power eigenvalues span the lattice after localizing at l.
@@ -265,6 +289,13 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     lattice) and l must be prime and prime to q. The cost grows fast
     with the size and the entries (docs/cli.md), so more than 16 rows or
     an entry of absolute value 2^31 or more is refused at once.
+
+    One Faddeev-LeVerrier pass gives the characteristic polynomial, so
+    the determinant and the weights, and the adjugate terms of tI - A.
+    A weight of multiplicity 1 takes its kernel vector from the
+    adjugate (_simple_kernel); a repeated weight i takes the saturated
+    kernel of (A - q^i)^m_i from _linalg.smith_kernel_basis. The index
+    is |det| of all the kernel vectors.
     """
     n = len(matrix)
     if n > 16:
@@ -278,24 +309,25 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
         raise ValueError("l = %d is not prime" % l)
     if q % l == 0:
         raise ValueError("q = %d is divisible by l = %d" % (q, l))
-    det = _linalg.det_bareiss(matrix)
-    if det % l == 0:
+    coeffs, terms = _linalg.char_poly(matrix)
+    if coeffs[0] % l == 0:  # det = (-1)^n c_0
         raise ValueError("matrix determinant is divisible by l = %d" % l)
-    ok, weights = has_weights_in(matrix, q)
+    ok, weights = _split(coeffs, q)
     if not ok:
         return PhiReport(False, None, None, None, None)
     columns = []
     for i in sorted(weights):
         m_i = weights[i]
-        M = _mat_pow(_mat_sub_scalar(matrix, q ** i), m_i)
-        for vec in _linalg.smith_kernel_basis(M, n):
-            columns.append(vec)
+        if m_i == 1:
+            columns.append(_simple_kernel(terms, q ** i))
+        else:
+            M = _mat_pow(_mat_sub_scalar(matrix, q ** i), m_i)
+            columns.extend(_linalg.smith_kernel_basis(M, n))
     if len(columns) != n:
         # the characteristic polynomial splits, so Q^n is the sum of the
         # generalized eigenspaces, each saturated kernel of rank m_i
         raise RuntimeError("weight kernels have %d vectors, not %d"
                            % (len(columns), n))
-    stacked = [[columns[j][i] for j in range(n)] for i in range(n)]
-    index = abs(_linalg.det_bareiss(stacked))
+    index = abs(_linalg.det_bareiss(columns))
     residues = tuple(pow(q, i, l) for i in sorted(weights))
     return PhiReport(True, weights, index % l != 0, index, residues)

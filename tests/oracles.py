@@ -8,7 +8,7 @@ them as independent routes to the same numbers.
 import itertools
 from bisect import bisect_right
 
-from koszulbench import hecke, mult
+from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly
 from koszulbench.shapes import (_eval_encoded, enumerate_partitions_in_box,
                                 jump_sequence, shape_from_cells)
@@ -323,6 +323,30 @@ def proj_delta_vector(space, lam):
         if p:
             out[nu] = p
     return out
+
+
+def phi_report_by_sweep(matrix, q: int, l: int):
+    """weights.is_phi_decomposable by the all-sweep route: the
+    determinant by Bareiss elimination, and for every weight i, simple
+    or repeated, the saturated kernel of (A - q^i)^m_i from
+    _linalg.smith_kernel_basis. l dividing q or the determinant, and
+    q < 1, are refused with the library's ValueErrors; the primality
+    and size checks are left to the library."""
+    n = len(matrix)
+    if q % l == 0:
+        raise ValueError("q = %d is divisible by l = %d" % (q, l))
+    if _linalg.det_bareiss(matrix) % l == 0:
+        raise ValueError("matrix determinant is divisible by l = %d" % l)
+    ok, wts = weights.has_weights_in(matrix, q)
+    if not ok:
+        return weights.PhiReport(False, None, None, None, None)
+    columns = [vec for i in sorted(wts)
+               for vec in _linalg.smith_kernel_basis(weights._mat_pow(
+                   weights._mat_sub_scalar(matrix, q ** i), wts[i]), n)]
+    assert len(columns) == n
+    index = abs(_linalg.det_bareiss(columns))
+    return weights.PhiReport(True, wts, index % l != 0, index,
+                             tuple(pow(q, i, l) for i in sorted(wts)))
 
 
 def sparse(row):

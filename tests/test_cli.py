@@ -182,6 +182,16 @@ def test_phidec_exit_codes(tmp_path, capsys):
     assert "not applicable" in out
 
 
+def test_phidec_q_below_one_exits_one(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps([[1, 0], [0, 4]]))
+    code, out, err = run(
+        ["phidec", "--matrix", str(path), "--q", "-2", "--l", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: q must be a positive integer\n"
+
+
 def test_koszul_exit_codes(capsys):
     code, out, _ = run(
         ["koszul", "--builtin", "p1", "--field", "Q"], capsys)

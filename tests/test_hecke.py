@@ -220,8 +220,18 @@ def test_smoothness_pattern_avoidance():
     assert not is_smooth((4, 2, 3, 1))
     assert is_smooth((4, 3, 2, 1))
     assert is_smooth((2, 4, 1, 3))
-    assert not is_smooth((1, 3, 4, 5, 2, 6)[:4] + (5, 6)) or True
     assert not is_smooth((5, 3, 4, 1, 2))
+    # S_6: 5623 is a 3412 pattern, and P_{e,w} is not 1; 142635 avoids
+    # 3412 and 4231, and P_{x,w} is 1 on every x below it
+    table = KLTable(6)
+    e = (1, 2, 3, 4, 5, 6)
+    singular, smooth = (1, 5, 6, 2, 3, 4), (1, 4, 2, 6, 3, 5)
+    assert not is_smooth(singular)
+    assert table.kl_polynomial(e, singular) != 1
+    assert is_smooth(smooth)
+    assert all(table.kl_polynomial(x, smooth) == 1
+               for x in itertools.permutations(e)
+               if hecke.bruhat_leq(x, smooth))
 
 
 def test_s3_all_trivial():

@@ -3,10 +3,10 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import _linalg, mult, weights
-from oracles import sparse
+from oracles import phi_report_by_sweep, sparse
 
 
 def test_wt_from_blocks_single():
@@ -114,9 +114,9 @@ def test_separating_prime_exists_whenever_wr_below_l():
 
 
 def test_char_poly():
-    assert _linalg.char_poly([[2]]) == [-2, 1]
-    assert _linalg.char_poly([[1, 1], [0, 3]]) == [3, -4, 1]
-    assert _linalg.char_poly([[0, 1], [1, 0]]) == [-1, 0, 1]
+    assert _linalg.char_poly([[2]])[0] == [-2, 1]
+    assert _linalg.char_poly([[1, 1], [0, 3]])[0] == [3, -4, 1]
+    assert _linalg.char_poly([[0, 1], [1, 0]])[0] == [-1, 0, 1]
 
 
 def test_det_bareiss():
@@ -189,12 +189,32 @@ def test_phi_decomposable_refuses_a_short_weight_kernel(monkeypatch):
     """A split characteristic polynomial makes Q^n the sum of the
     generalized eigenspaces, so the weight kernels always hold n
     vectors; a kernel routine that lost one raises instead of
-    reporting a verdict."""
+    reporting a verdict. The weight 1 is repeated, so its kernel comes
+    from smith_kernel_basis."""
     kernel = _linalg.smith_kernel_basis
     monkeypatch.setattr(_linalg, "smith_kernel_basis",
                         lambda matrix, ncols: kernel(matrix, ncols)[:-1])
     with pytest.raises(RuntimeError):
+        weights.is_phi_decomposable([[1, 1], [0, 1]], 3, 5)
+
+
+def test_phi_decomposable_refuses_a_zero_adjugate(monkeypatch):
+    """At a simple weight adj(q^i - A) has rank 1; adjugate terms that
+    vanish there raise instead of reporting a verdict."""
+    char_poly = _linalg.char_poly
+
+    def zero_terms(matrix):
+        coeffs, terms = char_poly(matrix)
+        return coeffs, [[[0] * len(matrix) for _ in matrix]] * len(terms)
+
+    monkeypatch.setattr(_linalg, "char_poly", zero_terms)
+    with pytest.raises(RuntimeError, match="adjugate vanishes"):
         weights.is_phi_decomposable([[1, 1], [0, 3]], 3, 5)
+
+
+def test_phi_decomposable_refuses_q_below_one():
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        weights.is_phi_decomposable([[1, 0], [0, 4]], -2, 5)
 
 
 def test_phi_not_decomposable_witness():
@@ -284,3 +304,123 @@ def test_mat_pow_matches_chained_products(pair, e):
 def test_mat_pow_refuses_exponent_zero():
     with pytest.raises(ValueError):
         weights._mat_pow([[2]], 0)
+
+
+@st.composite
+def char_poly_inputs(draw):
+    """n x n integer matrices, n in 1..6, with small entries or entries
+    within a few of +-2^31."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-3, 3),
+                        st.integers(2 ** 31 - 4, 2 ** 31 - 1),
+                        st.integers(-2 ** 31 + 1, -2 ** 31 + 4))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(char_poly_inputs())
+def test_char_poly_and_adjugate_agree_with_determinants(matrix):
+    """p(t) = det(tI - A) by Bareiss elimination and
+    (tI - A) sum_k M_k t^(n-k) = p(t) I at 2n + 2 integer points: more
+    than the n + 1 that fix p, and at most n of them are roots of p,
+    so the adjugate, of degree n - 1, is fixed by the others."""
+    n = len(matrix)
+    coeffs, terms = _linalg.char_poly(matrix)
+    assert coeffs[n] == 1 and len(terms) == n
+    for t in range(-n - 1, n + 1):
+        shifted = [[t * (i == j) - matrix[i][j] for j in range(n)]
+                   for i in range(n)]
+        p = sum(c * t ** k for k, c in enumerate(coeffs))
+        assert _linalg.det_bareiss(shifted) == p
+        adj = [[sum(M[i][j] * t ** (n - 1 - k) for k, M in enumerate(terms))
+                for j in range(n)] for i in range(n)]
+        assert [[sum(shifted[i][s] * adj[s][j] for s in range(n))
+                 for j in range(n)] for i in range(n)] == [
+            [p * (i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def triangular_conjugates(draw):
+    """(U T U^-1, q, diagonal of T) with T upper triangular, n in 1..6,
+    and U a product of elementary integer matrices. Each diagonal entry
+    is q^e with e in 0..4, so weights are simple or repeated, or, one
+    time in five, any int in -3..9, which may stop the polynomial
+    splitting."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    diagonal = [draw(st.integers(-3, 9)) if draw(st.integers(0, 4)) == 0
+                else q ** draw(st.integers(0, 4)) for _ in range(n)]
+    T = [[diagonal[i] if i == j else draw(small) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        # U <- U (I + c e_ij) and V <- (I - c e_ij) V keep V = U^-1
+        for row in U:
+            row[j] += c * row[i]
+        V[i] = [x - c * y for x, y in zip(V[i], V[j])]
+    UT = [[sum(U[i][s] * T[s][j] for s in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(UT[i][s] * V[s][j] for s in range(n)) for j in range(n)]
+            for i in range(n)], q, diagonal
+
+
+def _q_exponent(x, q):
+    """e with q^e = x (0 when q = 1), or None."""
+    e = 0
+    while q ** e < x and q > 1:
+        e += 1
+    return e if q ** e == x else None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(triangular_conjugates())
+def test_has_weights_in_reads_the_triangular_diagonal(case):
+    """The weights of U T U^-1 are the exponents of T's diagonal, or
+    there are none when an entry is not a power of q."""
+    matrix, q, diagonal = case
+    exponents = [_q_exponent(x, q) for x in diagonal]
+    want = ((False, None) if None in exponents else
+            (True, {e: exponents.count(e) for e in set(exponents)}))
+    assert weights.has_weights_in(matrix, q) == want
+
+
+@st.composite
+def phi_inputs(draw):
+    """(matrix, q, l): a triangular conjugate, or, one time in four, a
+    dense matrix with entries in -3..3 and q in 1..5. l may divide the
+    determinant, and for a dense matrix q too; both routes refuse
+    either."""
+    if draw(st.integers(0, 3)):
+        matrix, q, _ = draw(triangular_conjugates())
+        primes = [p for p in (2, 3, 5, 7) if q % p]
+    else:
+        n = draw(st.integers(1, 6))
+        matrix = [[draw(st.integers(-3, 3)) for _ in range(n)]
+                  for _ in range(n)]
+        q, primes = draw(st.integers(1, 5)), [2, 3, 5, 7]
+    return matrix, q, draw(st.sampled_from(primes))
+
+
+def _outcome(route, matrix, q, l):
+    try:
+        return route(matrix, q, l)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(phi_inputs())
+@example(([[1, 1], [0, 4]], 4, 3))
+@example(([[0, 1], [-4, 5]], 4, 3))
+@example(([[1, 0], [0, 1]], 1, 2))
+def test_phi_report_matches_the_all_sweep_route(case):
+    """Identical PhiReports, or identical refusals, from the adjugate
+    route for simple weights and from the smith_kernel_basis sweep of
+    every weight (tests/oracles.py)."""
+    matrix, q, l = case
+    assert (_outcome(weights.is_phi_decomposable, matrix, q, l)
+            == _outcome(phi_report_by_sweep, matrix, q, l))
