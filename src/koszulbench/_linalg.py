@@ -58,8 +58,11 @@ class Echelon:
 
     def reduce(self, vec):
         """(lead, reduced vec) with rows[lead] free, or None when vec
-        lies in the span. vec itself is left unchanged."""
+        lies in the span. vec itself is left unchanged: over F_p it is
+        copied once, at the first reduction, and the copy reduced in
+        place."""
         rows, p = self.rows, self.p
+        copied = False
         while vec:
             lead = min(vec)
             row = rows.get(lead)
@@ -67,9 +70,12 @@ class Echelon:
                 return lead, vec
             # a * vec - b * row; a = 1 over F_p, where rows are monic
             a, b = row[lead], vec[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            vec = {i: a * x for i, x in vec.items()}
+            if not p:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                vec = {i: a * x for i, x in vec.items()}
+            elif not copied:
+                vec, copied = dict(vec), True
             for i, y in row.items():
                 x = vec.get(i, 0) - b * y
                 if p:

@@ -15,7 +15,9 @@ leaving v (GradedAlgebra.leaving), in the block (tgt b, s + deg b). A
 step (_advance) visits the blocks of the last kernel M from degree 0
 down: the images of the generators found above a block span M*J
 there, the vectors of M outside that span are its new generators, and
-the kernel of the images is the next kernel. The algebra is Koszul
+the kernel of the images is the next kernel. An image is one right
+action (_act), which reads the products b * a off the algebra's
+right-action table GradedAlgebra.right. The algebra is Koszul
 when the i-th step of the resolution of every simple is generated in
 degree exactly -i. When every resolution terminates, their Euler
 matrix is the inverse of the graded Cartan matrix, which
@@ -61,7 +63,13 @@ class GradedAlgebra:
 
         leaving maps each vertex v to the (name, tgt, deg) of every
         basis element with source v, in basis order: the layout of a
-        free summand at v, which minimal resolutions read."""
+        free summand at v, which minimal resolutions read.
+
+        right maps each basis element y to {x: ((z, k), ...)} for every
+        x with x * y nonzero, the terms of x * y in result order: the
+        listed products and the implicit ones with idempotents
+        (e_src(y) * y = y, x * e_tgt(x) = x). product, the resolutions'
+        right action and the associativity check all read it."""
         self.name = name
         if not vertices:
             raise ValueError("algebra needs at least one vertex")
@@ -97,13 +105,13 @@ class GradedAlgebra:
         for v in self.vertices:
             if v not in self.idempotent:
                 raise ValueError("vertex %r has no degree-0 idempotent" % v)
-        self._idem_names = set(self.idempotent.values())
+        idem_names = set(self.idempotent.values())
         self.mult = {}
         for (left, right), result in mult.items():
             if left not in self.basis or right not in self.basis:
                 raise ValueError("product %r * %r uses an unknown element"
                                  % (left, right))
-            if left in self._idem_names or right in self._idem_names:
+            if left in idem_names or right in idem_names:
                 raise ValueError("products with idempotents are implicit; "
                                  "remove %r * %r" % (left, right))
             lsrc, ltgt, ldeg = self.basis[left]
@@ -127,45 +135,51 @@ class GradedAlgebra:
                     clean[rname] = int(coeff)
             if clean:
                 self.mult[(left, right)] = clean
+        self.right = {y: {self.idempotent[src]: ((y, 1),)}
+                      for y, (src, _, _) in self.basis.items()}
+        for x, (_, tgt, _) in self.basis.items():
+            self.right[self.idempotent[tgt]][x] = ((x, 1),)
+        for (x, y), result in self.mult.items():
+            self.right[y][x] = tuple(result.items())
         self.neg_names = [b for b in self.basis_order if self.basis[b][2] < 0]
         self._check_associativity()
 
     def product(self, x: str, y: str) -> dict:
         """Structure constants of x * y as {name: int}."""
-        if x in self._idem_names:
-            return {y: 1} if self.basis[y][0] == self.basis[x][0] else {}
-        if y in self._idem_names:
-            return {x: 1} if self.basis[x][1] == self.basis[y][0] else {}
-        if self.basis[x][1] != self.basis[y][0]:
-            return {}
-        return self.mult.get((x, y), {})
+        return dict(self.right[y].get(x, ()))
 
     def _check_associativity(self):
         """Checks (xy)z = x(yz) on the triples with x*y or y*z listed
-        in mult, in basis order. No other triple can fail: one holding
-        an idempotent associates because the endpoints of every listed
-        product were checked above, and if x*y = y*z = 0 both sides
-        vanish."""
-        index = {b: i for i, b in enumerate(self.basis_order)}
+        in mult and reports the first failing one in basis order. No
+        other triple can fail: one holding an idempotent associates
+        because the endpoints of every listed product were checked
+        above, and if x*y = y*z = 0 both sides vanish."""
+        right, mult, basis = self.right, self.mult, self.basis
         by_src, by_tgt = {}, {}
         for b in self.neg_names:
-            by_src.setdefault(self.basis[b][0], []).append(b)
-            by_tgt.setdefault(self.basis[b][1], []).append(b)
-        triples = set()
-        for x, y in self.mult:
-            triples.update((x, y, z) for z in by_src.get(self.basis[y][1], ()))
-            triples.update((w, x, y) for w in by_tgt.get(self.basis[x][0], ()))
-        for x, y, z in sorted(triples, key=lambda t: [index[b] for b in t]):
+            by_src.setdefault(basis[b][0], []).append(b)
+            by_tgt.setdefault(basis[b][1], []).append(b)
+        # each triple once: x*y listed, or else y*z listed
+        triples = itertools.chain(
+            ((x, y, z) for x, y in mult for z in by_src.get(basis[y][1], ())),
+            ((x, y, z) for y, z in mult for x in by_tgt.get(basis[y][0], ())
+             if (x, y) not in mult))
+        failing = []
+        for x, y, z in triples:
             diff = {}
-            for mid, c in self.product(x, y).items():
-                for r, k in self.product(mid, z).items():
+            by_z = right[z]
+            for mid, c in right[y].get(x, ()):
+                for r, k in by_z.get(mid, ()):
                     diff[r] = diff.get(r, 0) + c * k
-            for mid, c in self.product(y, z).items():
-                for r, k in self.product(x, mid).items():
+            for mid, c in by_z.get(y, ()):
+                for r, k in right[mid].get(x, ()):
                     diff[r] = diff.get(r, 0) - c * k
             if any(diff.values()):
-                raise ValueError("associativity fails at (%r, %r, %r)"
-                                 % (x, y, z))
+                failing.append((x, y, z))
+        if failing:
+            index = {b: i for i, b in enumerate(self.basis_order)}
+            first = min(failing, key=lambda t: [index[b] for b in t])
+            raise ValueError("associativity fails at (%r, %r, %r)" % first)
 
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
@@ -323,7 +337,7 @@ def _block_order(algebra, keys):
 def _act(algebra, p, fbasis, pos, key, vec, aname):
     """Right action of a basis element on a sparse block vector of ints
     (residues when p > 0); returns (newkey, newvec) or None when the
-    image is zero."""
+    image is zero. The terms of b * aname come from algebra.right."""
     asrc, atgt, adeg = algebra.basis[aname]
     tgtv, d = key
     if asrc != tgtv:
@@ -333,10 +347,11 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
     if not npos:
         return None
     src = fbasis[key]
+    times = algebra.right[aname].get
     out = {}
     for idx, c in vec.items():
         t, bname = src[idx]
-        for cname, k in algebra.product(bname, aname).items():
+        for cname, k in times(bname, ()):
             j = npos[(t, cname)]
             out[j] = out.get(j, 0) + c * k
     if p:

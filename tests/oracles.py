@@ -1,8 +1,9 @@
 """Reference constructions and helpers shared by the test modules.
 
 The library no longer needs the constructions: the matrices read
-parabolic KL columns and the sparse Dyck rows instead. The tests keep
-them as independent routes to the same numbers.
+parabolic KL columns and the sparse Dyck rows instead, and an algebra's
+products come from its right-action table. The tests keep them as
+independent routes to the same numbers.
 """
 
 import itertools
@@ -347,6 +348,23 @@ def phi_report_by_sweep(matrix, q: int, l: int):
     index = abs(_linalg.det_bareiss(columns))
     return weights.PhiReport(True, wts, index % l != 0, index,
                              tuple(pow(q, i, l) for i in sorted(wts)))
+
+
+def product_by_rules(algebra, x, y):
+    """Structure constants of x * y as {name: int} from the rules
+    rather than from algebra.right: an idempotent on either side keeps
+    the other element when the endpoints meet, two other elements
+    multiply only when composable, and then as listed in mult. The
+    idempotents are the basis elements of degree 0."""
+    xsrc, xtgt, xdeg = algebra.basis[x]
+    ysrc, _, ydeg = algebra.basis[y]
+    if xdeg == 0:
+        return {y: 1} if ysrc == xsrc else {}
+    if ydeg == 0:
+        return {x: 1} if xtgt == ysrc else {}
+    if xtgt != ysrc:
+        return {}
+    return dict(algebra.mult.get((x, y), {}))
 
 
 def sparse(row):

@@ -20,7 +20,7 @@ from koszulbench.koszul import (
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
-from oracles import sparse
+from oracles import product_by_rules, sparse
 
 
 
@@ -488,7 +488,7 @@ def ref_act(algebra, field, fbasis, pos, key, vec, aname):
     out = [field.zero] * len(target)
     for (t, bname), c in zip(fbasis[key], vec):
         if not field.is_zero(c):
-            for cname, k in algebra.product(bname, aname).items():
+            for cname, k in product_by_rules(algebra, bname, aname).items():
                 j = pos[newkey][(t, cname)]
                 out[j] = field.add(out[j], field.mul(c, field.of(k)))
     if all(field.is_zero(x) for x in out):
@@ -729,23 +729,51 @@ def test_ext_dims_match_over_q_and_every_fl(doc, i_max):
         assert ext_table(algebra, "F:%d" % l, i_max).dims() == dims_q
 
 
+# -- products: the right-action table against the rules -----------------
+
+
+BUILTINS = ("dual_numbers", "p1", "x3_truncation", "semisimple")
+
+
+@fuzz(150)
+@given(st.one_of(
+    PLUS_MINUS_ONE_DOCS.map(load_algebra),
+    radical_cube_zero_docs().map(load_algebra),
+    st.sampled_from(BUILTINS).map(builtin_algebra),
+    st.integers(0, 12).map(lambda l: builtin_algebra("torsion_p1:%d" % l))))
+def test_product_table_matches_the_rules(algebra):
+    """Every product, terms in the order mult lists them."""
+    names = algebra.basis_order
+    for x, y in itertools.product(names, repeat=2):
+        assert (list(algebra.product(x, y).items())
+                == list(product_by_rules(algebra, x, y).items()))
+    # right holds exactly the nonzero products
+    assert sum(map(len, algebra.right.values())) == sum(
+        1 for x, y in itertools.product(names, repeat=2)
+        if product_by_rules(algebra, x, y))
+
+
 # -- associativity: composable triples against every triple ------------
+
+
+def failing_triples(algebra):
+    """Every triple with (xy)z != x(yz), in basis order."""
+    for x, y, z in itertools.product(algebra.basis_order, repeat=3):
+        left, right = {}, {}
+        for mid, c in product_by_rules(algebra, x, y).items():
+            for r, k in product_by_rules(algebra, mid, z).items():
+                left[r] = left.get(r, 0) + c * k
+        for mid, c in product_by_rules(algebra, y, z).items():
+            for r, k in product_by_rules(algebra, x, mid).items():
+                right[r] = right.get(r, 0) + c * k
+        if ({r: c for r, c in left.items() if c}
+                != {r: c for r, c in right.items() if c}):
+            yield x, y, z
 
 
 def exhaustive_associativity(algebra):
     """First triple in basis order with (xy)z != x(yz), or None."""
-    for x, y, z in itertools.product(algebra.basis_order, repeat=3):
-        left, right = {}, {}
-        for mid, c in algebra.product(x, y).items():
-            for r, k in algebra.product(mid, z).items():
-                left[r] = left.get(r, 0) + c * k
-        for mid, c in algebra.product(y, z).items():
-            for r, k in algebra.product(x, mid).items():
-                right[r] = right.get(r, 0) + c * k
-        if ({r: c for r, c in left.items() if c}
-                != {r: c for r, c in right.items() if c}):
-            return x, y, z
-    return None
+    return next(failing_triples(algebra), None)
 
 
 @st.composite
@@ -791,6 +819,26 @@ def test_associativity_oracle_sees_failures():
         algebra = load_algebra(doc)
     assert exhaustive_associativity(algebra) is not None
     assert exhaustive_associativity(load_algebra(exterior_doc(3))) is None
+
+
+def test_associativity_report_names_the_first_failing_triple():
+    """Doubling x1*x0 and x02*x1 in the exterior algebra of k^3 breaks
+    four triples; the check reports the first in basis order, as the
+    exhaustive oracle does."""
+    doc = exterior_doc(3)
+    for rec in doc["mult"]:
+        if (rec["left"], rec["right"]) in (("x1", "x0"), ("x02", "x1")):
+            rec["result"] = {k: 2 * c for k, c in rec["result"].items()}
+    with mock.patch.object(GradedAlgebra, "_check_associativity",
+                           lambda self: None):
+        algebra = load_algebra(doc)
+    assert list(failing_triples(algebra)) == [
+        ("x0", "x2", "x1"), ("x1", "x0", "x2"), ("x2", "x0", "x1"),
+        ("x2", "x1", "x0")]
+    assert exhaustive_associativity(algebra) == ("x0", "x2", "x1")
+    with pytest.raises(ValueError) as err:
+        load_algebra(doc)
+    assert str(err.value) == "associativity fails at ('x0', 'x2', 'x1')"
 
 
 # -- algebra documents: load, rebuild, load again -------------------------
@@ -882,6 +930,27 @@ def test_kernel_basis_spans_the_kernel(nrows, ncols, p, data):
             assert (total % p if p else total) == 0
     ech = _linalg.Echelon(p)
     assert all(ech.add(vec) for vec in kern)
+
+
+@fuzz(200)
+@given(st.sampled_from((0,) + PRIMES), st.data())
+def test_echelon_never_mutates_its_input_or_stored_rows(p, data):
+    """reduce and add leave the vector passed in as it was, and a row
+    once stored stays as it was through every later add."""
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=10))
+    ech = _linalg.Echelon(p)
+    for row in rows:
+        vec = sparse([x % p for x in row] if p else row)
+        before = dict(vec)
+        stored = {lead: dict(r) for lead, r in ech.rows.items()}
+        ech.reduce(vec)
+        assert vec == before
+        ech.add(vec)
+        assert vec == before
+        for lead, r in stored.items():
+            assert ech.rows[lead] == r
 
 
 def test_echelon_keeps_primitive_integer_rows_over_q():
