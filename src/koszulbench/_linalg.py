@@ -9,7 +9,10 @@ Z[v, v^-1].
 The echelon form and kernel_basis, which the minimal resolutions run
 on, take sparse vectors: dicts {index: int} that store nonzero
 entries only (residues mod p over F_p). Their matrices have thousands
-of entries of which a few percent are nonzero. The other helpers are
+of entries of which a few percent are nonzero, and most columns of a
+kernel are zero or hold one entry: kernel_basis stores those as final
+rows without reducing them, and Echelon.add does not rescale a row
+whose lead is already 1 (+-1 over Q). The other helpers are
 dense and sized for the small matrices the rest of the package
 produces (ranks in the dozens at most).
 """
@@ -50,7 +53,12 @@ class Echelon:
     leading (least) index. Over F_p (p prime) entries are residues and
     every row has leading entry 1; over Q (p = 0) every row is a
     primitive integer vector, reduced fraction-free and divided by the
-    gcd of its entries."""
+    gcd of its entries.
+
+    Work that changes nothing is skipped: add stores a vector whose
+    lead is already 1 over F_p, or +-1 over Q, without rescaling it or
+    taking its content, and over Q reduce takes the content only after
+    a step that scaled the vector."""
 
     def __init__(self, p: int):
         self.p = p
@@ -58,9 +66,12 @@ class Echelon:
 
     def reduce(self, vec):
         """(lead, reduced vec) with rows[lead] free, or None when vec
-        lies in the span. vec itself is left unchanged: over F_p it is
-        copied once, at the first reduction, and the copy reduced in
-        place."""
+        lies in the span. vec itself is left unchanged: it is copied
+        once, at the first reduction, and the copy reduced in place.
+        Over Q a step by a row whose lead divides the vector's (a = 1
+        below) subtracts in place and keeps any content, so the vector
+        returned is a positive multiple of the fully divided one, and
+        add stores the same primitive row."""
         rows, p = self.rows, self.p
         copied = False
         while vec:
@@ -70,11 +81,14 @@ class Echelon:
                 return lead, vec
             # a * vec - b * row; a = 1 over F_p, where rows are monic
             a, b = row[lead], vec[lead]
+            scaled = False
             if not p:
                 g = gcd(a, b)
                 a, b = a // g, b // g
-                vec = {i: a * x for i, x in vec.items()}
-            elif not copied:
+                if a != 1:
+                    vec = {i: a * x for i, x in vec.items()}
+                    copied = scaled = True
+            if not copied:
                 vec, copied = dict(vec), True
             for i, y in row.items():
                 x = vec.get(i, 0) - b * y
@@ -84,7 +98,7 @@ class Echelon:
                     vec[i] = x
                 else:
                     del vec[i]
-            if not p:
+            if scaled:
                 g = gcd(*vec.values())
                 if g > 1:
                     vec = {i: x // g for i, x in vec.items()}
@@ -92,16 +106,18 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Insert vec; True when it enlarged the span. The stored row
-        may be vec itself, so vec must not change afterwards."""
+        may be vec itself, over F_p too when vec needs no reduction and
+        its lead is already 1, so vec must not change afterwards."""
         red = self.reduce(vec)
         if red is None:
             return False
         lead, vec = red
-        p = self.p
+        p, c = self.p, vec[lead]
         if p:
-            inv = pow(vec[lead], p - 2, p)
-            vec = {i: x * inv % p for i, x in vec.items()}
-        else:
+            if c != 1:
+                inv = pow(c, p - 2, p)
+                vec = {i: x * inv % p for i, x in vec.items()}
+        elif c != 1 and c != -1:
             g = gcd(*vec.values())
             if g > 1:
                 vec = {i: x // g for i, x in vec.items()}
@@ -114,15 +130,35 @@ def kernel_basis(columns, nrows, field):
     (each a sparse int vector with indices below nrows). Each
     [columns[j] | e_j] goes through one Echelon; the rows whose lead
     lies past nrows are a kernel basis, returned as their tails,
-    sparse and indexed by column."""
+    sparse and indexed by column.
+
+    A column that is zero, or has one entry x at an index i with no
+    row yet, is stored as its final row directly: {nrows + j: 1}, or
+    {i: 1, nrows + j: 1/x} over F_p and {i: x, nrows + j: 1} over Q.
+    No earlier row has an entry at nrows + j, so nothing reduces them."""
     p = field.p
     ech = Echelon(p)
+    rows = ech.rows
     for j, col in enumerate(columns):
-        vec = {i: x % p for i, x in col.items() if x % p} if p else dict(col)
-        vec[nrows + j] = 1
+        if p:
+            col = {i: r for i, x in col.items() if (r := x % p)}
+        tail = nrows + j
+        if not col:
+            rows[tail] = {tail: 1}
+            continue
+        if len(col) == 1:
+            (i, x), = col.items()
+            if i not in rows:
+                rows[i] = ({i: 1, tail: pow(x, p - 2, p)} if p
+                           else {i: x, tail: 1})
+                continue
+        vec = col if p else dict(col)
+        vec[tail] = 1
         ech.add(vec)
-    return [{i - nrows: x for i, x in row.items() if i >= nrows}
-            for lead, row in sorted(ech.rows.items()) if lead >= nrows]
+    # a row led past nrows has no entry below it
+    return [{i - nrows: x for i, x in row.items()}
+            for row in map(rows.get, range(nrows, nrows + len(columns)))
+            if row]
 
 
 def char_poly(matrix):

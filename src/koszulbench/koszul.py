@@ -355,7 +355,7 @@ def _act(algebra, p, fbasis, pos, key, vec, aname):
             j = npos[(t, cname)]
             out[j] = out.get(j, 0) + c * k
     if p:
-        out = {j: x % p for j, x in out.items() if x % p}
+        out = {j: r for j, x in out.items() if (r := x % p)}
     else:
         out = {j: x for j, x in out.items() if x}
     if not out:

@@ -207,15 +207,10 @@ def _mat_pow(matrix, e):
     return out
 
 
-def has_weights_in(matrix, q: int):
-    """Whether the characteristic polynomial splits as a product of
-    (t - q^i) with i >= 0. Returns (True, {i: multiplicity}) or
-    (False, None)."""
-    return _split(_linalg.char_poly(matrix)[0], q)
-
-
 def _split(rem, q: int):
-    """has_weights_in on the coefficients of a monic polynomial."""
+    """Whether the monic polynomial with coefficients rem (ascending)
+    splits as a product of (t - q^i) with i >= 0. Returns
+    (True, {i: multiplicity}) or (False, None)."""
     if q < 1:
         raise ValueError("q must be a positive integer")
     cauchy = 1 + max(abs(c) for c in rem)  # every root lies below it

