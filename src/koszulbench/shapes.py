@@ -13,13 +13,15 @@ is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 def _clean_parts(parts):
     out = []
     prev = None
     for p in parts:
-        p = int(p)
+        if type(p) is not int:  # bool, float and str refused
+            raise ValueError("part %r is not an integer" % (p,))
         if p < 0:
             raise ValueError("negative part %d" % p)
         if p == 0:
@@ -341,6 +343,14 @@ def transpose(shape: SkewShape) -> SkewShape:
 # nor a bound on the width. Tests check it against the object-level
 # four-rule recursion above.
 #
+# The scanner never lists shapes. It counts them with a transfer over
+# row intervals whose steps read 2-D prefix sums, and it counts the
+# Dyck ones by depth as polynomials in u packed into one int at
+# u = 2^B (Kronecker substitution, as in mult), so that a product of
+# depth polynomials is one int product. Tests check it against a
+# route of memoized recursions and coefficient lists, and against
+# _eval_encoded on every shape of the small boxes.
+#
 # Strip-plus-remainder decomposition. Let a connected component have
 # the rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom. Its rows
 # overlap, b_{t+1} > a_t, so its outer border strip has the rows
@@ -424,136 +434,121 @@ class BoxScan:
     bound_violations: int
 
 
-def _add_product(acc, p, q):
-    """acc += p * q for depth polynomials, lists of counts indexed by
-    depth; acc grows as needed."""
-    need = len(p) + len(q) - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, c in enumerate(p):
-        if c:
-            for j, e in enumerate(q):
-                acc[i + j] += c * e
-
-
 def scan_box(rows: int, cols: int) -> BoxScan:
     """Sweep every normalized skew shape inside a rows x cols box.
 
     Counts shapes and Dyck shapes, tallies depths, and counts
     violations of the bound depth <= width. The empty shape is
-    included (depth 0). Box sides must lie in 1..15, the range the
+    included (depth 0). Box sides must be ints in 1..15, the range the
     tests cover; the scan's cost grows only polynomially with the
-    sides (the 15x15 box takes about 0.06 s).
+    sides (the 15x15 box takes about 3 ms).
 
-    The shape total comes from a transfer matrix over row intervals.
-    No shape is evaluated one by one: the Dyck shapes are counted as
-    depth polynomials, built from the strip-plus-remainder
-    decomposition above. A Dyck component is its Dyck strip plus a
-    Dyck remainder, and the remainder's components are again Dyck
-    components of fewer rows, so comp[m], the depth polynomial of the
-    Dyck components with m rows, follows from comp[1..m-1]. A shape
-    is a column of components stacked from the top right to the
-    bottom left, with empty rows anywhere between them.
+    The shape total comes from a transfer matrix over row intervals,
+    one row at a time in O(M^2) steps through 2-D prefix sums (Stanley,
+    EC1, section 4.7). No shape is evaluated one by one: the Dyck
+    shapes are counted as depth polynomials, built from the
+    strip-plus-remainder decomposition above and packed into ints. A
+    Dyck component is its Dyck strip plus a Dyck remainder, and the
+    remainder's components are again Dyck components of fewer rows, so
+    comp[m], the depth polynomial of the Dyck components with m rows,
+    follows from comp[1..m-1]. A shape is a column of components
+    stacked from the top right to the bottom left, with empty rows
+    anywhere between them. Every table is a running sum over the
+    right ends its rows may take.
     """
+    for side in (rows, cols):
+        if type(side) is not int:  # bool and float refused
+            raise ValueError("box side %r is not an integer" % (side,))
     if rows < 1 or cols < 1:
         raise ValueError("box dimensions must be positive")
     if cols >= 16 or rows >= 16:
         raise ValueError("scanner supports boxes up to 15x15")
     K, M = rows, cols
-    memo = {}
 
-    def completions(depth, la, lb, gap, touched0):
-        # fillings of rows depth.. after the nonempty row (la, lb] in
-        # which some row starts at column 0. The next nonempty row
-        # (a, b] lies directly below it (a <= la, b <= lb) or, after
-        # one or more empty rows, strictly to its left (b <= la)
-        if depth == K:
-            return 1 if touched0 else 0
-        key = (depth, la, lb, gap, touched0)
-        n = memo.get(key)
-        if n is None:
-            n = completions(depth + 1, la, lb, True, touched0)
-            top = la if gap else lb
-            for a in range(la + 1):
-                for b in range(a + 1, top + 1):
-                    n += completions(depth + 1, a, b, False,
-                                     touched0 or a == 0)
-            memo[key] = n
-        return n
+    # The shape total, one row up at a time. after[a][b] counts the
+    # fillings of the rows below a nonempty row (a, b] (zero unless
+    # a < b), gap[a] those of the rows below an empty row whose last
+    # nonempty row starts at a. prefix[a][t] sums after[a'][b'] over
+    # a' <= a and b' <= t: the next nonempty row lies directly below,
+    # within prefix[a][b], or after an empty row, within prefix[a][a].
+    span = range(M + 1)
+    after = [[int(a < b) for b in span] for a in span]
+    gap = [1] * (M + 1)
+    for _ in range(K - 1):
+        prefix, acc = [], [0] * (M + 1)
+        for a in span:
+            acc = [x + y for x, y in zip(acc, accumulate(after[a]))]
+            prefix.append(acc)
+        after = [[gap[a] + prefix[a][b] if a < b else 0 for b in span]
+                 for a in span]
+        gap = [gap[a] + prefix[a][a] for a in span]
+    # the first rows (a, b] in [0, M] give T(K, M); the counts below a
+    # row do not depend on M, so T(K, M) - T(K, M - 1), the normalized
+    # total, sums over the first rows that end at M
+    count = sum(after[a][M] for a in range(M))
 
-    count = 0
-    for a in range(M):
-        for b in range(a + 1, M + 1):
-            count += completions(1, a, b, False, a == 0)
+    # Depth polynomials, packed: sum c_d u^d is the int sum c_d 2^(B d).
+    # A coefficient counts fillings of at most K rows, each row empty
+    # or an interval of (0, M], so it is below (M(M+1)/2 + 1)^K <= 2^B
+    # and no digit carries into the next.
+    B = K * (M * (M + 1) // 2 + 1).bit_length()
+    mask = (1 << B) - 1
 
-    one = [1]
-    rest_memo = {}
+    def digits(x):
+        while x:
+            yield x & mask
+            x >>= B
 
-    def rest(k, top):
-        # Dyck fillings of the last k rows of a remainder, its component
-        # translated so that the last left end is 0 (and b_0 = r). By
-        # (i) a row ends at column k or beyond, k counting the rows from
-        # it on; every left end is at least 0; the next row ends at most
-        # at column top. The sum runs over the right ends the strip
-        # allows as well as over the left ends.
-        if k == 0:
-            return one
-        key = (k, top)
-        acc = rest_memo.get(key)
-        if acc is None:
-            acc = []
-            for v in range(k, top + 1):
-                # the next row ends at v: it is empty, its left end v
-                # bounding the rows below it,
-                _add_product(acc, rest(k - 1, v), one)
-                # or it opens a component of m rows. Its own (i) bounds
-                # its right ends more tightly than the remainder's, so
-                # they range over exactly those of comp[m]; by (ii) its
-                # last left end is v - m, which the rows below it may
-                # not pass.
-                for m in range(1, k + 1):
-                    _add_product(acc, comp[m], rest(k - m, v - m))
-            rest_memo[key] = acc
-        return acc
+    # rest[k][top]: the Dyck fillings of the last k rows of a
+    # remainder, its component translated so that the last left end is
+    # 0 (and b_0 = r). By (i) a row ends at column k or beyond, k
+    # counting the rows from it on; every left end is at least 0; the
+    # next row ends at most at column top, so rest[k] sums over the
+    # right ends v <= top. The row ending at v is empty, its left end v
+    # bounding the rows below it, or it opens a component of m rows.
+    # Its own (i) bounds its right ends more tightly than the
+    # remainder's, so they range over exactly those of comp[m]; by (ii)
+    # its last left end is v - m, which the rows below it may not pass.
+    # b_1 <= b_0 = m, so the remainder of an m-row component has its
+    # first row end at most at m - 1; the strip adds one to the depth.
+    n = min(K, M)
+    comp, rest = [0], [[1] * n]
+    for k in range(1, n + 1):
+        comp.append(rest[k - 1][k - 1] << B)
+        row, acc = [0] * k, 0
+        for v in range(k, n):
+            acc += rest[k - 1][v] + sum(comp[m] * rest[k - m][v - m]
+                                        for m in range(1, k + 1))
+            row.append(acc)
+        rest.append(row)
 
-    comp = [None]
-    for m in range(1, min(K, M) + 1):
-        # b_1 <= b_0 = m, so the remainder's first row ends at most at
-        # m - 1; the strip adds one to the depth
-        comp.append([0] + rest(m - 1, m - 1))
+    def opening(t, b):
+        # the Dyck fillings of rows t.. whose first component starts in
+        # row t and ends at column b
+        return sum(comp[r] * below[t + r][b - r]
+                   for r in range(1, min(b, K - t) + 1))
 
-    below_memo = {}
+    # below[t][bound]: the Dyck fillings of rows t.. in which every row
+    # ends at or left of column bound, the last left end of the
+    # previous component; the shape must reach column 0
+    below = [None] * K + [[1] + [0] * (M - 1)]
+    for t in range(K - 1, 0, -1):
+        row, acc = [1], 0
+        for bound in range(1, M):
+            acc += opening(t, bound)
+            row.append(below[t + 1][bound] + acc)
+        below[t] = row
 
-    def below(t, bound):
-        # Dyck fillings of rows t.. in which every row ends at or left
-        # of column bound, the last left end of the previous component;
-        # the shape must reach column 0
-        if bound == 0:
-            return one
-        if t == K:
-            return []
-        key = (t, bound)
-        acc = below_memo.get(key)
-        if acc is None:
-            acc = []
-            _add_product(acc, below(t + 1, bound), one)
-            for b in range(1, bound + 1):
-                for r in range(1, min(b, K - t) + 1):
-                    _add_product(acc, comp[r], below(t + r, b - r))
-            below_memo[key] = acc
-        return acc
-
-    depths = [1]
+    depths = 1
     nviol = 0
     for b in range(1, M + 1):
         # the first row ends at b; no row ends right of it and one
         # starts at column 0, so b is the width
-        first = []
-        for r in range(1, min(b, K) + 1):
-            _add_product(first, comp[r], below(r, b - r))
-        _add_product(depths, first, one)
-        nviol += sum(first[b + 1:])
-    depth_counts = {d: c for d, c in enumerate(depths) if c}
-    return BoxScan(rows=K, cols=M, shapes=count, dyck=sum(depths) - 1,
+        first = opening(0, b)
+        depths += first
+        nviol += sum(digits(first >> B * (b + 1)))
+    depth_counts = {d: c for d, c in enumerate(digits(depths)) if c}
+    return BoxScan(rows=K, cols=M, shapes=count,
+                   dyck=sum(depth_counts.values()) - 1,
                    max_depth=max(depth_counts), depth_counts=depth_counts,
                    bound_violations=nviol)

@@ -12,8 +12,9 @@ from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly
-from koszulbench.shapes import (_eval_encoded, enumerate_partitions_in_box,
-                                jump_sequence, shape_from_cells)
+from koszulbench.shapes import (BoxScan, _eval_encoded,
+                                enumerate_partitions_in_box, jump_sequence,
+                                shape_from_cells)
 
 
 def box_encodings(rows: int, cols: int):
@@ -50,6 +51,123 @@ def box_shapes(rows: int, cols: int):
     for enc in box_encodings(rows, cols):
         yield shape_from_cells((i, j + 1) for j, ab in enumerate(enc) if ab
                                for i in range(ab[0] + 1, ab[1] + 1))
+
+
+def add_product(acc, p, q):
+    """acc += p * q for depth polynomials, lists of counts indexed by
+    depth; acc grows as needed."""
+    need = len(p) + len(q) - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, c in enumerate(p):
+        if c:
+            for j, e in enumerate(q):
+                acc[i + j] += c * e
+
+
+def scan_box_by_lists(rows: int, cols: int):
+    """shapes.scan_box by a second route: the shape total from a
+    memoized recursion over pairs of row intervals that tracks whether
+    a row starts at column 0, and the depth polynomials as lists of
+    counts multiplied coefficient by coefficient."""
+    K, M = rows, cols
+    memo = {}
+
+    def completions(depth, la, lb, gap, touched0):
+        # fillings of rows depth.. after the nonempty row (la, lb] in
+        # which some row starts at column 0. The next nonempty row
+        # (a, b] lies directly below it (a <= la, b <= lb) or, after
+        # one or more empty rows, strictly to its left (b <= la)
+        if depth == K:
+            return 1 if touched0 else 0
+        key = (depth, la, lb, gap, touched0)
+        n = memo.get(key)
+        if n is None:
+            n = completions(depth + 1, la, lb, True, touched0)
+            top = la if gap else lb
+            for a in range(la + 1):
+                for b in range(a + 1, top + 1):
+                    n += completions(depth + 1, a, b, False,
+                                     touched0 or a == 0)
+            memo[key] = n
+        return n
+
+    count = 0
+    for a in range(M):
+        for b in range(a + 1, M + 1):
+            count += completions(1, a, b, False, a == 0)
+
+    one = [1]
+    rest_memo = {}
+
+    def rest(k, top):
+        # Dyck fillings of the last k rows of a remainder, its component
+        # translated so that the last left end is 0 (and b_0 = r). By
+        # (i) a row ends at column k or beyond, k counting the rows from
+        # it on; every left end is at least 0; the next row ends at most
+        # at column top. The sum runs over the right ends the strip
+        # allows as well as over the left ends.
+        if k == 0:
+            return one
+        key = (k, top)
+        acc = rest_memo.get(key)
+        if acc is None:
+            acc = []
+            for v in range(k, top + 1):
+                # the next row ends at v: it is empty, its left end v
+                # bounding the rows below it,
+                add_product(acc, rest(k - 1, v), one)
+                # or it opens a component of m rows. Its own (i) bounds
+                # its right ends more tightly than the remainder's, so
+                # they range over exactly those of comp[m]; by (ii) its
+                # last left end is v - m, which the rows below it may
+                # not pass.
+                for m in range(1, k + 1):
+                    add_product(acc, comp[m], rest(k - m, v - m))
+            rest_memo[key] = acc
+        return acc
+
+    comp = [None]
+    for m in range(1, min(K, M) + 1):
+        # b_1 <= b_0 = m, so the remainder's first row ends at most at
+        # m - 1; the strip adds one to the depth
+        comp.append([0] + rest(m - 1, m - 1))
+
+    below_memo = {}
+
+    def below(t, bound):
+        # Dyck fillings of rows t.. in which every row ends at or left
+        # of column bound, the last left end of the previous component;
+        # the shape must reach column 0
+        if bound == 0:
+            return one
+        if t == K:
+            return []
+        key = (t, bound)
+        acc = below_memo.get(key)
+        if acc is None:
+            acc = []
+            add_product(acc, below(t + 1, bound), one)
+            for b in range(1, bound + 1):
+                for r in range(1, min(b, K - t) + 1):
+                    add_product(acc, comp[r], below(t + r, b - r))
+            below_memo[key] = acc
+        return acc
+
+    depths = [1]
+    nviol = 0
+    for b in range(1, M + 1):
+        # the first row ends at b; no row ends right of it and one
+        # starts at column 0, so b is the width
+        first = []
+        for r in range(1, min(b, K) + 1):
+            add_product(first, comp[r], below(r, b - r))
+        add_product(depths, first, one)
+        nviol += sum(first[b + 1:])
+    depth_counts = {d: c for d, c in enumerate(depths) if c}
+    return BoxScan(rows=K, cols=M, shapes=count, dyck=sum(depths) - 1,
+                   max_depth=max(depth_counts), depth_counts=depth_counts,
+                   bound_violations=nviol)
 
 
 def pair_scan_rows(k: int, n: int):

@@ -24,7 +24,7 @@ from koszulbench.shapes import (
 )
 from koszulbench import shapes
 
-from oracles import box_encodings, box_shapes
+from oracles import box_encodings, box_shapes, scan_box_by_lists
 
 
 def sh(outer, inner=()):
@@ -66,6 +66,15 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+@pytest.mark.parametrize("parts", [(2.9, 1.2), (2.0,), (True,), ("2",),
+                                   (3, False)])
+def test_partition_refuses_non_integral_parts(parts):
+    with pytest.raises(ValueError, match="not an integer"):
+        Partition(parts)
+    with pytest.raises(ValueError, match="not an integer"):
+        dyck_depth(SkewShape(parts, ()))
 
 
 def test_partition_parts_and_transpose():
@@ -393,6 +402,29 @@ def test_scan_box_rejects_bad_sizes():
         scan_box(0, 4)
     with pytest.raises(ValueError):
         scan_box(16, 2)
+
+
+@pytest.mark.parametrize("rows,cols", [(2.5, 3), (3, 2.0), (True, True),
+                                       (4, False), ("4", 4)])
+def test_scan_box_refuses_non_integer_sides(rows, cols):
+    """A float side once recursed until RecursionError, and True x True
+    scanned a 1x1 box with rows=True; both are refused before any
+    work."""
+    with pytest.raises(ValueError, match="not an integer"):
+        scan_box(rows, cols)
+
+
+SIDES = (1, 2, 4, 8, 11, 15)
+
+
+@pytest.mark.parametrize("k", SIDES)
+def test_scan_box_matches_the_list_route(k):
+    """The prefix-sum count and the packed depth polynomials against
+    the memoized recursion and the list polynomials, up to the 15-side
+    boxes, where the packed digits are widest and brute force cannot
+    reach."""
+    for m in SIDES:
+        assert scan_box(k, m) == scan_box_by_lists(k, m), (k, m)
 
 
 def test_encode_shape_rows():
