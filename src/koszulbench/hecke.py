@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, digits
 
 
 def parse_permutation(text: str, n=None):
@@ -91,16 +91,6 @@ def bruhat_leq(x, w) -> bool:
 # mu terms only subtract, so each is at most the sum of two entries of
 # the column of v = sw: below 2^l(w) <= 2^36 under the rank limit 9.
 _BITS = 64
-_MASK = (1 << _BITS) - 1
-
-
-def _coeffs(p):
-    """Ascending coefficients of an engine polynomial."""
-    out = []
-    while p:
-        out.append(p & _MASK)
-        p >>= _BITS
-    return out
 
 
 class KLTable:
@@ -137,7 +127,7 @@ class KLTable:
     def kl_polynomial(self, x, w) -> LaurentPoly:
         """P_{x,w} as a polynomial in q (exponents are q powers)."""
         p = self._value(x, w)
-        return LaurentPoly({e: c for e, c in enumerate(_coeffs(p)) if c})
+        return LaurentPoly(dict(enumerate(digits(p, _BITS))))
 
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}, the inverse KL polynomial."""

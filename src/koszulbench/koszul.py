@@ -195,7 +195,7 @@ class GradedAlgebra:
         return out
 
 
-def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
+def load_algebra(doc: dict) -> GradedAlgebra:
     """Build an algebra from its JSON document form:
     {"vertices": [...], "basis": [{"name","src","tgt","deg"}, ...],
      "mult": [{"left","right","result": {name: coeff}}, ...]}.
@@ -233,6 +233,9 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
             entry = (rec["name"], rec["src"], rec["tgt"], rec["deg"])
         except (KeyError, TypeError):
             raise ValueError("basis record %r needs name/src/tgt/deg" % (rec,))
+        if not (type(entry[0]) is type(entry[1]) is type(entry[2]) is str):
+            raise ValueError("basis record %r has a name/src/tgt that is "
+                             "not a string" % (rec,))
         if type(entry[3]) is not int:  # bool and float refused
             raise ValueError("basis record %r has a degree that is not an "
                              "integer" % (rec,))
@@ -253,13 +256,17 @@ def load_algebra(doc: dict, name: str = "algebra") -> GradedAlgebra:
             result = {str(k): c for k, c in rec["result"].items()}
         except (KeyError, TypeError, AttributeError):
             raise ValueError("mult record %r needs left/right/result" % (rec,))
+        if not (type(key[0]) is type(key[1]) is str):
+            raise ValueError("mult record %r has a left/right that is not a "
+                             "string" % (rec,))
         if not all(type(c) is int for c in result.values()):
             raise ValueError("mult record %r has a coefficient that is not "
                              "an integer" % (rec,))
         if key in mult:
             raise ValueError("product %r * %r listed twice" % key)
         mult[key] = result
-    return GradedAlgebra(vertices, basis, mult, name=str(doc.get("name", name)))
+    return GradedAlgebra(vertices, basis, mult,
+                         name=str(doc.get("name", "algebra")))
 
 
 def builtin_algebra(name: str) -> GradedAlgebra:
@@ -325,8 +332,9 @@ def default_imax(algebra: GradedAlgebra) -> int:
 def _checked_imax(algebra: GradedAlgebra, i_max) -> int:
     if i_max is None:
         return default_imax(algebra)
-    if i_max < 1:
-        raise ValueError("i_max must be at least 1, got %d" % i_max)
+    if type(i_max) is not int or not 1 <= i_max <= MAX_IMAX:  # bool refused
+        raise ValueError("i_max must be an integer in 1..%d, got %r"
+                         % (MAX_IMAX, i_max))
     return i_max
 
 
@@ -335,14 +343,12 @@ def _block_order(algebra, keys):
 
 
 def _act(algebra, p, fbasis, pos, key, vec, aname):
-    """Right action of a basis element on a sparse block vector of ints
-    (residues when p > 0); returns (newkey, newvec) or None when the
-    image is zero. The terms of b * aname come from algebra.right."""
-    asrc, atgt, adeg = algebra.basis[aname]
-    tgtv, d = key
-    if asrc != tgtv:
-        return None
-    newkey = (atgt, d + adeg)
+    """Right action of a basis element aname leaving the vertex of key
+    on a sparse block vector of ints (residues when p > 0); returns
+    (newkey, newvec) or None when the image is zero. The terms of
+    b * aname come from algebra.right."""
+    _, atgt, adeg = algebra.basis[aname]
+    newkey = (atgt, key[1] + adeg)
     npos = pos.get(newkey)
     if not npos:
         return None

@@ -4,7 +4,8 @@ Coefficients are arbitrary-precision ints keyed by integer exponents.
 Zero coefficients are never stored, so structural equality of the
 coefficient maps is mathematical equality. Besides the ring operations
 there is long division with remainder (divmod), which
-_linalg.bareiss uses as exact division.
+_linalg.bareiss uses as exact division, and digits, which reads back
+the coefficients of a polynomial packed into one int.
 """
 
 from __future__ import annotations
@@ -83,18 +84,12 @@ class LaurentPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = acc
-        out._hash = None
-        return out
+        return _wrap(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        out._hash = None
-        return out
+        return _wrap({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -121,10 +116,7 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = acc
-        out._hash = None
-        return out
+        return _wrap(acc)
 
     __rmul__ = __mul__
 
@@ -163,24 +155,17 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e + k: c for e, c in self._coeffs.items()}
-        out._hash = None
-        return out
+        return _wrap({e + k: c for e, c in self._coeffs.items()})
 
     def inflate(self, k: int) -> "LaurentPoly":
-        """Substitute v -> v^k (exponents multiply by k)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {e * k: c for e, c in self._coeffs.items()}
-        out._hash = None
-        return out
+        """Substitute v -> v^k (exponents multiply by k), k nonzero."""
+        if not k:
+            raise ValueError("inflate needs k != 0")
+        return _wrap({e * k: c for e, c in self._coeffs.items()})
 
     def involute(self) -> "LaurentPoly":
         """The bar involution exchanging v and v^-1."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        out._hash = None
-        return out
+        return _wrap({-e: c for e, c in self._coeffs.items()})
 
     def dominates(self, other: "LaurentPoly") -> bool:
         """Support dominance: every exponent of self also appears in other.
@@ -223,6 +208,24 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.render()
+
+
+def digits(x: int, bits: int):
+    """The base-2^bits digits of x >= 0, lowest first: the coefficients
+    of a polynomial packed at 2^bits whose digits do not carry."""
+    mask = (1 << bits) - 1
+    while x:
+        yield x & mask
+        x >>= bits
+
+
+def _wrap(coeffs) -> LaurentPoly:
+    """A LaurentPoly that takes coeffs as they are: int exponents, no
+    zero coefficient."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._coeffs = coeffs
+    out._hash = None
+    return out
 
 
 def _coerce(x):

@@ -175,7 +175,7 @@ def dyck_rows(k: int, n: int):
 # bound keeps >= 0; kl_inversion_check multiplies K by u^S to keep
 # that true for whatever its table holds.
 _BITS = hecke._BITS
-_MASK = hecke._MASK
+_MASK = (1 << _BITS) - 1
 
 
 def _repack(p, d):
@@ -284,11 +284,9 @@ class MultiplicityMatrix:
         return "\n".join(lines)
 
 
-def delta_ic_matrix(space: Space) -> MultiplicityMatrix:
-    """Rows nu, columns lam, entry [Delta_nu : IC_lam]."""
-    labels = space.labels()
-    rows = _delta_rows(space, labels)
-    # one shared LaurentPoly per distinct value
+def _matrix(space: Space, tag: str, labels, rows) -> MultiplicityMatrix:
+    """The matrix of sparse packed rows, one shared LaurentPoly per
+    distinct value."""
     values = {x for row in rows for x in row.values()}
     polys = {x: _unpack(x) for x in values}
     zero = LaurentPoly.zero()
@@ -298,7 +296,13 @@ def delta_ic_matrix(space: Space) -> MultiplicityMatrix:
         for j, x in row.items():
             line[j] = polys[x]
         entries.append(line)
-    return MultiplicityMatrix(space, "delta_ic", labels, entries)
+    return MultiplicityMatrix(space, tag, labels, entries)
+
+
+def delta_ic_matrix(space: Space) -> MultiplicityMatrix:
+    """Rows nu, columns lam, entry [Delta_nu : IC_lam]."""
+    labels = space.labels()
+    return _matrix(space, "delta_ic", labels, _delta_rows(space, labels))
 
 
 def graded_cartan(space: Space) -> MultiplicityMatrix:
@@ -315,14 +319,11 @@ def graded_cartan(space: Space) -> MultiplicityMatrix:
             cell = acc[ia]
             for ib, pb in terms[s:]:
                 cell[ib] = cell.get(ib, 0) + pa * pb
-    values = {x for cell in acc for x in cell.values()}
-    polys = {x: _unpack(x) for x in values}
-    zero = LaurentPoly.zero()
-    entries = [[zero] * len(labels) for _ in labels]
-    for ia, cell in enumerate(acc):
+    for ia, cell in enumerate(acc):  # mirror into the lower triangle
         for ib, x in cell.items():
-            entries[ia][ib] = entries[ib][ia] = polys[x]
-    return MultiplicityMatrix(space, "cartan", labels, entries)
+            if ib > ia:
+                acc[ib][ia] = x
+    return _matrix(space, "cartan", labels, acc)
 
 
 @dataclass

@@ -15,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .laurent import digits
+
 
 def _clean_parts(parts):
+    parts = tuple(parts)  # walked twice, so a generator is read once
     out = []
     prev = None
     for p in parts:
@@ -27,7 +30,7 @@ def _clean_parts(parts):
         if p == 0:
             continue
         if prev is not None and p > prev:
-            raise ValueError("parts not weakly decreasing: %r" % (tuple(parts),))
+            raise ValueError("parts not weakly decreasing: %r" % (parts,))
         out.append(p)
         prev = p
     # zeros are allowed only as trailing padding
@@ -36,7 +39,7 @@ def _clean_parts(parts):
         if p == 0:
             seen_zero = True
         elif seen_zero:
-            raise ValueError("interior zero part in %r" % (tuple(parts),))
+            raise ValueError("interior zero part in %r" % (parts,))
     return tuple(out)
 
 
@@ -492,12 +495,6 @@ def scan_box(rows: int, cols: int) -> BoxScan:
     # or an interval of (0, M], so it is below (M(M+1)/2 + 1)^K <= 2^B
     # and no digit carries into the next.
     B = K * (M * (M + 1) // 2 + 1).bit_length()
-    mask = (1 << B) - 1
-
-    def digits(x):
-        while x:
-            yield x & mask
-            x >>= B
 
     # rest[k][top]: the Dyck fillings of the last k rows of a
     # remainder, its component translated so that the last left end is
@@ -546,8 +543,8 @@ def scan_box(rows: int, cols: int) -> BoxScan:
         # starts at column 0, so b is the width
         first = opening(0, b)
         depths += first
-        nviol += sum(digits(first >> B * (b + 1)))
-    depth_counts = {d: c for d, c in enumerate(digits(depths)) if c}
+        nviol += sum(digits(first >> B * (b + 1), B))
+    depth_counts = {d: c for d, c in enumerate(digits(depths, B)) if c}
     return BoxScan(rows=K, cols=M, shapes=count,
                    dyck=sum(depth_counts.values()) - 1,
                    max_depth=max(depth_counts), depth_counts=depth_counts,

@@ -84,28 +84,19 @@ def wt_from_blocks(blocks):
 
 
 def cartan_blocks(space) -> list:
-    """Exponent-support blocks of the graded Cartan matrix, converted
-    from v-degrees to q-degrees (each block is parity-pure; shift to
-    even, halve, normalize to min 0)."""
-    matrix = mult.graded_cartan(space)
-    # the matrix shares one object per distinct entry: block each once
-    block_of = {}
+    """The exponent-support blocks of the distinct nonzero entries of
+    the graded Cartan matrix, sorted, in q-degrees: each entry is
+    parity-pure, so its v-degrees are shifted to even and halved."""
     blocks = []
-    for row in matrix.entries:
-        for p in row:
-            if not p:
-                continue
-            block = block_of.get(p)
-            if block is None:
-                exps = sorted(-e for e in p.support())
-                parity = exps[0] % 2
-                if any(e % 2 != parity for e in exps):
-                    raise ValueError("mixed-parity Cartan entry %s"
-                                     % p.render())
-                block = block_of[p] = tuple((e - parity) // 2
-                                            for e in exps)
-            blocks.append(block)
-    return blocks
+    for p in set().union(*mult.graded_cartan(space).entries):
+        if not p:
+            continue
+        exps = sorted(-e for e in p.support())
+        parity = exps[0] % 2
+        if any(e % 2 != parity for e in exps):
+            raise ValueError("mixed-parity Cartan entry %s" % p.render())
+        blocks.append(tuple((e - parity) // 2 for e in exps))
+    return sorted(blocks)
 
 
 def wt_space(space) -> tuple:

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
-from koszulbench.laurent import LaurentPoly
+from koszulbench.laurent import LaurentPoly, digits
 from koszulbench.shapes import (BoxScan, _eval_encoded,
                                 enumerate_partitions_in_box, jump_sequence,
                                 shape_from_cells)
@@ -303,8 +303,7 @@ class FullKLTable:
 
     def kl_polynomial(self, x, w) -> LaurentPoly:
         p = self._value(self._id(x), self._id(w))
-        return LaurentPoly({e: c for e, c in enumerate(hecke._coeffs(p))
-                            if c})
+        return LaurentPoly(dict(enumerate(digits(p, hecke._BITS))))
 
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}."""

@@ -237,6 +237,14 @@ def test_koszul_integral(capsys):
     assert json.loads(out)["verdict"] == "inapplicable"
 
 
+def test_koszul_integral_text_when_dimensions_differ(capsys):
+    code, out, _ = run(["koszul", "integral", "--builtin", "torsion_p1:3",
+                        "--l", "3"], capsys)
+    assert code == 2
+    assert out == ("ext dimensions differ between Q and F3: Ext is not "
+                   "free over the integral form, verdict inapplicable\n")
+
+
 def test_bad_inputs_exit_one(capsys):
     for argv in (
         ["dyck", "depth", "1,2,3"],
@@ -386,6 +394,30 @@ def test_non_integer_numbers_exit_one(case, capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert reason in err
+
+
+# Each document names a basis element, a vertex or a factor by a list,
+# which is unhashable; the error names the record instead.
+LIST_NAMES = {
+    "name": {"vertices": ["a"], "basis": [
+        {"name": ["x"], "src": "a", "tgt": "a", "deg": -1}]},
+    "src": {"vertices": ["a"], "basis": [
+        {"name": "x", "src": ["a"], "tgt": "a", "deg": -1}]},
+    "left": dict(loop_algebra(1), mult=[
+        {"left": ["x"], "right": "x", "result": {"w": 1}}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_NAMES))
+def test_list_names_exit_one(case, capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(LIST_NAMES[case]))
+    code, out, err = run(["koszul", "--algebra", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "not a string" in err
+    assert "Traceback" not in err
 
 
 def test_resolution_above_free_rank_limit_exits_one(capsys):

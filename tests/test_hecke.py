@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import hecke
 from koszulbench.hecke import KLTable
-from koszulbench.laurent import LaurentPoly
+from koszulbench.laurent import LaurentPoly, digits
 from koszulbench.shapes import Partition
 
 from oracles import (FullKLTable, first_descent, grassmannian_permutations,
@@ -106,8 +106,8 @@ def test_textbook_recursion_matches_table_on_s5():
         assert set(got) == {flag_word(x) for x in col
                             if hecke.bruhat_leq(x, w)}, w
         for x, p in col.items():
-            assert tuple(hecke._coeffs(got.get(flag_word(x), 0))) == p, \
-                (x, w)
+            assert tuple(digits(got.get(flag_word(x), 0),
+                                hecke._BITS)) == p, (x, w)
 
 
 def test_columns_match_under_inverse_and_w0_conjugation_on_s6():
@@ -485,7 +485,7 @@ def test_rank_9_query_stores_quotient_columns_only():
 
 
 def _unpack(p):
-    return LaurentPoly({e: c for e, c in enumerate(hecke._coeffs(p)) if c})
+    return LaurentPoly(dict(enumerate(digits(p, hecke._BITS))))
 
 
 # every (k, n - k) with n <= 8, (1^n) with n <= 5, and some longer ones

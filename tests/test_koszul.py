@@ -99,8 +99,8 @@ def test_load_rejects_associativity_failure():
             {("x", "x"): {"y": 1}, ("x", "y"): {"z": 1}})
 
 
-def test_load_algebra_from_document():
-    doc = {
+def p1_doc():
+    return {
         "vertices": ["a", "b"],
         "basis": [
             {"name": "u", "src": "a", "tgt": "b", "deg": -1},
@@ -109,10 +109,34 @@ def test_load_algebra_from_document():
         ],
         "mult": [{"left": "v", "right": "u", "result": {"vu": 1}}],
     }
-    algebra = load_algebra(doc)
+
+
+def test_load_algebra_from_document():
+    algebra = load_algebra(p1_doc())
     assert algebra.idempotent == {"a": "e_a", "b": "e_b"}
     report = is_koszul(algebra, "Q")
     assert report.is_koszul
+
+
+NON_STRING_NAMES = {
+    "basis-name": ("basis", 0, "name"),
+    "basis-src": ("basis", 0, "src"),
+    "basis-tgt": ("basis", 1, "tgt"),
+    "mult-left": ("mult", 0, "left"),
+    "mult-right": ("mult", 0, "right"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_STRING_NAMES))
+def test_load_algebra_refuses_names_that_are_not_strings(case):
+    """A list name is unhashable; every name that is not a string is
+    refused as an input error."""
+    key, index, field = NON_STRING_NAMES[case]
+    for bad in ([field], 1, None):
+        doc = p1_doc()
+        doc[key][index][field] = bad
+        with pytest.raises(ValueError, match="not a string"):
+            load_algebra(doc)
 
 
 def sized_doc(vertices, basis, mult):
@@ -252,6 +276,22 @@ def test_imax_below_one_is_rejected(i_max):
         minimal_resolution(A, "a", "Q", i_max)
     with pytest.raises(ValueError):
         ext_table(A, "Q", i_max)
+
+
+@pytest.mark.parametrize("i_max", [koszul.MAX_IMAX + 1, 40, 2.5, True, "3"])
+def test_imax_outside_the_bound_or_not_an_int_is_rejected(i_max):
+    A = builtin_algebra("dual_numbers")
+    with pytest.raises(ValueError, match="i_max must be an integer"):
+        minimal_resolution(A, "pt", "F:2", i_max)
+    with pytest.raises(ValueError, match="i_max must be an integer"):
+        ext_table(A, "F:2", i_max)
+
+
+def test_imax_at_the_bound_is_accepted():
+    res = minimal_resolution(builtin_algebra("dual_numbers"), "pt", "F:2",
+                             koszul.MAX_IMAX)
+    assert len(res.steps) == koszul.MAX_IMAX + 1
+    assert not res.finished
 
 
 def test_integral_check_p1():

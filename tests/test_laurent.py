@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulbench.laurent import LaurentPoly
+from koszulbench.laurent import LaurentPoly, digits
 
 
 def rand_poly(rng, span=6, terms=4):
@@ -75,6 +75,18 @@ def test_shift_and_inflate():
     assert p.shift(-1) == LaurentPoly.from_pairs([(-1, 1), (1, 1)])
     assert p.inflate(3) == LaurentPoly.from_pairs([(0, 1), (6, 1)])
     assert p.inflate(1) == p
+
+
+def test_inflate_by_zero_is_refused():
+    # v -> 1 would add the coefficients up; no exponent map does that
+    with pytest.raises(ValueError):
+        LaurentPoly({1: 2, 2: 3}).inflate(0)
+
+
+def test_digits_lowest_first():
+    assert list(digits(0, 8)) == []
+    assert list(digits(5 + (7 << 16), 8)) == [5, 0, 7]
+    assert list(digits(2 ** 64 - 1, 64)) == [2 ** 64 - 1]
 
 
 def test_involution_is_ring_automorphism():

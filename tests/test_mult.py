@@ -450,3 +450,13 @@ def test_kl_inversion_check_reports_a_corrupted_entry(k, n, lam, mu,
     assert report.first_failure == (
         lam, mu, added + (1 if lam == mu else 0))
     assert report.render_text().startswith("FAIL at (%s, %s)" % (lam, mu))
+
+
+def test_failing_inversion_report_json():
+    got = LaurentPoly.from_pairs([(0, 1), (1, -2)])
+    report = mult.InversionReport(2, 4, False, (Partition((2, 1)),
+                                                Partition((1,)), got))
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert doc == {"space": "gr(2,4)", "ok": False,
+                   "first_failure": {"row": [2, 1], "col": [1],
+                                     "entry": {"0": 1, "1": -2}}}

@@ -68,6 +68,13 @@ def test_partition_validation():
         Partition((2, -1))
 
 
+def test_partition_from_a_generator_checks_like_a_tuple():
+    assert Partition(p for p in (3, 1, 0)).parts == (3, 1)
+    for parts in ((2, 0, 1), (1, 2)):
+        with pytest.raises(ValueError, match=r"\(%d, %d" % parts[:2]):
+            Partition(p for p in parts)
+
+
 @pytest.mark.parametrize("parts", [(2.9, 1.2), (2.0,), (True,), ("2",),
                                    (3, False)])
 def test_partition_refuses_non_integral_parts(parts):

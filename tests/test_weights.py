@@ -37,6 +37,8 @@ def test_cartan_blocks_parity():
     blocks = weights.cartan_blocks(mult.Space.gr(1, 2))
     assert (0, 1) in blocks
     assert all(b[0] == 0 for b in blocks)
+    # one block per distinct entry (1, v^-1, 1 + v^-2), sorted
+    assert blocks == [(0,), (0,), (0, 1)]
 
 
 WT_CASES = [
