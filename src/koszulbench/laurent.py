@@ -20,8 +20,11 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                if not type(e) is type(c) is int:  # bool and float refused
+                    raise ValueError("exponent %r or coefficient %r is not "
+                                     "an integer" % (e, c))
                 if c:
-                    clean[int(e)] = c
+                    clean[e] = c
         self._coeffs = clean
         self._hash = None
 
@@ -204,7 +207,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json_dict(d) -> "LaurentPoly":
-        return LaurentPoly({int(e): int(c) for e, c in d.items()})
+        """The inverse of to_json_dict: each exponent is a string that
+        spells an integer, and each coefficient an int."""
+        coeffs = {}
+        for e, c in d.items():
+            if type(e) is not str:
+                raise ValueError("exponent %r is not a string" % (e,))
+            try:
+                coeffs[int(e)] = c
+            except ValueError:
+                raise ValueError("exponent %r is not an integer"
+                                 % (e,)) from None
+        return LaurentPoly(coeffs)
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.render()

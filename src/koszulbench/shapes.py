@@ -17,6 +17,10 @@ from itertools import accumulate
 
 from .laurent import digits
 
+# Most rows dyck_depth accepts; its cost is at most rows times levels,
+# and a square is the worst case. See docs/cli.md.
+MAX_DEPTH_ROWS = 2048
+
 
 def _clean_parts(parts):
     parts = tuple(parts)  # walked twice, so a generator is read once
@@ -321,10 +325,21 @@ def dyck_depth(shape: SkewShape) -> DyckVerdict:
     """The four-rule recursion: empty has depth 0, a Dyck connected
     border strip has depth 1, a disconnected shape sums over its
     components, and a connected shape splits into its outer border
-    strip plus the rest, both of which must be Dyck. Evaluated by
-    _eval_encoded through the strip criteria (i) and (ii) below, the
-    same rule scan_box counts with."""
-    d = _eval_encoded(encode_shape(shape))
+    strip plus the rest, both of which must be Dyck. Evaluated level
+    by level by _depth_by_levels, straight from the parts: each level
+    peels the outer strip of every component at once and checks it
+    with the strip criteria (i) and (ii) below, the same rule scan_box
+    counts with. The cost is at most rows times levels (a square of
+    side n takes n(n+1)/2 row steps), so a shape may have at most
+    MAX_DEPTH_ROWS rows; a longer one raises ValueError before any
+    work."""
+    outer = shape.outer.parts
+    n = len(outer)
+    if n > MAX_DEPTH_ROWS:
+        raise ValueError("shape has %d rows, more than the limit of %d"
+                         % (n, MAX_DEPTH_ROWS))
+    inner = shape.inner.parts
+    d = _depth_by_levels(inner + (0,) * (n - len(inner)), outer)
     return DyckVerdict(d >= 0, d if d >= 0 else 0)
 
 
@@ -339,12 +354,13 @@ def transpose(shape: SkewShape) -> SkewShape:
 # Row-interval evaluator and box scanner.
 #
 # Both apply one rule, the strip criteria (i) and (ii) below:
-# _eval_encoded checks them on each component of a shape, and scan_box
-# builds exactly the components that pass them. The evaluator works on
-# per-row column intervals, never on cell sets, and the criteria are
-# relative to a component's top row, so it needs neither normalization
-# nor a bound on the width. Tests check it against the object-level
-# four-rule recursion above.
+# _depth_by_levels checks them on each component of a shape, level by
+# level, and scan_box builds exactly the components that pass them.
+# The evaluator reads the parts themselves, never cell sets, and the
+# criteria are relative to a component's top row, so it needs neither
+# normalization nor a bound on the width. Tests check it against the
+# object-level four-rule recursion and against a stack evaluator on
+# row lists (tests/oracles.py).
 #
 # The scanner never lists shapes. It counts them with a transfer over
 # row intervals whose steps read 2-D prefix sums, and it counts the
@@ -352,7 +368,7 @@ def transpose(shape: SkewShape) -> SkewShape:
 # u = 2^B (Kronecker substitution, as in mult), so that a product of
 # depth polynomials is one int product. Tests check it against a
 # route of memoized recursions and coefficient lists, and against
-# _eval_encoded on every shape of the small boxes.
+# the evaluator on every shape of the small boxes.
 #
 # Strip-plus-remainder decomposition. Let a connected component have
 # the rows (a_0, b_0], ..., (a_{r-1}, b_{r-1}], top to bottom. Its rows
@@ -380,50 +396,72 @@ def transpose(shape: SkewShape) -> SkewShape:
 # ---------------------------------------------------------------------------
 
 
-def encode_shape(shape: SkewShape):
-    """The row encoding of a shape, one entry per part of the outer
-    partition: (inner_j, outer_j) for a nonempty row, else None."""
-    outer = shape.outer.parts
-    inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner.parts))
-    return [(a, b) if a < b else None for a, b in zip(inner, outer)]
+# Level by level. Let a and b be the inner and outer parts, a padded
+# with zeros to the length n of b, and call level k the rows
+# (a_t, b_{t+k} - k] for t + k < n; level 0 is the shape. Level k is
+# what k rounds of strip peeling leave, and its components are those
+# of the remainders. By induction on k: a component of level k with
+# the rows t..t+r-1 leaves the remainder rows (a_u, b_{u+1+k} - k - 1]
+# for t <= u < t + r - 1, which are level k + 1's rows there, and the
+# rest of level k + 1 is empty, with no row joining two remainders:
+#   - the component's last row u = t + r - 1 is empty at level k + 1:
+#     row u + 1 is absent, empty or misses row u at level k, so
+#     b_{u+1+k} - k <= a_u, since a weakly decreases;
+#   - a row empty at level k stays empty, b_{t+k+1} - 1 <= b_{t+k}
+#     <= a_t + k, since b weakly decreases;
+#   - rows of different components never merge: rows u and u + 1 lie
+#     in different components iff b_{u+1+k} - k <= a_u, and then
+#     b_{u+2+k} - k - 1 < a_u as well.
+# So the depth is the number of components summed over the levels, and
+# the shape is Dyck iff every component at every level passes (i) and
+# (ii). With the component's top row t and u = t + 1, ..., t + r - 1
+# they read
+#   (i)  b_{u+k} + u >= b_{t+k} + t + 1, and
+#   (ii) a_{t+r-1} + k + r == b_{t+k}.
+# Level k + 1 has nonempty rows only from level k's first component to
+# the row before its last component's last row; each level ends at
+# least one row earlier than the one before, so t + k < n holds
+# throughout, and the evaluation stops at the first level with no
+# component.
 
 
-def _eval_encoded(enc):
-    """Dyck depth of an encoded shape, or -1 when it is not Dyck.
-
-    enc holds one entry per row, as encode_shape builds it: the pair
-    (a, b) for the half-open column interval (a, b], or None for an
-    empty row. Each component must pass the strip criteria (i) and
-    (ii) above; it adds one to the depth, and its remainder is
-    evaluated in turn.
-    """
+def _depth_by_levels(a, b):
+    """Dyck depth of the shape with the rows (a_t, b_t], or -1 when it
+    is not Dyck; a is padded to the length of b. Counts the components
+    of every level, as above, without building a row list."""
     total = 0
-    stack = [enc]
-    while stack:
-        rows = stack.pop()
-        n = len(rows)
-        j = 0
-        while j < n:
-            if rows[j] is None:
-                j += 1
-                continue
-            pa, b0 = rows[j]
-            rem = []
-            t = 1
-            # a row joins the component iff it overlaps the row above
-            while j + t < n and rows[j + t] and rows[j + t][1] > pa:
-                a, b = rows[j + t]
-                if b + t - 1 < b0:
-                    return -1
-                rem.append((pa, b - 1) if b - 1 > pa else None)
-                pa = a
+    lo, hi = 0, len(b)
+    k = 0
+    while True:
+        first = -1
+        t = lo
+        while t < hi:
+            b0 = b[t + k]
+            pk = a[t] + k  # the left end of row t, shifted by k
+            if b0 <= pk:  # an empty row
                 t += 1
-            if pa + t != b0:
-                return -1
+                continue
+            if first < 0:
+                first = t
             total += 1
-            stack.append(rem)
-            j += t
-    return total
+            lim = b0 + t + 1
+            u = t + 1
+            # a row joins the component iff it overlaps the row above
+            while u < hi:
+                c = b[u + k]
+                if c <= pk:
+                    break
+                if c + u < lim:  # (i)
+                    return -1
+                pk = a[u] + k
+                u += 1
+            if pk + u - t != b0:  # (ii)
+                return -1
+            t = last = u
+        if first < 0:
+            return total
+        lo, hi = first, last - 1
+        k += 1
 
 
 @dataclass

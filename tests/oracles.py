@@ -12,14 +12,77 @@ from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly, digits
-from koszulbench.shapes import (BoxScan, _eval_encoded,
-                                enumerate_partitions_in_box, jump_sequence,
-                                shape_from_cells)
+from koszulbench.shapes import (BoxScan, enumerate_partitions_in_box,
+                                jump_sequence, shape_from_cells)
+
+
+def encode_shape(shape):
+    """The row encoding of a shape, one entry per part of the outer
+    partition: (inner_j, outer_j) for a nonempty row, else None."""
+    outer = shape.outer.parts
+    inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner.parts))
+    return [(a, b) if a < b else None for a, b in zip(inner, outer)]
+
+
+def eval_encoded(enc):
+    """shapes.dyck_depth by a second route: a stack of row lists, one
+    per remainder, instead of the levels read off the parts. The depth,
+    or -1 when the shape is not Dyck.
+
+    enc holds one entry per row, as encode_shape builds it: the pair
+    (a, b) for the half-open column interval (a, b], or None for an
+    empty row. Each component must pass the strip criteria (i) and
+    (ii) of shapes; it adds one to the depth, and its remainder, the
+    rows (a_t, b_{t+1} - 1] but the last, goes on the stack.
+    """
+    total = 0
+    stack = [enc]
+    while stack:
+        rows = stack.pop()
+        n = len(rows)
+        j = 0
+        while j < n:
+            if rows[j] is None:
+                j += 1
+                continue
+            pa, b0 = rows[j]
+            rem = []
+            t = 1
+            # a row joins the component iff it overlaps the row above
+            while j + t < n and rows[j + t] and rows[j + t][1] > pa:
+                a, b = rows[j + t]
+                if b + t - 1 < b0:
+                    return -1
+                rem.append((pa, b - 1) if b - 1 > pa else None)
+                pa = a
+                t += 1
+            if pa + t != b0:
+                return -1
+            total += 1
+            stack.append(rem)
+            j += t
+    return total
+
+
+def encoding_parts(enc):
+    """Inner and outer parts (a, b) with the rows of enc, for
+    shapes._depth_by_levels: an empty row gets a = b = the right end of
+    the next nonempty row below it (0 if there is none), which keeps
+    both weakly decreasing whenever enc is a skew shape."""
+    a, b = [0] * len(enc), [0] * len(enc)
+    below = 0
+    for t in range(len(enc) - 1, -1, -1):
+        if enc[t] is None:
+            a[t] = b[t] = below
+        else:
+            a[t], b[t] = enc[t]
+            below = b[t]
+    return tuple(a), tuple(b)
 
 
 def box_encodings(rows: int, cols: int):
     """Every normalized nonempty skew shape in a rows x cols box, as a
-    list of one entry per row in the format of shapes.encode_shape: the
+    list of one entry per row in the format of encode_shape: the
     interval (a, b] or None. The first row is nonempty, some row starts
     at column 0, and a nonempty row lies directly below the previous
     nonempty one (a <= la, b <= lb) or, after one or more empty rows,
@@ -188,7 +251,7 @@ def pair_scan_rows(k: int, n: int):
                     break
                 enc.append((a, b) if a < b else None)
             else:
-                d = _eval_encoded(enc)
+                d = eval_encoded(enc)
                 if d >= 0:
                     row[j] = d
         rows.append(row)

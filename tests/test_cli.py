@@ -452,6 +452,8 @@ STEP_4097 = {"vertices": ["a", "b"],
 PAST_LIMITS = {
     "box-16x1": (["dyck", "enumerate", "--box", "16x1"], None, "15x15"),
     "box-1x16": (["dyck", "enumerate", "--box", "1x16"], None, "15x15"),
+    "dyck-rows-2049": (["dyck", "depth", ",".join(["2049"] * 2049)], None,
+                       "2049 rows, more than the limit of 2048"),
     "imax-33": (["koszul", "--builtin", "p1", "--imax", "33"], None,
                 "1..32"),
     "step-4097": (["koszul", "--field", "Q"], STEP_4097,

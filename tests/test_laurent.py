@@ -134,6 +134,25 @@ def test_json_round_trip():
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
 
 
+@pytest.mark.parametrize("coeffs", [{0.7: 1}, {0: 0.5}, {True: 3},
+                                    {0: False}, {"1": 2}, {0: 1, 1: 2.0}])
+def test_non_integer_terms_are_refused(coeffs):
+    """{0.7: 1} used to become 1, {True: 3} 3*v, and {0: 0.5} kept its
+    float coefficient; a zero coefficient is checked as well."""
+    with pytest.raises(ValueError, match="not an integer"):
+        LaurentPoly(coeffs)
+
+
+@pytest.mark.parametrize("doc", [{"0": 0.5, "1": 2.9}, {"0": True},
+                                 {"0.5": 1}, {"v": 1}, {0: 1}, {"1": "2"}])
+def test_from_json_dict_refuses_non_integer_terms(doc):
+    """{"0": 0.5, "1": 2.9} used to load as 2*v."""
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_dict(doc)
+    assert LaurentPoly.from_json_dict({"-2": 3, "0": 1}) == (
+        LaurentPoly.from_pairs([(-2, 3), (0, 1)]))
+
+
 def test_hashable_and_equal():
     a = LaurentPoly.from_pairs([(1, 1), (0, 2)])
     b = LaurentPoly.from_pairs([(0, 2), (1, 1)])

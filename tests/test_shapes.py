@@ -10,7 +10,6 @@ from koszulbench.shapes import (
     SkewShape,
     connected_components,
     dyck_depth,
-    encode_shape,
     enumerate_partitions_in_box,
     is_border_strip,
     is_dyck_cbs,
@@ -20,42 +19,61 @@ from koszulbench.shapes import (
     scan_box,
     shape_from_cells,
     transpose,
-    _eval_encoded,
+    _depth_by_levels,
 )
 from koszulbench import shapes
 
-from oracles import box_encodings, box_shapes, scan_box_by_lists
+from oracles import (box_encodings, box_shapes, encode_shape,
+                     encoding_parts, eval_encoded, scan_box_by_lists)
 
 
 def sh(outer, inner=()):
     return SkewShape(Partition(outer), Partition(inner))
 
 
-def oracle_depth(shape):
+def oracle_depth(shape, memo=None):
     """The four-rule recursion on SkewShape objects, or None when the
     shape is not Dyck. Built only from the object-level primitives, so
-    it shares no code with the row-interval evaluator."""
+    it shares no code with the row-interval evaluators. memo, a dict
+    shared between calls, keeps the depths of the shapes met so far;
+    components and remainders repeat across the shapes of a box."""
     if shape.is_empty():
         return 0
+    if memo is None:
+        memo = {}
+    if shape in memo:
+        return memo[shape]
     comps = connected_components(shape)
     if len(comps) > 1:
-        depths = [oracle_depth(c) for c in comps]
-        return None if None in depths else sum(depths)
-    if is_border_strip(shape):
-        return 1 if is_dyck_cbs(shape) else None
-    strip = oracle_depth(outer_border_strip(shape))
-    if strip is None:
-        return None
-    cs = shape.cell_set()
-    rest = oracle_depth(shape_from_cells(
-        (i, j) for i, j in shape.cells if (i + 1, j + 1) in cs))
-    return None if rest is None else strip + rest
+        depths = [oracle_depth(c, memo) for c in comps]
+        got = None if None in depths else sum(depths)
+    elif is_border_strip(shape):
+        got = 1 if is_dyck_cbs(shape) else None
+    else:
+        strip = oracle_depth(outer_border_strip(shape), memo)
+        rest = None
+        if strip is not None:
+            cs = shape.cell_set()
+            rest = oracle_depth(shape_from_cells(
+                (i, j) for i, j in shape.cells if (i + 1, j + 1) in cs),
+                memo)
+        got = None if rest is None else strip + rest
+    memo[shape] = got
+    return got
 
 
-def assert_matches_oracle(shape):
-    want = oracle_depth(shape)
+def levels(enc):
+    """The library evaluator on a row encoding."""
+    return _depth_by_levels(*encoding_parts(enc))
+
+
+def assert_matches_both_routes(shape):
+    """dyck_depth against the stack of row lists and the object-level
+    recursion."""
+    want = eval_encoded(encode_shape(shape))
+    assert oracle_depth(shape) == (want if want >= 0 else None), shape
     v = dyck_depth(shape)
-    assert (v.is_dyck, v.depth) == (want is not None, want or 0), shape
+    assert (v.is_dyck, v.depth) == (want >= 0, max(want, 0)), shape
 
 
 def test_partition_validation():
@@ -250,19 +268,43 @@ def test_square_has_depth_i(i):
 
 def test_depth_invariant_under_translation():
     assert dyck_depth(sh((4, 4), (3, 3))) == dyck_depth(sh((1, 1)))
-    # the evaluator reads each component relative to its top row, so
+    # both evaluators read each component relative to its top row, so
     # empty rows before or after a shape and a shift of its columns
     # leave the result alone
     for shape in box_shapes(4, 4):
         enc = encode_shape(shape)
-        want = _eval_encoded(enc)
+        want = eval_encoded(enc)
+        assert levels(enc) == want, shape
         for pad in (1, 2):
-            assert _eval_encoded([None] * pad + enc) == want, shape
-            assert _eval_encoded(enc + [None] * pad) == want, shape
+            for moved in ([None] * pad + enc, enc + [None] * pad):
+                assert eval_encoded(moved) == want, shape
+                assert levels(moved) == want, shape
         for c in (1, 2, 3):
             shifted = [None if e is None else (e[0] + c, e[1] + c)
                        for e in enc]
-            assert _eval_encoded(shifted) == want, shape
+            assert eval_encoded(shifted) == want, shape
+            assert levels(shifted) == want, shape
+
+
+def test_levels_match_the_stack_route_and_the_oracle_on_every_small_box():
+    """The level evaluator, through dyck_depth and on the row encoding,
+    against the stack of row lists and the object-level recursion on
+    every normalized shape of the boxes with k + m <= 10."""
+    memo = {}
+    seen = dyck = 0
+    for k in range(1, 10):
+        for m in range(1, 11 - k):
+            for enc, shape in zip(box_encodings(k, m), box_shapes(k, m)):
+                want = eval_encoded(enc)
+                assert levels(enc) == want, enc
+                v = dyck_depth(shape)
+                assert (v.is_dyck, v.depth) == (want >= 0, max(want, 0)), enc
+                assert oracle_depth(shape, memo) == (want if want >= 0
+                                                     else None), enc
+                seen += 1
+                dyck += want >= 0
+    assert (seen, dyck) == (27769, sum(
+        scan_box(k, m).dyck for k in range(1, 10) for m in range(1, 11 - k)))
 
 
 def test_depth_transpose_symmetry_small_boxes():
@@ -311,14 +353,14 @@ def test_scan_box_frozen_counts():
 
 
 def brute_scan_box(rows, cols):
-    """Every normalized shape in the box through _eval_encoded, with no
-    counter and no depth polynomials: one evaluation per shape of
+    """Every normalized shape in the box through _depth_by_levels, with
+    no counter and no depth polynomials: one evaluation per shape of
     box_encodings."""
     count = ndyck = maxdp = nviol = 0
     depth_counts = {0: 1}
     for enc in box_encodings(rows, cols):
         count += 1
-        d = _eval_encoded(enc)
+        d = levels(enc)
         if d >= 0:
             ndyck += 1
             depth_counts[d] = depth_counts.get(d, 0) + 1
@@ -368,10 +410,10 @@ def test_full_depth_count_is_catalan():
 
 
 def test_scan_box_evaluates_no_shape(monkeypatch):
-    def refuse(enc):
-        raise AssertionError("scan_box evaluated %r" % (enc,))
+    def refuse(a, b):
+        raise AssertionError("scan_box evaluated %r / %r" % (b, a))
 
-    monkeypatch.setattr(shapes, "_eval_encoded", refuse)
+    monkeypatch.setattr(shapes, "_depth_by_levels", refuse)
     scan = scan_box(7, 7)
     assert (scan.shapes, scan.dyck) == (976501, 27104)
 
@@ -450,7 +492,7 @@ def test_dyck_depth_matches_oracle_on_every_skew_pair(k, m):
     for lam in parts:
         for mu in parts:
             if lam.contains(mu):
-                assert_matches_oracle(SkewShape(lam, mu))
+                assert_matches_both_routes(SkewShape(lam, mu))
 
 
 @st.composite
@@ -531,8 +573,58 @@ def wide_assembled_shapes(draw):
     return shape_from_cells((i + dx, j + 1 - top + dy) for i, j in cells)
 
 
+@st.composite
+def tall_shapes(draw):
+    """A square or a staircase of up to 40 rows, its rows maybe split
+    by empty middle rows, and translated. Row t of a staircase of n rows
+    and width w is (max(0, n - t - w), n - t]; width 1 is a Dyck chain of
+    single cells and width n a partition, neither Dyck nor a strip."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        rows = [(0, n)] * n
+    else:
+        w = draw(st.integers(1, n))
+        rows = [(max(0, n - t - w), n - t) for t in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # rows from p on move down by gap rows; the rows above move
+        # right until the lower piece lies strictly left of them
+        p = draw(st.integers(1, n - 1))
+        gap = draw(st.integers(1, 3))
+        shift = max(0, rows[p][1] - rows[p - 1][0])
+        rows = ([(a + shift, b + shift) for a, b in rows[:p]]
+                + [None] * gap + rows[p:])
+    dx, dy = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return shape_from_cells((i + dx, j + 1 + dy)
+                            for j, ab in enumerate(rows) if ab
+                            for i in range(ab[0] + 1, ab[1] + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(tall_shapes())
+def test_levels_match_both_routes_on_tall_shapes(shape):
+    assert_matches_both_routes(shape)
+
+
+def test_dyck_depth_refuses_more_rows_than_the_limit(monkeypatch):
+    """The evaluator costs rows times levels, and a square is its worst
+    case: the square at the limit is evaluated, and one more row is
+    refused before the evaluator runs."""
+    limit = shapes.MAX_DEPTH_ROWS
+    assert dyck_depth(sh((limit,) * limit)) == shapes.DyckVerdict(True, limit)
+
+    def refuse(a, b):
+        raise AssertionError("evaluated %d rows" % len(b))
+
+    monkeypatch.setattr(shapes, "_depth_by_levels", refuse)
+    for shape in (sh((limit + 1,) * (limit + 1)), sh((1,) * (limit + 1)),
+                  sh((2,) * (limit + 1), (2,) * limit)):
+        with pytest.raises(ValueError, match="%d rows, more than the limit "
+                           "of %d" % (limit + 1, limit)):
+            dyck_depth(shape)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.one_of(wide_skew_shapes(), wide_assembled_shapes()))
 def test_dyck_depth_matches_oracle_on_wide_shapes(shape):
     assert 16 <= shape.width() <= 24
-    assert_matches_oracle(shape)
+    assert_matches_both_routes(shape)
