@@ -19,9 +19,12 @@ the kernel of the images is the next kernel. An image is one right
 action (_act), which reads the products b * a off the algebra's
 right-action table GradedAlgebra.right. The algebra is Koszul
 when the i-th step of the resolution of every simple is generated in
-degree exactly -i. When every resolution terminates, their Euler
-matrix is the inverse of the graded Cartan matrix, which
-cartan_inverse computes over Z[v, v^-1] by _linalg.bareiss.
+degree exactly -i; is_koszul stops each resolution at its first
+violating step, and at the step before the first violation found so
+far, so a verdict costs only the steps it reads. When every
+resolution terminates, their Euler matrix is the inverse of the
+graded Cartan matrix, which cartan_inverse computes over Z[v, v^-1]
+by _linalg.bareiss.
 """
 
 from __future__ import annotations
@@ -463,13 +466,10 @@ class Resolution:
     i_max: int
 
 
-def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
-                       i_max: int | None = None) -> Resolution:
-    field = as_field(field)
-    if lam not in algebra.idempotent:
-        raise ValueError("unknown vertex %r" % lam)
-    i_max = _checked_imax(algebra, i_max)
-    steps = [[(lam, 0)]]
+def _resolve(algebra, lam, field, i_max):
+    """Steps 1, 2, ... of the minimal resolution of the simple at lam,
+    at most i_max of them: yields each step's summands (vertex, shift)
+    and returns whether the kernel vanished. A caller may stop early."""
     # P_lam lays out (0, b) for each b leaving lam; M is its radical,
     # spanned by every (0, b) but the idempotent's, the one b of degree 0
     fbasis, blocks = {}, {}
@@ -484,8 +484,23 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
         # the kernel of the last step is only tested for zero
         new_summands, fbasis, blocks = _advance(
             algebra, field, fbasis, blocks, step, step == i_max)
-        steps.append(new_summands)
-    return Resolution(lam, steps, not blocks, i_max)
+        yield new_summands
+    return not blocks
+
+
+def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
+                       i_max: int | None = None) -> Resolution:
+    field = as_field(field)
+    if lam not in algebra.idempotent:
+        raise ValueError("unknown vertex %r" % lam)
+    i_max = _checked_imax(algebra, i_max)
+    steps = [[(lam, 0)]]
+    resolving = _resolve(algebra, lam, field, i_max)
+    while True:
+        try:
+            steps.append(next(resolving))
+        except StopIteration as end:
+            return Resolution(lam, steps, end.value, i_max)
 
 
 @dataclass
@@ -575,10 +590,29 @@ class KoszulReport:
 
 def is_koszul(algebra: GradedAlgebra, field,
               i_max: int | None = None) -> KoszulReport:
-    table = ext_table(algebra, field, i_max)
-    violation = table.koszul_violation()
-    return KoszulReport(algebra.name, table.field_name, violation is None,
-                        table.i_max, violation)
+    """Whether step i of the resolution of every simple is generated in
+    degree -i for i <= i_max, with the first violation in the order of
+    ExtTable.koszul_violation: step i, then vertex, then summand.
+
+    The simples are resolved in vertex order, each only until its first
+    violating step. Once a violation at step i is found, a later simple
+    can only come first at a step below i, so it is resolved to step
+    i - 1 at most. A non-Koszul verdict thus costs only the steps up to
+    its first violation, and an algebra whose full resolutions would
+    pass MAX_FREE_RANK after that step gets its verdict instead of the
+    ValueError ext_table raises."""
+    field = as_field(field)
+    i_max = _checked_imax(algebra, i_max)
+    first = None
+    for lam in algebra.vertices:
+        limit = i_max if first is None else first[0] - 1
+        for i, summands in enumerate(_resolve(algebra, lam, field, limit), 1):
+            bad = [(i, lam, mu, s) for mu, s in summands if s != -i]
+            if bad:
+                first = bad[0]
+                break
+    return KoszulReport(algebra.name, field.name, first is None, i_max,
+                        first)
 
 
 @dataclass

@@ -420,18 +420,48 @@ def test_list_names_exit_one(case, capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_resolution_above_free_rank_limit_exits_one(capsys):
-    """torsion_p1:3 over F3 doubles per step; step 19 would need more
-    than 4096 basis vectors."""
-    start = time.monotonic()
+# One vertex, two degree -1 loops and no products: the resolution is
+# Koszul and step i has 2^i summands of 3 basis vectors each.
+TWO_LOOPS = {"vertices": ["pt"],
+             "basis": [{"name": name, "src": "pt", "tgt": "pt", "deg": -1}
+                       for name in ("x", "y")]}
+
+
+def test_resolution_above_free_rank_limit_exits_one(tmp_path, capsys):
+    """Step 11 of the two-loop algebra would need 6,144 basis vectors;
+    the refusal counts 4,098, the first multiple of 3 past 4,096."""
+    path = tmp_path / "two_loops.json"
+    path.write_text(json.dumps(TWO_LOOPS))
+    for field in ("Q", "F:3"):
+        start = time.monotonic()
+        code, out, err = run(["koszul", "--algebra", str(path),
+                              "--field", field, "--imax", "32"], capsys)
+        assert time.monotonic() - start < 10.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: step 11 of the resolution needs a "
+                              "free module with at least 4098 basis vectors")
+        assert err.endswith("the limit is 4096\n")
+        assert err.count("\n") == 1
+
+
+def test_non_koszul_verdict_comes_before_the_free_rank_limit(capsys):
+    """torsion_p1:3 over F3 doubles per step and its step 19 passes the
+    limit, but `koszul` stops at the violation at step 1, while
+    `koszul integral` needs every step and still exits 1."""
     code, out, err = run(["koszul", "--builtin", "torsion_p1:3",
                           "--field", "F:3", "--imax", "32"], capsys)
+    assert (code, err) == (2, "")
+    assert out == ("koszul: false (algebra torsion_p1:3 over F3, first "
+                   "violation at i = 1 resolving a: summand (a, -2))\n")
+    start = time.monotonic()
+    code, out, err = run(["koszul", "integral", "--builtin", "torsion_p1:3",
+                          "--l", "3", "--imax", "32"], capsys)
     assert time.monotonic() - start < 10.0
     assert code == 1
     assert out == ""
-    assert err.startswith("error: step 19 of the resolution")
-    assert err.endswith("the limit is 4096\n")
-    assert err.count("\n") == 1
+    assert err == ("error: step 19 of the resolution needs a free module "
+                   "with at least 4098 basis vectors; the limit is 4096\n")
 
 
 def arrows(prefix, count, src, tgt):

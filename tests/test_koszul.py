@@ -1,14 +1,16 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import _linalg, koszul, mult
 from koszulbench.koszul import (
     GradedAlgebra,
+    KoszulReport,
     builtin_algebra,
     cartan_inverse,
     default_imax,
@@ -590,16 +592,18 @@ def ref_steps(algebra, lam, p, i_max):
 
 
 def monomial_doc(arrows, relations):
-    """Quadratic monomial algebra of an acyclic quiver: arrows are
-    (src, tgt) vertex numbers with src < tgt, relations a set of
-    arrow-index pairs whose composite is zero; the basis is every path
-    that contains no relation."""
+    """Monomial algebra of an acyclic quiver: arrows are (src, tgt)
+    vertex numbers with src < tgt, relations a set of arrow-index
+    paths of length 2 or 3 whose composite is zero; the basis is every
+    path that contains no relation. Quadratic when every relation is a
+    pair."""
     paths = [(a,) for a in range(len(arrows))]
     frontier = paths
     while frontier:
         frontier = [q + (b,) for q in frontier for b in range(len(arrows))
                     if arrows[q[-1]][1] == arrows[b][0]
-                    and (q[-1], b) not in relations]
+                    and (q[-1], b) not in relations
+                    and q[-2:] + (b,) not in relations]
         paths += frontier
     names = {q: "p" + "_".join(map(str, q)) for q in paths}
     vertices = sorted({v for arrow in arrows for v in arrow})
@@ -971,6 +975,142 @@ def test_algebra_documents_round_trip(doc, rng):
     for key in ("basis", "mult"):
         rng.shuffle(rebuilt[key])
     assert algebra_facts(load_algebra(rebuilt)) == facts
+
+
+# -- is_koszul's early exit against the full table ------------------------
+
+
+@st.composite
+def cubic_monomial_docs(draw):
+    """Monomial algebras of acyclic quivers, often a path, with at least
+    one relation of length 2 and one of length 3 where there are such
+    paths. A relation of length 3 that contains no other relation makes
+    them non-Koszul, with first violations at several steps and
+    vertices: with relations ab and bcd on the path a b c d, the simple
+    at the source first violates at step 3 and the next one at step
+    2."""
+    n = draw(st.integers(3, 7))
+    arrows = draw(st.one_of(
+        st.just([(v, v + 1) for v in range(n - 1)]),
+        st.lists(st.integers(0, n - 2).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1))),
+            min_size=1, max_size=8)))
+    pairs = [(a, b) for a in range(len(arrows)) for b in range(len(arrows))
+             if arrows[a][1] == arrows[b][0]]
+    triples = [(a, b, c) for a, b in pairs for c in range(len(arrows))
+               if arrows[b][1] == arrows[c][0]]
+    relations = set()
+    for paths in (pairs, triples):
+        if paths:
+            relations.update(draw(st.lists(st.sampled_from(paths),
+                                           unique=True, min_size=1)))
+    return monomial_doc(arrows, relations)
+
+
+def cycle_doc(n, k):
+    """kQ/J^k on the cycle with n vertices, Koszul only for k = 2: every
+    simple first violates at step 2, a tie between all n vertices."""
+    def name(src, length):
+        return "p%d_%d" % (src, length)
+
+    return {"vertices": ["v%d" % v for v in range(n)],
+            "basis": [{"name": name(v, a), "src": "v%d" % v,
+                       "tgt": "v%d" % ((v + a) % n), "deg": -a}
+                      for v in range(n) for a in range(1, k)],
+            "mult": [{"left": name(v, a), "right": name((v + a) % n, b),
+                      "result": {name(v, a + b): 1}}
+                     for v in range(n) for a in range(1, k)
+                     for b in range(1, k - a)]}
+
+
+# ab and bcd on the path v0 -> v1 -> v2 -> v3 -> v4: v0 first violates
+# at step 3 (summand (v4, -4)), v1 at step 2 (summand (v4, -3))
+LATER_VERTEX_EARLIER_STEP_DOC = monomial_doc(
+    [(0, 1), (1, 2), (2, 3), (3, 4)], {(0, 1), (1, 2, 3)})
+
+
+def full_table_report(algebra, field, i_max):
+    """is_koszul's report rebuilt from the whole Ext table."""
+    table = ext_table(algebra, field, i_max)
+    violation = table.koszul_violation()
+    return KoszulReport(algebra.name, table.field_name, violation is None,
+                        table.i_max, violation)
+
+
+def outcome(route, *args):
+    """The route's result, or the message of its rank-limit refusal."""
+    try:
+        return route(*args)
+    except ValueError as refusal:
+        assert "the limit is %d" % koszul.MAX_FREE_RANK in str(refusal)
+        return str(refusal)
+
+
+def refused_step(message):
+    return int(re.match(r"step (\d+) of the resolution", message).group(1))
+
+
+@fuzz(250)
+@given(st.one_of(
+    cubic_monomial_docs(),
+    st.tuples(st.integers(1, 4), st.integers(2, 4)).map(
+        lambda nk: cycle_doc(*nk)),
+    radical_cube_zero_docs(),
+    PLUS_MINUS_ONE_DOCS,
+    st.sampled_from(("p1", "x3_truncation", "dual_numbers", "torsion_p1:2",
+                     "torsion_p1:3", "torsion_p1:5"))),
+       st.sampled_from((0,) + PRIMES), st.integers(1, 6),
+       st.sampled_from((koszul.MAX_FREE_RANK, 4, 8, 16)))
+@example(LATER_VERTEX_EARLIER_STEP_DOC, 0, 4, koszul.MAX_FREE_RANK)
+@example(cycle_doc(3, 3), 0, 4, koszul.MAX_FREE_RANK)
+@example("torsion_p1:3", 3, 32, koszul.MAX_FREE_RANK)
+def test_is_koszul_matches_the_full_table(doc, p, i_max, limit):
+    """is_koszul, which stops each simple at its first violation and
+    a later simple before the first violation found, reports what the
+    whole table up to i_max reports. Where the whole table passes the
+    free-rank limit, is_koszul passes it on a step some resolution
+    really reaches, or reports a violation no later than the refused
+    step."""
+    algebra = (builtin_algebra(doc) if isinstance(doc, str)
+               else load_algebra(doc))
+    field = "F:%d" % p if p else "Q"
+    with mock.patch.object(koszul, "MAX_FREE_RANK", limit):
+        full = outcome(full_table_report, algebra, field, i_max)
+        early = outcome(is_koszul, algebra, field, i_max)
+        if isinstance(full, KoszulReport):
+            assert early == full
+        elif isinstance(early, KoszulReport):
+            i = early.first_violation[0]
+            assert i <= refused_step(full)
+            truncated = outcome(full_table_report, algebra, field, i)
+            if isinstance(truncated, KoszulReport):
+                assert truncated.first_violation == early.first_violation
+        else:
+            assert early in [outcome(minimal_resolution, algebra, lam, field,
+                                     i_max) for lam in algebra.vertices]
+
+
+def test_is_koszul_resolves_only_the_steps_up_to_the_first_violation(
+        monkeypatch):
+    """k[x]/(x^n), n = 3..12, first violates at step 2 on its only
+    vertex: is_koszul makes 2 resolution steps each, 20 in all, where
+    the whole table to the default i_max = 2n makes 150."""
+    steps = []
+    advance = koszul._advance
+
+    def counted(*args):
+        steps.append(args[4])
+        return advance(*args)
+
+    monkeypatch.setattr(koszul, "_advance", counted)
+    algebras = [load_algebra(truncation_doc(n)) for n in range(3, 13)]
+    for n, algebra in zip(range(3, 13), algebras):
+        assert is_koszul(algebra, "Q").first_violation == (2, "pt", "pt", -n)
+    assert steps == [1, 2] * 10
+    steps.clear()
+    for algebra in algebras:
+        ext_table(algebra, "Q")
+    assert len(steps) == 150
 
 
 # -- the Echelon against Bareiss and the reference rref ------------------
