@@ -2,9 +2,11 @@
 sparse int rows over Q and F_p, integer characteristic polynomials
 together with the adjugate terms of tI - A from the same pass,
 saturated integer kernels by unimodular column operations, and one
-fraction-free (Bareiss) elimination that gives integer determinants
-and, on LaurentPoly entries, determinants and adjugates over
-Z[v, v^-1].
+fraction-free (Bareiss) elimination that gives determinants and
+adjugates. The library runs it on ints only (koszul.cartan_inverse
+packs its Laurent matrix into ints first); it is generic over any
+ring with an exact divmod, and the tests also run it on LaurentPoly
+matrices.
 
 The echelon form and kernel_basis, which the minimal resolutions run
 on, take sparse vectors: dicts {index: int} that store nonzero
@@ -209,8 +211,9 @@ def poly_div_linear(coeffs, r):
 
 def bareiss(rows):
     """Fraction-free (Bareiss) Gauss-Jordan elimination on the first
-    n = len(rows) columns of rows, over the ints or over LaurentPoly;
-    every division is exact, and an inexact one raises ArithmeticError.
+    n = len(rows) columns of rows, over the ints (or any ring whose
+    divmod divides exactly, LaurentPoly in the tests); every division
+    is exact, and an inexact one raises ArithmeticError.
 
     The pass ends at [d I | R] with d the last pivot, d = +-det by the
     row swaps. Returns det and the columns past n of +-[d I | R], signed
@@ -247,7 +250,8 @@ def bareiss(rows):
 
 
 def det_bareiss(matrix):
-    """Exact determinant of an int or LaurentPoly matrix."""
+    """Exact determinant of an integer matrix (of a LaurentPoly one
+    too, in the tests)."""
     return bareiss(matrix)[0]
 
 

@@ -23,8 +23,8 @@ degree exactly -i; is_koszul stops each resolution at its first
 violating step, and at the step before the first violation found so
 far, so a verdict costs only the steps it reads. When every
 resolution terminates, their Euler matrix is the inverse of the
-graded Cartan matrix, which cartan_inverse computes over Z[v, v^-1]
-by _linalg.bareiss.
+graded Cartan matrix, which cartan_inverse computes by one
+_linalg.bareiss pass on ints, the matrix packed at v^-1 = 2^B.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, unpack
 from ._linalg import Echelon, FieldQ, FieldF, bareiss, kernel_basis
 
 # Most basis vectors a resolution step's free module may have; see
@@ -663,27 +663,75 @@ def integral_koszul_check(algebra: GradedAlgebra, l: int,
     return IntegralReport(algebra.name, l, kq, kf, match, verdict)
 
 
-def laurent_matrix_inverse(rows):
-    """Exact inverse of a Laurent-polynomial matrix whose determinant
-    is a unit monomial +-v^k."""
-    n = len(rows)
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    det, adj = bareiss([list(row) + [one if c == r else zero
-                                     for c in range(n)]
-                        for r, row in enumerate(rows)])
-    items = list(det.items())
-    if len(items) != 1 or items[0][1] not in (1, -1):
-        raise ValueError("determinant %s is not a unit Laurent monomial"
-                         % det.render())
-    exp, coeff = items[0]
-    det_inv = LaurentPoly.monomial(-exp, coeff)
-    return [[p * det_inv for p in row] for row in adj]
+# The packed Cartan matrix. C[a][b] counts the basis elements a -> b
+# by degree, so at u = v^-1 it is a polynomial in u with nonnegative
+# coefficients, and row a sums to r_a = len(leaving[a]) >= 1 at u = 1.
+#   - Every minor of [C | I] is +- a minor of C (expand along the
+#     identity columns). The determinant, every adjugate entry and
+#     every value _linalg.bareiss stores after a division are such
+#     minors.
+#   - Expanding a minor on rows R over permutations, the coefficients
+#     of each product of entries sum to its value at u = 1, and these
+#     values sum to at most the product of the rows' sums (the
+#     permanent bound). So every coefficient is at most
+#     prod_(a in R) r_a <= prod_a r_a in absolute value.
+#   - With B = (prod_a r_a).bit_length() + 1, each such coefficient
+#     lies in [-2^(B-1), 2^(B-1)), so balanced digits at 2^B read every
+#     stored value back exactly, and a nonzero minor packs to a nonzero
+#     int: the pivot search takes the same rows as over Z[u].
+#   - The products formed before each exact division may carry across
+#     digits. That is harmless: evaluation at 2^B is a ring map and each
+#     division is exact in Z[u], so the int division is exact too and
+#     its quotient is the packed quotient.
+#   - A minor on rows R has u-degree at most sum_(a in R) D_a, with D_a
+#     the deepest |degree| of a basis element leaving a, so a packed
+#     value needs at most (sum_a D_a + 1) B bits.
+# Largest (sum_a D_a + 1) B that cartan_inverse accepts. The cost grows
+# with the vertex count and this width: at MAX_VERTICES vertices,
+# seeded quivers with cycles just inside it took up to 1.0 s on a 2-core
+# VM, and 3.6 s at 6,695 bits (two unit-degree arrows at every vertex).
+MAX_CARTAN_BITS = 5500
 
 
 def cartan_inverse(algebra: GradedAlgebra):
-    """Inverse of the graded dimension table, rows and columns in
-    vertex order."""
-    dims = algebra.graded_dims()
-    rows = [[dims[(a, b)] for b in algebra.vertices]
-            for a in algebra.vertices]
-    return laurent_matrix_inverse(rows)
+    """Inverse of the graded dimension table C, rows and columns in
+    vertex order, as rows of LaurentPoly. Raises ValueError when det C
+    is not +-v^k.
+
+    C is packed at u = v^-1 = 2^B, with B = (prod_a r_a).bit_length()
+    + 1 and r_a = len(leaving[a]), and one _linalg.bareiss pass on ints
+    eliminates [C | I]; balanced digits at 2^B read the determinant and
+    the adjugate back exactly (the proof is the comment above). A
+    packed value takes up to (sum_a D_a + 1) B bits, with D_a the
+    deepest |degree| of a basis element leaving a. Past MAX_CARTAN_BITS
+    the algebra is refused with ValueError before any elimination, even
+    when C is invertible: the path algebra of a 48-vertex chain of
+    degree -1 arrows cut at paths of length 2 needs 7,050 bits, and a
+    chain of 8 vertices with arrows of degree -2000 needs 126,009. At
+    MAX_VERTICES vertices a call near the budget takes about a
+    second."""
+    index = algebra._vindex
+    n = len(index)
+    scale, depth = 1, 0
+    for leaving in algebra.leaving.values():
+        scale *= len(leaving)
+        depth -= min(deg for _, _, deg in leaving)
+    bits = scale.bit_length() + 1
+    if (depth + 1) * bits > MAX_CARTAN_BITS:
+        raise ValueError("the Cartan matrix of %s packs into %d bits per "
+                         "entry; the limit is %d"
+                         % (algebra.name, (depth + 1) * bits,
+                            MAX_CARTAN_BITS))
+    rows = [[0] * n + [int(c == r) for c in range(n)] for r in range(n)]
+    for a, leaving in algebra.leaving.items():
+        row = rows[index[a]]
+        for _, tgt, deg in leaving:
+            row[index[tgt]] += 1 << bits * -deg
+    det, adj = bareiss(rows)
+    # det = +-u^k packs to +-2^(bits k), whose bit length is bits k + 1
+    k = abs(det).bit_length() // bits
+    if det not in (1 << bits * k, -1 << bits * k):
+        raise ValueError("determinant %s is not a unit Laurent monomial"
+                         % unpack(det, bits).render())
+    sign = 1 if det > 0 else -1
+    return [[unpack(sign * x, bits, k) for x in row] for row in adj]

@@ -3,9 +3,9 @@
 Coefficients are arbitrary-precision ints keyed by integer exponents.
 Zero coefficients are never stored, so structural equality of the
 coefficient maps is mathematical equality. Besides the ring operations
-there is long division with remainder (divmod), which
-_linalg.bareiss uses as exact division, and digits, which reads back
-the coefficients of a polynomial packed into one int.
+there is long division with remainder (divmod). Two readers take back
+a polynomial packed into one int by Kronecker substitution: digits,
+for nonnegative coefficients, and unpack, for signed ones.
 """
 
 from __future__ import annotations
@@ -231,6 +231,25 @@ def digits(x: int, bits: int):
     while x:
         yield x & mask
         x >>= bits
+
+
+def unpack(x: int, bits: int, shift: int = 0) -> LaurentPoly:
+    """The LaurentPoly of u^(-shift) x, for x packed at u = v^-1 = 2^bits
+    with balanced digits in [-2^(bits-1), 2^(bits-1)): digit e is the
+    coefficient of v^(shift-e). Exact while every coefficient lies in
+    that range."""
+    mask, top = (1 << bits) - 1, 1 << bits - 1
+    coeffs = {}
+    e = shift
+    while x:
+        c = x & mask
+        if c & top:
+            c -= 1 << bits
+        if c:
+            coeffs[e] = c
+        x = (x - c) >> bits
+        e -= 1
+    return _wrap(coeffs)
 
 
 def _wrap(coeffs) -> LaurentPoly:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, unpack
 from .shapes import (Partition, SkewShape, dyck_depth,
                      enumerate_partitions_in_box, jump_sequence)
 from . import hecke
@@ -189,22 +189,6 @@ def _repack(p, d):
     return x
 
 
-def _unpack(x, shift=0) -> LaurentPoly:
-    """The LaurentPoly of u^(-shift) x, for x packed at u = v^-1 with
-    balanced digits."""
-    coeffs = {}
-    e = shift
-    while x:
-        c = x & _MASK
-        if c >> (_BITS - 1):
-            c -= 1 << _BITS
-        if c:
-            coeffs[e] = c
-        x = (x - c) >> _BITS
-        e -= 1
-    return LaurentPoly(coeffs)
-
-
 def _delta_rows(space: Space, labels):
     """Sparse packed rows of delta_ic_matrix: row i maps j to the
     nonzero [Delta_labels[i] : IC_labels[j]]. On flag(n), that is
@@ -288,7 +272,7 @@ def _matrix(space: Space, tag: str, labels, rows) -> MultiplicityMatrix:
     """The matrix of sparse packed rows, one shared LaurentPoly per
     distinct value."""
     values = {x for row in rows for x in row.values()}
-    polys = {x: _unpack(x) for x in values}
+    polys = {x: unpack(x, _BITS) for x in values}
     zero = LaurentPoly.zero()
     entries = []
     for row in rows:
@@ -382,7 +366,7 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
         return InversionReport(k, n, True, None)
     i, j, x = failure
     return InversionReport(k, n, False, (labels[i], labels[j],
-                                         _unpack(x, shift)))
+                                         unpack(x, _BITS, shift)))
 
 
 def _first_defect(D, K, one):

@@ -673,3 +673,30 @@ def quadratic_dual_dims(algebra, p: int, i_max: int):
             paths = [path + (y,) for path in paths for y in arrows
                      if basis[y][0] == basis[path[-1]][1]]
     return out
+
+
+def laurent_matrix_inverse(rows):
+    """Exact inverse of a Laurent-polynomial matrix whose determinant
+    is a unit monomial +-v^k, by _linalg.bareiss on the LaurentPoly
+    entries: koszul.cartan_inverse by a second route, with no packing
+    and no digit width, each division a LaurentPoly long division."""
+    n = len(rows)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    det, adj = _linalg.bareiss([list(row) + [one if c == r else zero
+                                             for c in range(n)]
+                                for r, row in enumerate(rows)])
+    items = list(det.items())
+    if len(items) != 1 or items[0][1] not in (1, -1):
+        raise ValueError("determinant %s is not a unit Laurent monomial"
+                         % det.render())
+    exp, coeff = items[0]
+    det_inv = LaurentPoly.monomial(-exp, coeff)
+    return [[p * det_inv for p in row] for row in adj]
+
+
+def cartan_inverse_by_laurent(algebra):
+    """koszul.cartan_inverse through laurent_matrix_inverse on the
+    graded dimension table."""
+    dims = algebra.graded_dims()
+    return laurent_matrix_inverse([[dims[(a, b)] for b in algebra.vertices]
+                                   for a in algebra.vertices])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import time
 from fractions import Fraction
@@ -17,13 +18,14 @@ from koszulbench.koszul import (
     ext_table,
     integral_koszul_check,
     is_koszul,
-    laurent_matrix_inverse,
     load_algebra,
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
-from oracles import (PlainEchelon, plain_kernel_basis, plain_kernel_echelon,
-                     product_by_rules, quadratic_dual_dims, sparse)
+from oracles import (PlainEchelon, cartan_inverse_by_laurent,
+                     laurent_matrix_inverse, plain_kernel_basis,
+                     plain_kernel_echelon, product_by_rules,
+                     quadratic_dual_dims, sparse)
 
 
 
@@ -981,14 +983,9 @@ def test_algebra_documents_round_trip(doc, rng):
 
 
 @st.composite
-def cubic_monomial_docs(draw):
-    """Monomial algebras of acyclic quivers, often a path, with at least
-    one relation of length 2 and one of length 3 where there are such
-    paths. A relation of length 3 that contains no other relation makes
-    them non-Koszul, with first violations at several steps and
-    vertices: with relations ab and bcd on the path a b c d, the simple
-    at the source first violates at step 3 and the next one at step
-    2."""
+def arrows_pairs_triples(draw):
+    """An acyclic quiver on 3-7 vertices, often a path, with its
+    composable pairs and triples of arrows (as arrow indices)."""
     n = draw(st.integers(3, 7))
     arrows = draw(st.one_of(
         st.just([(v, v + 1) for v in range(n - 1)]),
@@ -999,6 +996,19 @@ def cubic_monomial_docs(draw):
              if arrows[a][1] == arrows[b][0]]
     triples = [(a, b, c) for a, b in pairs for c in range(len(arrows))
                if arrows[b][1] == arrows[c][0]]
+    return arrows, pairs, triples
+
+
+@st.composite
+def cubic_monomial_docs(draw):
+    """Monomial algebras of acyclic quivers, often a path, with at least
+    one relation of length 2 and one of length 3 where there are such
+    paths. A relation of length 3 that contains no other relation makes
+    them non-Koszul, with first violations at several steps and
+    vertices: with relations ab and bcd on the path a b c d, the simple
+    at the source first violates at step 3 and the next one at step
+    2."""
+    arrows, pairs, triples = draw(arrows_pairs_triples())
     relations = set()
     for paths in (pairs, triples):
         if paths:
@@ -1088,6 +1098,56 @@ def test_is_koszul_matches_the_full_table(doc, p, i_max, limit):
         else:
             assert early in [outcome(minimal_resolution, algebra, lam, field,
                                      i_max) for lam in algebra.vertices]
+
+
+@st.composite
+def low_generator_docs(draw):
+    """A quadratic monomial algebra with one more basis element g, of
+    degree -2 to -4 between any two vertices, that is no product: a
+    generator below degree -1, which P_1 of the simple at its source
+    covers by a summand in g's degree."""
+    doc = draw(monomial_docs())
+    vertex = st.sampled_from(doc["vertices"])
+    doc["basis"].append({"name": "g", "src": draw(vertex),
+                         "tgt": draw(vertex),
+                         "deg": draw(st.integers(-4, -2))})
+    return doc
+
+
+@st.composite
+def cubic_relation_docs(draw):
+    """Monomial algebras drawn as cubic_monomial_docs draws them, with a
+    relation abc of length 3 whose pairs ab and bc are no relations:
+    generated in degree -1, and abc is a minimal relation, which Ext^2
+    of the simple at its source holds in degree -3."""
+    arrows, pairs, triples = draw(arrows_pairs_triples().filter(
+        lambda apt: apt[2]))
+    cubic = draw(st.sampled_from(triples))
+    pairs = [ab for ab in pairs if ab not in (cubic[:2], cubic[1:])]
+    relations = {cubic}
+    for paths in (pairs, triples):
+        if paths:
+            relations.update(draw(st.lists(st.sampled_from(paths),
+                                           unique=True)))
+    return monomial_doc(arrows, relations)
+
+
+@fuzz(150)
+@given(st.one_of(low_generator_docs().map(lambda doc: (doc, 1)),
+                 cubic_relation_docs().map(lambda doc: (doc, 2))),
+       st.sampled_from((0,) + PRIMES), st.integers(2, 6))
+@example((LATER_VERTEX_EARLIER_STEP_DOC, 2), 0, 4)
+def test_a_non_quadratic_algebra_is_never_koszul(case, p, i_max):
+    """An algebra that is not quadratic is not Koszul, and is_koszul
+    reports the earliest step that shows it: step 1 for a generator
+    below degree -1, step 2 for a minimal relation of length 3 when
+    every generator has degree -1. On the path with relations ab and
+    bcd the source first violates at step 3, but the next vertex at
+    step 2, and the report says step 2."""
+    doc, step = case
+    report = is_koszul(load_algebra(doc), "F:%d" % p if p else "Q", i_max)
+    assert not report.is_koszul
+    assert report.first_violation[0] == step
 
 
 def test_is_koszul_resolves_only_the_steps_up_to_the_first_violation(
@@ -1328,6 +1388,156 @@ def test_cartan_inverse_matches_cofactor_oracle(name):
              * LaurentPoly.monomial(-exp, coeff * (-1) ** (i + j))
              for j in range(n)] for i in range(n)]
     assert cartan_inverse(algebra) == want
+
+
+# -- the packed Cartan inverse against the LaurentPoly route -----------
+
+
+EVERY_BUILTIN = BUILTINS + ("torsion_p1:2", "torsion_p1:3", "torsion_p1:5")
+
+
+def quiver_doc(n, arrows):
+    """n vertices and the arrows (src, tgt, deg), with no products:
+    cycles and loops are allowed, and the graded Cartan matrix, which
+    reads only the basis, can take any shape."""
+    return {"vertices": ["v%d" % v for v in range(n)],
+            "basis": [{"name": "x%d" % i, "src": "v%d" % a,
+                       "tgt": "v%d" % b, "deg": d}
+                      for i, (a, b, d) in enumerate(arrows)],
+            "mult": []}
+
+
+@st.composite
+def graded_quiver_docs(draw):
+    """1-6 vertices and up to 12 arrows of degree -1 to -6."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    return quiver_doc(n, draw(st.lists(
+        st.tuples(vertex, vertex, st.integers(-6, -1)), max_size=12)))
+
+
+def unit_quiver_doc(n, entries):
+    """A quiver whose graded Cartan matrix is (I + L)(I + U), with
+    entries {(a, b): d} putting u^d = v^-d in L below the diagonal and
+    in U above it: its determinant is 1, and L[a][k] U[k][b] adds an
+    arrow a -> b of degree -(d + d'), a loop when a = b."""
+    L = {ab: d for ab, d in entries.items() if ab[0] > ab[1]}
+    U = {ab: d for ab, d in entries.items() if ab[0] < ab[1]}
+    arrows = [(a, b, -d) for (a, b), d in entries.items()]
+    arrows += [(a, b, -d - e) for (a, k), d in L.items()
+               for (k2, b), e in U.items() if k2 == k]
+    return quiver_doc(n, arrows)
+
+
+@st.composite
+def unit_quiver_docs(draw):
+    """unit_quiver_doc on 2-6 vertices with up to 6 entries of degree
+    1-3: invertible graded Cartan matrices, often with cycles, of
+    degrees down to -6."""
+    n = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return unit_quiver_doc(n, draw(st.dictionaries(
+        st.sampled_from(pairs), st.integers(1, 3), max_size=6)))
+
+
+def has_cycle(algebra):
+    """Whether the arrows of algebra close an oriented cycle."""
+    arrows = [algebra.basis[b][:2] for b in algebra.neg_names]
+    reach = {v: {v} for v in algebra.vertices}
+    for _ in algebra.vertices:
+        for a, b in arrows:
+            reach[a] |= reach[b]
+    return any(a in reach[b] for a, b in arrows)
+
+
+def seeded_cyclic_quivers(count, seed):
+    """count quivers with an oriented cycle, a loop included, of
+    graded_quiver_docs' kind (few of them invertible) and count of
+    unit_quiver_docs' kind."""
+    rng = random.Random(seed)
+    out = {"random": [], "unit": []}
+    while min(map(len, out.values())) < count:
+        n = rng.randint(2, 6)
+        if len(out["random"]) < count:
+            arrows = [(rng.randrange(n), rng.randrange(n),
+                       -rng.randint(1, 6))
+                      for _ in range(rng.randint(1, 12))]
+            algebra = load_algebra(quiver_doc(n, arrows))
+            if has_cycle(algebra):
+                out["random"].append(algebra)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        entries = {ab: rng.randint(1, 3)
+                   for ab in rng.sample(pairs, min(len(pairs), 6))}
+        algebra = load_algebra(unit_quiver_doc(n, entries))
+        if len(out["unit"]) < count and has_cycle(algebra):
+            out["unit"].append(algebra)
+    return out["random"] + out["unit"]
+
+
+def inverse_or_refusal(route, algebra):
+    try:
+        return route(algebra)
+    except ValueError as refusal:
+        return str(refusal)
+
+
+@fuzz(300)
+@given(st.one_of(graded_quiver_docs().map(load_algebra),
+                 unit_quiver_docs().map(load_algebra),
+                 st.sampled_from(EVERY_BUILTIN).map(builtin_algebra)))
+@example(builtin_algebra("p1"))
+@example(load_algebra(quiver_doc(2, [(0, 1, -1), (1, 0, -1),
+                                     (1, 1, -2)])))
+@example(load_algebra(quiver_doc(2, [(0, 1, -1), (0, 1, -3)])))
+def test_cartan_inverse_matches_the_laurent_route(algebra):
+    """The packed elimination gives the inverse that Bareiss on the
+    LaurentPoly entries gives, and the same ValueError text where the
+    determinant is no unit monomial. It is never 0: the table is the
+    identity plus multiples of v^-1."""
+    assert (inverse_or_refusal(cartan_inverse, algebra)
+            == inverse_or_refusal(cartan_inverse_by_laurent, algebra))
+
+
+def test_cartan_inverse_makes_no_laurent_product(monkeypatch):
+    """The elimination runs on ints: with LaurentPoly products and
+    divisions raising, every builtin and 20 seeded quivers with cycles,
+    10 of them invertible, still give the LaurentPoly route's inverse
+    or refusal."""
+    algebras = ([builtin_algebra(name) for name in EVERY_BUILTIN]
+                + seeded_cyclic_quivers(10, 28))
+    want = [inverse_or_refusal(cartan_inverse_by_laurent, algebra)
+            for algebra in algebras]
+    assert sum(isinstance(w, list) for w in want) >= 10
+
+    def refuse(*args):
+        raise AssertionError("a LaurentPoly product or division")
+
+    for attr in ("__mul__", "__rmul__", "__divmod__"):
+        monkeypatch.setattr(LaurentPoly, attr, refuse)
+    assert [inverse_or_refusal(cartan_inverse, algebra)
+            for algebra in algebras] == want
+
+
+def test_cartan_inverse_refuses_past_the_bit_budget(monkeypatch):
+    """One arrow of degree -d between two vertices packs at B = 3 bits
+    into (d + 1) * 3: the deepest arrow inside MAX_CARTAN_BITS inverts,
+    and the next is refused before any elimination."""
+    def chain(d):
+        return load_algebra(quiver_doc(2, [(0, 1, -d)]))
+
+    d = koszul.MAX_CARTAN_BITS // 3 - 1
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    assert cartan_inverse(chain(d)) == [[one, LaurentPoly.monomial(-d, -1)],
+                                        [zero, one]]
+
+    def refuse(*args):
+        raise AssertionError("elimination before the budget check")
+
+    monkeypatch.setattr(koszul, "bareiss", refuse)
+    with pytest.raises(ValueError, match="^the Cartan matrix of algebra "
+                       "packs into %d bits per entry; the limit is %d$"
+                       % ((d + 2) * 3, koszul.MAX_CARTAN_BITS)):
+        cartan_inverse(chain(d + 1))
 
 
 # -- size bound ------------------------------------------------------------

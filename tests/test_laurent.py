@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulbench.laurent import LaurentPoly, digits
+from koszulbench.laurent import LaurentPoly, digits, unpack
 
 
 def rand_poly(rng, span=6, terms=4):
@@ -87,6 +87,27 @@ def test_digits_lowest_first():
     assert list(digits(0, 8)) == []
     assert list(digits(5 + (7 << 16), 8)) == [5, 0, 7]
     assert list(digits(2 ** 64 - 1, 64)) == [2 ** 64 - 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 70).flatmap(lambda bits: st.tuples(
+    st.just(bits),
+    st.dictionaries(st.integers(0, 12),
+                    st.integers(1 - 2 ** (bits - 1), 2 ** (bits - 1) - 1)))),
+       st.integers(-12, 12))
+def test_unpack_reads_balanced_digits(case, shift):
+    """unpack takes back u^shift P for P with coefficients in
+    [-2^(bits-1), 2^(bits-1)), packed at u = v^-1 = 2^bits, borrows
+    between signed digits included."""
+    bits, terms = case
+    poly = LaurentPoly({shift - e: c for e, c in terms.items()})
+    packed = sum(c << bits * e for e, c in terms.items())
+    assert unpack(packed, bits, shift) == poly
+    assert unpack(-packed, bits, shift) == -poly
+    assert unpack(0, bits, shift) == 0
+    # the ends of the digit range: 3 = 4 - 1 and -2 are digits at 2^2
+    assert unpack(3, 2).render() == "-1 + v^-1"
+    assert unpack(-2 - (2 << 2), 2, 1).render() == "-2*v - 2"
 
 
 def test_involution_is_ring_automorphism():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulbench import hecke, mult
-from koszulbench.laurent import LaurentPoly
+from koszulbench.laurent import LaurentPoly, unpack
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
 
 from oracles import (cup_rows, delta_ic, delta_ic_flag,
@@ -241,6 +241,11 @@ def packed(poly, shift=0):
     return sum(c << mult._BITS * (shift - e) for e, c in poly.items())
 
 
+def unpacked(x, shift=0):
+    """The reader the matrix paths use, at mult's digit width."""
+    return unpack(x, mult._BITS, shift)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(u_polys(2 ** 40), u_polys(2 ** 40), u_polys(2 ** 16),
        u_polys(2 ** 16), st.integers(0, 40))
@@ -250,16 +255,16 @@ def test_packed_arithmetic_matches_laurent(a, b, c, d, shift):
     kl_inversion_check puts on K. One factor of each product has
     coefficients below 2^16, so that every coefficient of a*c + b*d
     stays below the 2^63 that balanced 64-bit digits can hold."""
-    assert mult._unpack(packed(a)) == a
-    assert mult._unpack(packed(a) + packed(b)) == a + b
-    assert mult._unpack(packed(a) * packed(c) + packed(b) * packed(d)) \
+    assert unpacked(packed(a)) == a
+    assert unpacked(packed(a) + packed(b)) == a + b
+    assert unpacked(packed(a) * packed(c) + packed(b) * packed(d)) \
         == a * c + b * d
     # with the offset, v-exponents run up to shift
     A, B = a.shift(shift), b.shift(shift)
-    assert mult._unpack(packed(A, shift) - packed(B, shift), shift) \
+    assert unpacked(packed(A, shift) - packed(B, shift), shift) \
         == A - B
-    assert mult._unpack(packed(c) * packed(A, shift)
-                        + packed(d) * packed(B, shift), shift) \
+    assert unpacked(packed(c) * packed(A, shift)
+                    + packed(d) * packed(B, shift), shift) \
         == c * A + d * B
 
 
@@ -270,8 +275,8 @@ def test_repack_matches_the_kl_entry(coeffs, extra):
     p = sum(c << hecke._BITS * e for e, c in enumerate(coeffs))
     d = 2 * max(len(coeffs) - 1, 0) + extra
     want = LaurentPoly({2 * e - d: c for e, c in enumerate(coeffs)})
-    assert mult._unpack(mult._repack(p, d)) == want
-    assert mult._unpack(-mult._repack(p, d)) == -want
+    assert unpacked(mult._repack(p, d)) == want
+    assert unpacked(-mult._repack(p, d)) == -want
 
 
 def sparse_rows(n, entry):
