@@ -73,7 +73,10 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
+            c = self._coeffs
+            # a constant equals its int, so it hashes like it
+            self._hash = (hash(c.get(0, 0)) if c.keys() <= {0}
+                          else hash(frozenset(c.items())))
         return self._hash
 
     def __add__(self, other):

@@ -11,8 +11,11 @@ Sign and normalization conventions: multiplicities live in N[v^-1]
 on Dyck shapes, and the flag entry is v^(-(l(x)-l(y))) Q_{y,x}(v^2)
 with Q the longest-element twist of the KL table. Both are pinned by
 requiring diagonal 1, entries in N[v^-1], and agreement between the
-two descriptions of the projective line. Matrices read whole Dyck
-rows or parabolic KL columns; delta_ic_gr is a per-pair route.
+two descriptions of the projective line. Rows carry the standards
+Delta and columns the simples IC, under the labels of Space.labels():
+on gr(k, n) partitions, row lam holding lam's cup diagram (dyck_rows);
+on flag(n) permutations, column y read from a parabolic KL column.
+delta_ic_gr is a per-pair route through the Dyck evaluator.
 
 The matrix paths (delta_ic_matrix, graded_cartan, kl_inversion_check)
 compute on ints: each entry is packed at u = v^-1 = 2^64, so that sums
@@ -107,51 +110,35 @@ def dyck_rows(k: int, n: int):
     depth d of labels[i] / labels[j], so that [Delta_i : IC_j] is
     v^(-d), the value of delta_ic_gr.
 
-    No pair is tested: the inner labels of a row are enumerated by the
-    strip criteria (i) and (ii) of shapes. The rows of the outer label
-    have fixed right ends c and free left ends, the inner parts, in
-    [lo, hi] and weakly decreasing. Walking from the top, row 0 is
-    either empty or opens a component of r rows. The component needs
-    (i), its last left end is c_0 - r by (ii), and row r may not
-    overlap it. Its remainder is the same problem on the right ends
-    c_1 - 1 .. c_{r-1} - 1 with left ends in [c_0 - r, hi], and so are
-    the rows from r on, with left ends in [lo, c_0 - r]; the depth is
-    1 plus the remainder's plus theirs. The rows below a component are
-    listed once per (c, lo, hi), in a memo that lives in the call; the
-    rest is generated as it is read, which keeps the memo small.
+    No pair is tested: the row is read off lam's cup diagram
+    (Lascoux-Schutzenberger; Brundan-Stroppel, Khovanov's diagram
+    algebra I). Walk lam's boundary path from the bottom left of the
+    box to the top right, as one int with bit p set when step p goes
+    east; part t of lam (from the top) closes with the north step
+    p = lam_t + k - 1 - t. An east step opens a cup, and the next
+    unmatched north step closes it. The labels at depth d below lam are
+    exactly those whose path is lam's with d of its cups reversed
+    (north first, then east). Reversing a cup flips its two bits, and
+    no two cups share a bit, so the row is path ^ m over the 2^c sums m
+    of lam's c cups, at the number of cups in m.
     """
     padded = [lam.parts + (0,) * (k - len(lam.parts))
               for lam in enumerate_partitions_in_box(k, n - k)]
-    index = {parts: i for i, parts in enumerate(padded)}
-    memo = {}
-
-    def fillings(c, lo, hi):
-        # (left ends, depth) of every Dyck shape with the right ends c
-        # and weakly decreasing left ends a_t in [lo, min(hi, c_t)]
-        if not c:
-            yield (), 0
-            return
-        c0 = c[0]
-        if lo <= c0 <= hi:
-            # row 0 is empty
-            for a, d in fillings(c[1:], lo, c0):
-                yield (c0,) + a, d
-        for r in range(1, min(c0 - lo, len(c)) + 1):
-            if r > 1 and c[r - 1] + r - 2 < c0:
-                break  # (i) fails at t = r - 1, so for every longer r
-            last = c0 - r
-            if last > hi or (r < len(c) and c[r] > last):
-                continue
-            key = (c[r:], lo, last)
-            rest = memo.get(key)
-            if rest is None:
-                rest = memo[key] = list(fillings(*key))
-            for a, d in fillings(tuple(b - 1 for b in c[1:r]), last, hi):
-                a += (last,)
-                for a2, d2 in rest:
-                    yield a + a2, d + 1 + d2
-
-    return [{index[a]: d for a, d in fillings(c, 0, c[0])} for c in padded]
+    paths = [((1 << n) - 1) ^ sum(1 << a + k - 1 - t
+                                  for t, a in enumerate(parts))
+             for parts in padded]
+    index = {path: i for i, path in enumerate(paths)}
+    rows = []
+    for path in paths:
+        row, open_ = {path: 0}, []
+        for p in range(n):
+            if path >> p & 1:
+                open_.append(p)
+            elif open_:
+                cup = 1 << open_.pop() | 1 << p
+                row.update([(x ^ cup, d + 1) for x, d in row.items()])
+        rows.append({index[x]: d for x, d in row.items()})
+    return rows
 
 
 # Packed entries. Inside the matrix paths every entry is one int, its
@@ -350,11 +337,7 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
     with S the least shift that leaves no positive power of v in it
     (S = 0 when the KL degree bound holds), and compared with u^S.
     """
-    if n > 10:
-        raise ValueError("kl_inversion_check supports n <= 10")
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    labels = enumerate_partitions_in_box(k, n - k)
+    labels = Space.gr(k, n).labels()  # refuses k, n outside its range
     # the first block of w0 x_lam, which fixes its coset
     words = [hecke.coset_word(({n + 1 - t for t in jump_sequence(lam, k)},
                                ())) for lam in labels]

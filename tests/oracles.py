@@ -234,8 +234,9 @@ def scan_box_by_lists(rows: int, cols: int):
 
 
 def pair_scan_rows(k: int, n: int):
-    """mult.dyck_rows by brute force: every pair of labels whose inner
-    tuple is below the outer one goes to the Dyck evaluator as its rows
+    """The Dyck depths of mult.dyck_rows by brute force, with no cup
+    diagram: every pair of labels whose inner tuple is below the outer
+    one goes to the stack evaluator (eval_encoded) as its rows
     (inner_j, outer_j]. Row i maps j to the Dyck depth."""
     labels = enumerate_partitions_in_box(k, n - k)
     padded = [lam.parts + (0,) * (k - len(lam.parts)) for lam in labels]
@@ -259,12 +260,14 @@ def pair_scan_rows(k: int, n: int):
 
 
 def cup_rows(k: int, n: int):
-    """mult.dyck_rows from cup diagrams (Lascoux-Schutzenberger;
-    Brundan-Stroppel, Khovanov's diagram algebra I). Walk the boundary
-    path of lam from the bottom left of the box to the top right: an
-    east step opens a cup, and the next unmatched north step closes it.
-    Row lam maps mu to r when mu's path is lam's with r of its cups
-    reversed (north first, then east)."""
+    """The cup-diagram rule of mult.dyck_rows in list-and-subset form
+    (Lascoux-Schutzenberger; Brundan-Stroppel, Khovanov's diagram
+    algebra I), where dyck_rows packs each path into one int and each cup
+    into an XOR mask. Walk the boundary path of lam from the bottom left
+    of the box to the top right as a list of steps: an east step opens a
+    cup, and the next unmatched north step closes it. Row lam maps mu to
+    r when mu's path is lam's with r of its cups reversed (north first,
+    then east); mu is read back from its path, not looked up by it."""
     labels = enumerate_partitions_in_box(k, n - k)
     index = {lam.parts: i for i, lam in enumerate(labels)}
     rows = []

@@ -180,3 +180,15 @@ def test_hashable_and_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, 2 ** 70])
+def test_a_constant_hashes_like_the_int_it_equals(c):
+    p = LaurentPoly.from_pairs([(0, c)])
+    assert p == c and c == p
+    assert hash(p) == hash(c)
+    assert len({c, p}) == 1
+    assert {p: "poly"}[c] == "poly"
+    assert {c: "int"}[p] == "int"
+    # the hash is computed once and kept
+    assert hash(p) == hash(p) == p._hash

@@ -398,8 +398,9 @@ def test_dyck_rows_match_the_pair_scan():
 
 
 def test_dyck_rows_match_cup_diagrams():
-    """A third route to D: reversing r cups of lam's cup diagram gives
-    exactly the labels at Dyck depth r below lam."""
+    """The bit encoding of dyck_rows against the same cup rule on lists
+    of steps and subsets of cups, up to n = 11, one past Space.gr. The
+    independent Dyck routes to D are the pair scan and delta_ic_gr."""
     for n in range(2, 12):
         for k in range(1, n):
             assert mult.dyck_rows(k, n) == cup_rows(k, n), (k, n)
