@@ -61,13 +61,6 @@ def compose(a, b):
     return tuple(a[b[i] - 1] for i in range(len(a)))
 
 
-def inverse(w):
-    out = [0] * len(w)
-    for i, im in enumerate(w):
-        out[im - 1] = i + 1
-    return tuple(out)
-
-
 def bruhat_leq(x, w) -> bool:
     """Bruhat order via the sorted-prefix dominance criterion."""
     if len(x) != len(w):

@@ -187,16 +187,6 @@ class GradedAlgebra:
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
 
-    def graded_dims(self):
-        """dict (src, tgt) -> LaurentPoly counting basis elements by
-        degree."""
-        out = {}
-        for pair in itertools.product(self.vertices, repeat=2):
-            out[pair] = LaurentPoly.zero()
-        for bname, (src, tgt, deg) in self.basis.items():
-            out[(src, tgt)] = out[(src, tgt)] + LaurentPoly.monomial(deg)
-        return out
-
 
 def load_algebra(doc: dict) -> GradedAlgebra:
     """Build an algebra from its JSON document form:
@@ -525,18 +515,6 @@ class ExtTable:
     def all_finished(self) -> bool:
         return all(r.finished for r in self.resolutions.values())
 
-    def koszul_violation(self):
-        """First summand (i, lam, mu, s) with s != -i, scanning steps
-        in homological order."""
-        for i in range(1, self.i_max + 1):
-            for lam, res in self.resolutions.items():
-                if i >= len(res.steps):
-                    continue
-                for (mu, s) in res.steps[i]:
-                    if s != -i:
-                        return (i, lam, mu, s)
-        return None
-
     def euler_matrix(self) -> dict:
         """(lam, mu) -> sum_i (-1)^i sum_s dim * v^s; only meaningful
         when every resolution terminated."""
@@ -591,8 +569,8 @@ class KoszulReport:
 def is_koszul(algebra: GradedAlgebra, field,
               i_max: int | None = None) -> KoszulReport:
     """Whether step i of the resolution of every simple is generated in
-    degree -i for i <= i_max, with the first violation in the order of
-    ExtTable.koszul_violation: step i, then vertex, then summand.
+    degree -i for i <= i_max, with the first violation (i, lam, mu, s)
+    in the order step i, then vertex lam, then summand.
 
     The simples are resolved in vertex order, each only until its first
     violating step. Once a violation at step i is found, a later simple
@@ -643,23 +621,18 @@ class IntegralReport:
 
 def integral_koszul_check(algebra: GradedAlgebra, l: int,
                           i_max: int | None = None) -> IntegralReport:
-    """Compare graded Ext over Q and over F_l. Matching dimensions
-    force matching Koszul verdicts (a mismatch would be an engine
-    bug); differing dimensions mean Ext has l-torsion and the
-    rational verdict does not transfer to characteristic l."""
-    field_f = FieldF(l)
-    table_q = ext_table(algebra, "Q", i_max)
-    table_f = ext_table(algebra, field_f, i_max)
-    kq = table_q.koszul_violation() is None
-    kf = table_f.koszul_violation() is None
-    match = table_q.dims() == table_f.dims()
-    if match:
-        if kq != kf:
-            raise RuntimeError("ext dimensions match but Koszul verdicts "
-                               "differ; resolution engine bug")
-        verdict = "koszul" if kq else "not_koszul"
-    else:
-        verdict = "inapplicable"
+    """Compare graded Ext over Q and over F_l. Each verdict is read off
+    the dimensions compared, Koszul when every Ext^i sits in degree -i,
+    so matching dimensions give matching verdicts; differing dimensions
+    mean Ext has l-torsion and the rational verdict does not transfer
+    to characteristic l."""
+    dims_q = ext_table(algebra, "Q", i_max).dims()
+    dims_f = ext_table(algebra, FieldF(l), i_max).dims()
+    kq, kf = (all(s == -i for i, _, _, s in dims)
+              for dims in (dims_q, dims_f))
+    match = dims_q == dims_f
+    verdict = ("inapplicable" if not match
+               else "koszul" if kq else "not_koszul")
     return IntegralReport(algebra.name, l, kq, kf, match, verdict)
 
 

@@ -3,9 +3,13 @@
 Coefficients are arbitrary-precision ints keyed by integer exponents.
 Zero coefficients are never stored, so structural equality of the
 coefficient maps is mathematical equality. Besides the ring operations
-there is long division with remainder (divmod). Two readers take back
-a polynomial packed into one int by Kronecker substitution: digits,
-for nonnegative coefficients, and unpack, for signed ones.
+there are the shift by a power of v, the bar involution v -> 1/v
+(involute), support dominance (dominates) and long division with
+remainder (divmod); the library itself computes on packed ints, so
+these serve its users and the Laurent elimination in tests/oracles.py.
+Two readers take back a polynomial packed into one int by Kronecker
+substitution: digits, for nonnegative coefficients, and unpack, for
+signed ones.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ class LaurentPoly:
         """coeff * v^exponent"""
         return LaurentPoly({exponent: coeff})
 
-    @staticmethod
-    def from_pairs(pairs) -> "LaurentPoly":
-        acc = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
-
     def coeff(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
@@ -57,9 +54,6 @@ class LaurentPoly:
 
     def items(self):
         return self._coeffs.items()
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -163,12 +157,6 @@ class LaurentPoly:
         """Multiply by v^k."""
         return _wrap({e + k: c for e, c in self._coeffs.items()})
 
-    def inflate(self, k: int) -> "LaurentPoly":
-        """Substitute v -> v^k (exponents multiply by k), k nonzero."""
-        if not k:
-            raise ValueError("inflate needs k != 0")
-        return _wrap({e * k: c for e, c in self._coeffs.items()})
-
     def involute(self) -> "LaurentPoly":
         """The bar involution exchanging v and v^-1."""
         return _wrap({-e: c for e, c in self._coeffs.items()})
@@ -207,21 +195,6 @@ class LaurentPoly:
     def to_json_dict(self):
         """JSON form: object mapping exponent strings to coefficients."""
         return {str(e): self._coeffs[e] for e in sorted(self._coeffs)}
-
-    @staticmethod
-    def from_json_dict(d) -> "LaurentPoly":
-        """The inverse of to_json_dict: each exponent is a string that
-        spells an integer, and each coefficient an int."""
-        coeffs = {}
-        for e, c in d.items():
-            if type(e) is not str:
-                raise ValueError("exponent %r is not a string" % (e,))
-            try:
-                coeffs[int(e)] = c
-            except ValueError:
-                raise ValueError("exponent %r is not an integer"
-                                 % (e,)) from None
-        return LaurentPoly(coeffs)
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.render()

@@ -13,7 +13,7 @@ is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 
 from .laurent import digits
 
@@ -79,13 +79,6 @@ class Partition:
         return all(other.part(j) <= self.part(j)
                    for j in range(1, len(other.parts) + 1))
 
-    def transpose(self) -> "Partition":
-        if not self.parts:
-            return self
-        cols = self.parts[0]
-        return Partition(tuple(sum(1 for p in self.parts if p >= i)
-                               for i in range(1, cols + 1)))
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -107,20 +100,10 @@ def enumerate_partitions_in_box(k: int, m: int):
     """
     if k < 1 or m < 1:
         raise ValueError("box dimensions must be positive")
-    acc = []
-
-    def rec(prev, row, parts):
-        acc.append(Partition(tuple(parts)))
-        if row == k:
-            return
-        for p in range(prev, 0, -1):
-            parts.append(p)
-            rec(p, row + 1, parts)
-            parts.pop()
-
-    rec(m, 0, [])
-    acc.sort(key=lambda lam: (lam.size, tuple(-p for p in lam.parts)))
-    return acc
+    # k parts from m down to 0, weakly decreasing; Partition drops zeros
+    return sorted(map(Partition,
+                      combinations_with_replacement(range(m, -1, -1), k)),
+                  key=lambda lam: (lam.size, tuple(-p for p in lam.parts)))
 
 
 def jump_sequence(lam: Partition, k: int):
@@ -172,12 +155,6 @@ class SkewShape:
             return 0
         cols = [i for i, _ in self.cells]
         return max(cols) - min(cols) + 1
-
-    def height(self) -> int:
-        if not self.cells:
-            return 0
-        rows = [j for _, j in self.cells]
-        return max(rows) - min(rows) + 1
 
     def __eq__(self, other):
         return (isinstance(other, SkewShape)

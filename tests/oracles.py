@@ -12,8 +12,25 @@ from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly, digits
-from koszulbench.shapes import (BoxScan, enumerate_partitions_in_box,
-                                jump_sequence, shape_from_cells)
+from koszulbench.shapes import (BoxScan, Partition,
+                                enumerate_partitions_in_box, jump_sequence,
+                                shape_from_cells)
+
+
+def from_pairs(pairs) -> LaurentPoly:
+    """The LaurentPoly summing c * v^e over the pairs (e, c); an
+    exponent may repeat."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return LaurentPoly(acc)
+
+
+def conjugate_partition(lam) -> Partition:
+    """The conjugate (transposed) partition: part i counts the parts
+    of lam that are at least i."""
+    return Partition(sum(1 for p in lam.parts if p >= i)
+                     for i in range(1, lam.part(1) + 1))
 
 
 def encode_shape(shape):
@@ -316,6 +333,14 @@ def grassmannian_permutations(k: int, n: int):
     return out
 
 
+def inverse(w):
+    """The inverse permutation, in one-line notation."""
+    out = [0] * len(w)
+    for i, im in enumerate(w):
+        out[im - 1] = i + 1
+    return tuple(out)
+
+
 def mul_s(w, i):
     """Right multiply by the simple transposition s_{i+1} (0-based i)."""
     l = list(w)
@@ -488,7 +513,8 @@ def delta_ic_flag(n: int, x, y) -> LaurentPoly:
     if not hecke.bruhat_leq(y, x):
         return LaurentPoly.zero()
     q_poly = FullKLTable(n).inverse_kl(y, x)
-    return q_poly.inflate(2).shift(-(hecke.length(x) - hecke.length(y)))
+    shift = hecke.length(y) - hecke.length(x)
+    return LaurentPoly({2 * e + shift: c for e, c in q_poly.items()})
 
 
 def delta_ic(space, a, b):
@@ -697,9 +723,34 @@ def laurent_matrix_inverse(rows):
     return [[p * det_inv for p in row] for row in adj]
 
 
+def graded_dims(algebra):
+    """dict (src, tgt) -> LaurentPoly counting the basis elements of an
+    algebra by degree: its graded Cartan matrix C, which
+    koszul.cartan_inverse packs into ints instead."""
+    out = {pair: LaurentPoly.zero()
+           for pair in itertools.product(algebra.vertices, repeat=2)}
+    for src, tgt, deg in algebra.basis.values():
+        out[(src, tgt)] += LaurentPoly.monomial(deg)
+    return out
+
+
+def koszul_violation(table):
+    """The first summand (i, lam, mu, s) with s != -i of a
+    koszul.ExtTable, scanning steps in homological order, or None: the
+    verdict of koszul.is_koszul read off whole resolutions."""
+    for i in range(1, table.i_max + 1):
+        for lam, res in table.resolutions.items():
+            if i >= len(res.steps):
+                continue
+            for (mu, s) in res.steps[i]:
+                if s != -i:
+                    return (i, lam, mu, s)
+    return None
+
+
 def cartan_inverse_by_laurent(algebra):
     """koszul.cartan_inverse through laurent_matrix_inverse on the
     graded dimension table."""
-    dims = algebra.graded_dims()
+    dims = graded_dims(algebra)
     return laurent_matrix_inverse([[dims[(a, b)] for b in algebra.vertices]
                                    for a in algebra.vertices])

@@ -13,7 +13,7 @@ from koszulbench import hecke, koszul, mult, shapes, weights
 from koszulbench.laurent import LaurentPoly
 from koszulbench.mult import Space
 
-from oracles import box_shapes, delta_ic_flag
+from oracles import box_shapes, delta_ic_flag, from_pairs, graded_dims
 
 
 def _all_perms(n):
@@ -66,10 +66,10 @@ def test_criterion_05_loewy_dominance_and_socle():
             ((hecke.length(w), w) for w in _all_perms(n)))]
         identity = tuple(range(1, n + 1))
         for x in perms:
-            bound = LaurentPoly.from_pairs(
+            bound = from_pairs(
                 [(-i, 1) for i in range(hecke.length(x) + 1)])
             socle = delta_ic_flag(n, x, identity)
-            assert not socle.is_zero(), x
+            assert socle, x
             for y in perms:
                 p = delta_ic_flag(n, x, y)
                 assert p.dominates(bound), (x, y)
@@ -83,7 +83,7 @@ def test_criterion_06_cartan_matches_graded_dims():
     assert C.entry(lam_empty, lam_box) == v(-1)
     assert C.entry(lam_box, lam_empty) == v(-1)
     assert C.entry(lam_box, lam_box) == v(0)
-    dims = koszul.builtin_algebra("p1").graded_dims()
+    dims = graded_dims(koszul.builtin_algebra("p1"))
     pairing = {"b": lam_empty, "a": lam_box}
     for s in ("a", "b"):
         for t in ("a", "b"):
@@ -163,7 +163,7 @@ def test_criterion_10_property_suites():
     rng = random.Random(1010)
 
     def rand_poly():
-        return LaurentPoly.from_pairs(
+        return from_pairs(
             [(rng.randint(-4, 4), rng.randint(-5, 5))
              for _ in range(rng.randint(0, 5))])
 

@@ -9,13 +9,13 @@ from koszulbench.hecke import KLTable
 from koszulbench.laurent import LaurentPoly, digits
 from koszulbench.shapes import Partition
 
-from oracles import (FullKLTable, first_descent, grassmannian_permutations,
-                     is_smooth, mul_s)
+from oracles import (FullKLTable, first_descent, from_pairs,
+                     grassmannian_permutations, inverse, is_smooth, mul_s)
 
 
 def q_poly(*coeffs):
     """LaurentPoly in q from ascending coefficients."""
-    return LaurentPoly.from_pairs(list(enumerate(coeffs)))
+    return from_pairs(list(enumerate(coeffs)))
 
 
 def _inv(w):
@@ -124,7 +124,7 @@ def test_columns_match_under_inverse_and_w0_conjugation_on_s6():
     perms = list(itertools.permutations(range(1, n + 1)))
     cols = hecke.parabolic_kl((1,) * n)
     assert sorted(cols) == sorted(map(flag_word, perms))
-    for move in (hecke.inverse, conjugate):
+    for move in (inverse, conjugate):
         # the move on words
         moved = {flag_word(x): flag_word(move(x)) for x in perms}
         for w, col in cols.items():
@@ -169,10 +169,10 @@ def test_kl_symmetries_and_support(tables, pair):
     table = tables[n]
     w0 = hecke.longest_element(n)
     p = table.kl_polynomial(x, w)
-    assert p == table.kl_polynomial(hecke.inverse(x), hecke.inverse(w))
+    assert p == table.kl_polynomial(inverse(x), inverse(w))
     assert p == table.kl_polynomial(hecke.compose(hecke.compose(w0, x), w0),
                                     hecke.compose(hecke.compose(w0, w), w0))
-    assert p.is_zero() == (not hecke.bruhat_leq(x, w))
+    assert bool(p) == hecke.bruhat_leq(x, w)
 
 
 def test_parse_and_render():
@@ -193,8 +193,8 @@ def test_length_compose_inverse():
     assert hecke.length(w0) == 6
     assert hecke.length((1, 2, 3, 4)) == 0
     for w in itertools.permutations(range(1, 5)):
-        assert hecke.length(hecke.inverse(w)) == hecke.length(w)
-        assert hecke.compose(w, hecke.inverse(w)) == (1, 2, 3, 4)
+        assert hecke.length(inverse(w)) == hecke.length(w)
+        assert hecke.compose(w, inverse(w)) == (1, 2, 3, 4)
 
 
 def test_mul_s_and_descent():
@@ -242,7 +242,7 @@ def test_s3_all_trivial():
             if hecke.bruhat_leq(x, w):
                 assert p == 1
             else:
-                assert p.is_zero()
+                assert not p
 
 
 S4_HAND_VALUES = [
@@ -283,7 +283,7 @@ def test_degree_bound_and_constant_term():
         w = rng.choice(perms)
         p = table.kl_polynomial(x, w)
         if not hecke.bruhat_leq(x, w):
-            assert p.is_zero()
+            assert not p
             continue
         assert p.coeff(0) == 1
         gap = hecke.length(w) - hecke.length(x)
@@ -296,7 +296,7 @@ def test_inversion_symmetry():
     for x in itertools.permutations(range(1, 5)):
         for w in itertools.permutations(range(1, 5)):
             p = table.kl_polynomial(x, w)
-            q = table.kl_polynomial(hecke.inverse(x), hecke.inverse(w))
+            q = table.kl_polynomial(inverse(x), inverse(w))
             assert p == q
 
 
@@ -306,10 +306,10 @@ def full_inversion_identity(table, n, triples):
         total = LaurentPoly.zero()
         for y in perms:
             p = table.kl_polynomial(x, y)
-            if p.is_zero():
+            if not p:
                 continue
             q = table.inverse_kl(y, z)
-            if q.is_zero():
+            if not q:
                 continue
             sign = -1 if (hecke.length(x) + hecke.length(y)) % 2 else 1
             total = total + sign * (p * q)

@@ -5,15 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from koszulbench.laurent import LaurentPoly, digits, unpack
 
+from oracles import from_pairs
+
 
 def rand_poly(rng, span=6, terms=4):
     pairs = [(rng.randint(-span, span), rng.randint(-5, 5))
              for _ in range(rng.randint(0, terms))]
-    return LaurentPoly.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 def test_zero_one_monomial():
-    assert LaurentPoly.zero().is_zero()
     assert not LaurentPoly.zero()
     assert LaurentPoly.one() == 1
     m = LaurentPoly.monomial(-3, 2)
@@ -23,7 +24,7 @@ def test_zero_one_monomial():
 
 
 def test_canonical_no_zero_coeffs():
-    p = LaurentPoly.from_pairs([(1, 1), (1, -1), (0, 3)])
+    p = from_pairs([(1, 1), (1, -1), (0, 3)])
     assert p.support() == [0]
     assert p == 3
 
@@ -71,16 +72,12 @@ def test_int_coercion_both_sides():
 
 
 def test_shift_and_inflate():
-    p = LaurentPoly.from_pairs([(0, 1), (2, 1)])
-    assert p.shift(-1) == LaurentPoly.from_pairs([(-1, 1), (1, 1)])
-    assert p.inflate(3) == LaurentPoly.from_pairs([(0, 1), (6, 1)])
-    assert p.inflate(1) == p
-
-
-def test_inflate_by_zero_is_refused():
-    # v -> 1 would add the coefficients up; no exponent map does that
-    with pytest.raises(ValueError):
-        LaurentPoly({1: 2, 2: 3}).inflate(0)
+    """shift multiplies by a power of v. Of the substitutions v -> v^k
+    the library keeps one, the bar involution (k = -1)."""
+    p = from_pairs([(0, 1), (2, 1)])
+    assert p.shift(-1) == from_pairs([(-1, 1), (1, 1)])
+    assert p.shift(0) == p
+    assert p.involute() == from_pairs([(0, 1), (-2, 1)])
 
 
 def test_digits_lowest_first():
@@ -133,8 +130,8 @@ def test_dominates_is_a_preorder():
 
 
 def test_dominates_meaning():
-    big = LaurentPoly.from_pairs([(0, 1), (-1, 2), (-2, 1)])
-    small = LaurentPoly.from_pairs([(0, 5), (-2, 1)])
+    big = from_pairs([(0, 1), (-1, 2), (-2, 1)])
+    small = from_pairs([(0, 5), (-2, 1)])
     assert small.dominates(big)
     assert not big.dominates(small)
     assert LaurentPoly.zero().dominates(big)
@@ -142,17 +139,10 @@ def test_dominates_meaning():
 
 
 def test_render_descending():
-    p = LaurentPoly.from_pairs([(-2, 1), (0, 1), (1, 3)])
+    p = from_pairs([(-2, 1), (0, 1), (1, 3)])
     assert p.render() == "3*v + 1 + v^-2"
     assert LaurentPoly.zero().render() == "0"
-    assert LaurentPoly.from_pairs([(1, -1)]).render(var="q") == "-q"
-
-
-def test_json_round_trip():
-    rng = random.Random(404)
-    for _ in range(50):
-        p = rand_poly(rng)
-        assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
+    assert from_pairs([(1, -1)]).render(var="q") == "-q"
 
 
 @pytest.mark.parametrize("coeffs", [{0.7: 1}, {0: 0.5}, {True: 3},
@@ -164,19 +154,9 @@ def test_non_integer_terms_are_refused(coeffs):
         LaurentPoly(coeffs)
 
 
-@pytest.mark.parametrize("doc", [{"0": 0.5, "1": 2.9}, {"0": True},
-                                 {"0.5": 1}, {"v": 1}, {0: 1}, {"1": "2"}])
-def test_from_json_dict_refuses_non_integer_terms(doc):
-    """{"0": 0.5, "1": 2.9} used to load as 2*v."""
-    with pytest.raises(ValueError):
-        LaurentPoly.from_json_dict(doc)
-    assert LaurentPoly.from_json_dict({"-2": 3, "0": 1}) == (
-        LaurentPoly.from_pairs([(-2, 3), (0, 1)]))
-
-
 def test_hashable_and_equal():
-    a = LaurentPoly.from_pairs([(1, 1), (0, 2)])
-    b = LaurentPoly.from_pairs([(0, 2), (1, 1)])
+    a = from_pairs([(1, 1), (0, 2)])
+    b = from_pairs([(0, 2), (1, 1)])
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -184,7 +164,7 @@ def test_hashable_and_equal():
 
 @pytest.mark.parametrize("c", [0, 1, -3, 2 ** 70])
 def test_a_constant_hashes_like_the_int_it_equals(c):
-    p = LaurentPoly.from_pairs([(0, c)])
+    p = from_pairs([(0, c)])
     assert p == c and c == p
     assert hash(p) == hash(c)
     assert len({c, p}) == 1
