@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
+from operator import le
 
 from .laurent import digits
 
@@ -76,8 +77,10 @@ class Partition:
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
-        return all(other.part(j) <= self.part(j)
-                   for j in range(1, len(other.parts) + 1))
+        """other_j <= self_j for every j; a longer other fails, since
+        self_j is zero beyond self's last part."""
+        return (len(other.parts) <= len(self.parts)
+                and all(map(le, other.parts, self.parts)))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -292,7 +295,10 @@ def is_dyck_cbs(shape: SkewShape) -> bool:
     return all(i + j >= lev for i, j in shape.cells)
 
 
-@dataclass(frozen=True)
+# slotted but not frozen: a frozen dataclass sets each field through
+# object.__setattr__, which more than doubles the cost of building
+# one, and dyck_depth builds one per call
+@dataclass(slots=True)
 class DyckVerdict:
     is_dyck: bool
     depth: int
@@ -306,10 +312,11 @@ def dyck_depth(shape: SkewShape) -> DyckVerdict:
     by level by _depth_by_levels, straight from the parts: each level
     peels the outer strip of every component at once and checks it
     with the strip criteria (i) and (ii) below, the same rule scan_box
-    counts with. The cost is at most rows times levels (a square of
-    side n takes n(n+1)/2 row steps), so a shape may have at most
-    MAX_DEPTH_ROWS rows; a longer one raises ValueError before any
-    work."""
+    counts with. Each level sweeps only the rows of the previous
+    level's components, so the cost is at most rows times levels (a
+    square of side n takes n(n+1)/2 row steps), and a shape may have
+    at most MAX_DEPTH_ROWS rows; a longer one raises ValueError before
+    any work."""
     outer = shape.outer.parts
     n = len(outer)
     if n > MAX_DEPTH_ROWS:
@@ -395,11 +402,12 @@ def transpose(shape: SkewShape) -> SkewShape:
 # they read
 #   (i)  b_{u+k} + u >= b_{t+k} + t + 1, and
 #   (ii) a_{t+r-1} + k + r == b_{t+k}.
-# Level k + 1 has nonempty rows only from level k's first component to
-# the row before its last component's last row; each level ends at
-# least one row earlier than the one before, so t + k < n holds
-# throughout, and the evaluation stops at the first level with no
-# component.
+# So level k + 1 is swept only over the rows t..t+r-2 of each live
+# component of level k, one with r >= 2 rows: a component of one row
+# leaves nothing, and the rows between components stay empty. Each such
+# range ends at least one row before the range of level k that held
+# it, so t + k < n holds throughout, and the evaluation stops at the
+# first level with no live component.
 
 
 def _depth_by_levels(a, b):
@@ -407,38 +415,36 @@ def _depth_by_levels(a, b):
     is not Dyck; a is padded to the length of b. Counts the components
     of every level, as above, without building a row list."""
     total = 0
-    lo, hi = 0, len(b)
+    live = [(0, len(b))]
     k = 0
-    while True:
-        first = -1
-        t = lo
-        while t < hi:
-            b0 = b[t + k]
-            pk = a[t] + k  # the left end of row t, shifted by k
-            if b0 <= pk:  # an empty row
-                t += 1
-                continue
-            if first < 0:
-                first = t
-            total += 1
-            lim = b0 + t + 1
-            u = t + 1
-            # a row joins the component iff it overlaps the row above
-            while u < hi:
-                c = b[u + k]
-                if c <= pk:
-                    break
-                if c + u < lim:  # (i)
+    while live:
+        spans, live = live, []
+        for t, hi in spans:
+            while t < hi:
+                b0 = b[t + k]
+                pk = a[t] + k  # the left end of row t, shifted by k
+                if b0 <= pk:  # an empty row
+                    t += 1
+                    continue
+                total += 1
+                lim = b0 + t + 1
+                u = t + 1
+                # a row joins the component iff it overlaps the row above
+                while u < hi:
+                    c = b[u + k]
+                    if c <= pk:
+                        break
+                    if c + u < lim:  # (i)
+                        return -1
+                    pk = a[u] + k
+                    u += 1
+                if pk + u - t != b0:  # (ii)
                     return -1
-                pk = a[u] + k
-                u += 1
-            if pk + u - t != b0:  # (ii)
-                return -1
-            t = last = u
-        if first < 0:
-            return total
-        lo, hi = first, last - 1
+                if u - t > 1:  # its remainder lies in rows t..u-2
+                    live.append((t, u - 1))
+                t = u
         k += 1
+    return total
 
 
 @dataclass

@@ -12,9 +12,10 @@ from math import gcd
 
 from koszulbench import _linalg, hecke, mult, weights
 from koszulbench.laurent import LaurentPoly, digits
-from koszulbench.shapes import (BoxScan, Partition,
-                                enumerate_partitions_in_box, jump_sequence,
-                                shape_from_cells)
+from koszulbench.shapes import (BoxScan, Partition, connected_components,
+                                enumerate_partitions_in_box, is_border_strip,
+                                is_dyck_cbs, jump_sequence,
+                                outer_border_strip, shape_from_cells)
 
 
 def from_pairs(pairs) -> LaurentPoly:
@@ -31,6 +32,37 @@ def conjugate_partition(lam) -> Partition:
     of lam that are at least i."""
     return Partition(sum(1 for p in lam.parts if p >= i)
                      for i in range(1, lam.part(1) + 1))
+
+
+def oracle_depth(shape, memo=None):
+    """The four-rule recursion on SkewShape objects, or None when the
+    shape is not Dyck. Built only from the object-level primitives, so
+    it shares no code with the row-interval evaluators. memo, a dict
+    shared between calls, keeps the depths of the shapes met so far;
+    components and remainders repeat across the shapes of a box."""
+    if shape.is_empty():
+        return 0
+    if memo is None:
+        memo = {}
+    if shape in memo:
+        return memo[shape]
+    comps = connected_components(shape)
+    if len(comps) > 1:
+        depths = [oracle_depth(c, memo) for c in comps]
+        got = None if None in depths else sum(depths)
+    elif is_border_strip(shape):
+        got = 1 if is_dyck_cbs(shape) else None
+    else:
+        strip = oracle_depth(outer_border_strip(shape), memo)
+        rest = None
+        if strip is not None:
+            cs = shape.cell_set()
+            rest = oracle_depth(shape_from_cells(
+                (i, j) for i, j in shape.cells if (i + 1, j + 1) in cs),
+                memo)
+        got = None if rest is None else strip + rest
+    memo[shape] = got
+    return got
 
 
 def encode_shape(shape):
@@ -534,6 +566,33 @@ def proj_delta_vector(space, lam):
         if p:
             out[nu] = p
     return out
+
+
+def wt_brute(blocks):
+    """weights.wt_from_blocks by exhaustion, without its pruning or its
+    search over offsets: the first set containing 0, by size and then
+    lexicographically, that holds a translate of every block.
+
+    The search stays inside 0..span - 1, span the sum of w + 1 over the
+    distinct normalized blocks of width w. If a set's copies left an
+    integer uncovered between two runs of them, sliding the runs above
+    it down by one would give a lexicographically smaller set of the
+    same size or a smaller one; so the first set has no such integer,
+    and its copies lie inside span consecutive integers.
+    """
+    norm = {tuple(x - min(b) for x in sorted(set(b))) for b in blocks}
+    if not norm:
+        return (0,)
+    masks = [(sum(1 << x for x in b), b[-1]) for b in norm]
+    span = sum(b[-1] + 1 for b in norm)
+    for size in itertools.count(max(map(len, norm))):
+        for rest in itertools.combinations(range(1, span), size - 1):
+            top = rest[-1] if rest else 0
+            got = sum(1 << x for x in rest) | 1
+            if all(any(got >> off & mask == mask
+                       for off in range(top - width + 1))
+                   for mask, width in masks):
+                return (0,) + rest
 
 
 def has_weights_in(matrix, q: int):

@@ -25,42 +25,11 @@ from koszulbench import shapes
 
 from oracles import (box_encodings, box_shapes, conjugate_partition,
                      encode_shape, encoding_parts, eval_encoded,
-                     scan_box_by_lists)
+                     oracle_depth, scan_box_by_lists)
 
 
 def sh(outer, inner=()):
     return SkewShape(Partition(outer), Partition(inner))
-
-
-def oracle_depth(shape, memo=None):
-    """The four-rule recursion on SkewShape objects, or None when the
-    shape is not Dyck. Built only from the object-level primitives, so
-    it shares no code with the row-interval evaluators. memo, a dict
-    shared between calls, keeps the depths of the shapes met so far;
-    components and remainders repeat across the shapes of a box."""
-    if shape.is_empty():
-        return 0
-    if memo is None:
-        memo = {}
-    if shape in memo:
-        return memo[shape]
-    comps = connected_components(shape)
-    if len(comps) > 1:
-        depths = [oracle_depth(c, memo) for c in comps]
-        got = None if None in depths else sum(depths)
-    elif is_border_strip(shape):
-        got = 1 if is_dyck_cbs(shape) else None
-    else:
-        strip = oracle_depth(outer_border_strip(shape), memo)
-        rest = None
-        if strip is not None:
-            cs = shape.cell_set()
-            rest = oracle_depth(shape_from_cells(
-                (i, j) for i, j in shape.cells if (i + 1, j + 1) in cs),
-                memo)
-        got = None if rest is None else strip + rest
-    memo[shape] = got
-    return got
 
 
 def levels(enc):
@@ -113,6 +82,23 @@ def test_partition_parts_and_transpose():
     assert conjugate_partition(conjugate_partition(lam)) == lam
     assert Partition((3, 1)).contains(Partition((2, 1)))
     assert not Partition((3, 1)).contains(Partition((1, 1, 1)))
+
+
+def partition_parts(max_len):
+    """Weakly decreasing positive parts, at most max_len of them."""
+    return st.lists(st.integers(1, 6), max_size=max_len).map(
+        lambda ps: sorted(ps, reverse=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(partition_parts(6), partition_parts(8))
+def test_contains_matches_the_per_index_definition(outer, inner):
+    """contains against other_j <= self_j at every index of other, with
+    zero beyond the last part; inner may be longer than outer."""
+    lam, mu = Partition(outer), Partition(inner)
+    want = all(mu.part(j) <= lam.part(j) for j in range(1, len(mu) + 1))
+    assert lam.contains(mu) == want
+    assert lam.contains(lam) and lam.contains(Partition(()))
 
 
 def test_enumerate_partitions_order():
@@ -257,6 +243,18 @@ def test_dyck_depth_examples():
     assert v.is_dyck and v.depth == 0
     v = dyck_depth(sh((1,)))
     assert v.is_dyck and v.depth == 1
+
+
+def test_dyck_verdict_compares_by_value_and_reprs_its_fields():
+    v = dyck_depth(sh((5, 5, 5, 3, 3), (2, 2)))
+    assert v == shapes.DyckVerdict(True, 5)
+    assert v == shapes.DyckVerdict(is_dyck=True, depth=5)
+    assert v != shapes.DyckVerdict(True, 4)
+    assert v != shapes.DyckVerdict(False, 5)
+    assert v != (True, 5)
+    assert repr(v) == "DyckVerdict(is_dyck=True, depth=5)"
+    assert repr(dyck_depth(sh((4, 4, 4, 3)))) == (
+        "DyckVerdict(is_dyck=False, depth=0)")
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -627,3 +625,65 @@ def test_dyck_depth_refuses_more_rows_than_the_limit(monkeypatch):
 def test_dyck_depth_matches_oracle_on_wide_shapes(shape):
     assert 16 <= shape.width() <= 24
     assert_matches_both_routes(shape)
+
+
+CONNECTED_SHAPES = [s for s in box_shapes(4, 4)
+                    if len(connected_components(s)) == 1]
+
+
+@st.composite
+def separated_piece(draw):
+    """Normalized cells of one connected piece: a square (depth its
+    side), a Dyck ribbon (depth 1), a square missing the first cells of
+    its top row, or any connected shape of the 4 x 4 box; the last two
+    are mostly not Dyck, some only at a deeper level."""
+    kind = draw(st.sampled_from(["square", "ribbon", "notched", "small"]))
+    if kind == "square":
+        k = draw(st.integers(1, 6))
+        return list(sh((k,) * k).cells)
+    if kind == "ribbon":
+        n = draw(st.integers(0, 6))
+        return dyck_ribbon(draw(st.lists(st.booleans(), max_size=2 * n)), n)
+    if kind == "notched":
+        k = draw(st.integers(2, 6))
+        return list(normal_form(sh((k,) * k, (draw(st.integers(1, k - 1)),))
+                                ).cells)
+    return list(draw(st.sampled_from(CONNECTED_SHAPES)).cells)
+
+
+@st.composite
+def separated_shapes(draw):
+    """Two to six pieces stacked from the top right to the bottom left,
+    each below the rows and left of the columns of the one before, with
+    0-2 empty rows and 0-2 empty columns between two pieces (no gap at
+    all leaves a corner contact). Returns the shape and its pieces."""
+    pieces = draw(st.lists(separated_piece(), min_size=2, max_size=6))
+    gaps = [(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            for _ in pieces]
+    right = sum(max(i for i, _ in p) for p in pieces) + sum(
+        g for g, _ in gaps)
+    top = draw(st.integers(0, 2))
+    cells = []
+    for piece, (col_gap, row_gap) in zip(pieces, gaps):
+        width = max(i for i, _ in piece)
+        cells += [(i + right - width, j + top) for i, j in piece]
+        right -= width + col_gap
+        top += max(j for _, j in piece) + row_gap
+    return shape_from_cells(cells), pieces
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(separated_shapes())
+def test_dyck_depth_sums_over_separated_pieces(drawn):
+    """Several components share a level, and each carries its own
+    remainder to the next one: dyck_depth against both routes, and
+    against the sum of the pieces' oracle depths."""
+    shape, pieces = drawn
+    assert len(connected_components(shape)) == len(pieces)
+    assert_matches_both_routes(shape)
+    depths = [oracle_depth(shape_from_cells(p)) for p in pieces]
+    v = dyck_depth(shape)
+    if None in depths:
+        assert not v.is_dyck
+    else:
+        assert v == shapes.DyckVerdict(True, sum(depths))

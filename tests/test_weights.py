@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import _linalg, mult, weights
-from oracles import has_weights_in, phi_report_by_sweep, sparse
+from oracles import has_weights_in, phi_report_by_sweep, sparse, wt_brute
 
 
 def test_wt_from_blocks_single():
@@ -62,6 +62,22 @@ def test_wt_space_flag4_range():
     wt = weights.wt_space("flag:4")
     assert len(wt) == 7
     assert wt == tuple(range(7))
+
+
+def test_wt_matches_the_brute_force_route_on_every_small_space():
+    spaces = [mult.Space.gr(k, n) for n in range(2, 9) for k in range(1, n)]
+    spaces += [mult.Space.flag(n) for n in range(1, 5)]
+    assert len(spaces) == 32
+    for space in spaces:
+        blocks = weights.cartan_blocks(space)
+        assert weights.wt_from_blocks(blocks) == wt_brute(blocks), space
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+                max_size=5))
+def test_wt_from_blocks_matches_the_brute_force_route(blocks):
+    assert weights.wt_from_blocks(blocks) == wt_brute(blocks)
 
 
 def test_wt_space_preconditions():
