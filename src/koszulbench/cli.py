@@ -218,10 +218,6 @@ def _cmd_phidec(args) -> int:
     if (not isinstance(doc, list) or not doc
             or not all(isinstance(row, list) for row in doc)):
         raise ValueError("matrix file must hold a JSON array of rows")
-    for r, row in enumerate(doc):
-        if not all(type(x) is int for x in row):  # bool and float refused
-            raise ValueError("matrix row %d has an entry that is not an "
-                             "integer: %r" % (r, row))
     report = weights_mod.is_phi_decomposable(doc, ns.q, ns.l)
     _emit(report.render_text, report.to_json_dict, ns.json)
     return 0 if (report.applicable and report.decomposable) else 2

@@ -129,14 +129,6 @@ class KLTable:
         w0 = self._w0
         return self.kl_polynomial(compose(w0, w), compose(w0, y))
 
-    def mu(self, x, w) -> int:
-        """The coefficient of q^((l(w)-l(x)-1)/2) in P_{x,w}."""
-        p = self._value(x, w)
-        gap = length(w) - length(x)
-        if gap < 0 or gap % 2 == 0:
-            return 0
-        return p >> (_BITS * (gap >> 1))
-
     # -- engine ----------------------------------------------------------
 
     def _value(self, x, w):

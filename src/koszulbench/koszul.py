@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, unpack
+from .laurent import unpack
 from ._linalg import Echelon, FieldQ, FieldF, bareiss, kernel_basis
 
 # Most basis vectors a resolution step's free module may have; see
@@ -146,10 +146,6 @@ class GradedAlgebra:
             self.right[y][x] = tuple(result.items())
         self.neg_names = [b for b in self.basis_order if self.basis[b][2] < 0]
         self._check_associativity()
-
-    def product(self, x: str, y: str) -> dict:
-        """Structure constants of x * y as {name: int}."""
-        return dict(self.right[y].get(x, ()))
 
     def _check_associativity(self):
         """Checks (xy)z = x(yz) on the triples with x*y or y*z listed
@@ -510,23 +506,6 @@ class ExtTable:
                 for (mu, s) in step:
                     key = (i, lam, mu, s)
                     out[key] = out.get(key, 0) + 1
-        return out
-
-    def all_finished(self) -> bool:
-        return all(r.finished for r in self.resolutions.values())
-
-    def euler_matrix(self) -> dict:
-        """(lam, mu) -> sum_i (-1)^i sum_s dim * v^s; only meaningful
-        when every resolution terminated."""
-        if not self.all_finished():
-            raise ValueError("resolution did not terminate within i_max")
-        out = {}
-        for lam, res in self.resolutions.items():
-            for i, step in enumerate(res.steps):
-                sign = -1 if i % 2 else 1
-                for (mu, s) in step:
-                    cur = out.get((lam, mu), LaurentPoly.zero())
-                    out[(lam, mu)] = cur + LaurentPoly.monomial(s, sign)
         return out
 
 

@@ -1,15 +1,17 @@
 """Exact Laurent polynomials in one variable v over the integers.
 
+LaurentPoly is a value type; the library computes on packed ints.
 Coefficients are arbitrary-precision ints keyed by integer exponents.
 Zero coefficients are never stored, so structural equality of the
-coefficient maps is mathematical equality. Besides the ring operations
-there are the shift by a power of v, the bar involution v -> 1/v
-(involute), support dominance (dominates) and long division with
-remainder (divmod); the library itself computes on packed ints, so
-these serve its users and the Laurent elimination in tests/oracles.py.
+coefficient maps is mathematical equality. A polynomial renders as
+text or JSON, compares and hashes (a constant like the int it equals).
 Two readers take back a polynomial packed into one int by Kronecker
 substitution: digits, for nonnegative coefficients, and unpack, for
-signed ones.
+signed ones. The ring operations and long division with remainder
+(divmod) remain although the library calls none of them: the tests run
+_linalg.bareiss on LaurentPoly entries as a second route to
+koszul.cartan_inverse, and perfbench's traced run wraps the ring
+operations.
 """
 
 from __future__ import annotations
@@ -37,16 +39,9 @@ class LaurentPoly:
         return LaurentPoly()
 
     @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "LaurentPoly":
         """coeff * v^exponent"""
         return LaurentPoly({exponent: coeff})
-
-    def coeff(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
 
     def support(self):
         """Sorted exponents carrying a nonzero coefficient."""
@@ -152,23 +147,6 @@ class LaurentPoly:
                 else:
                     del rem[eb + e]
         return LaurentPoly(quot), LaurentPoly(rem)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return _wrap({e + k: c for e, c in self._coeffs.items()})
-
-    def involute(self) -> "LaurentPoly":
-        """The bar involution exchanging v and v^-1."""
-        return _wrap({-e: c for e, c in self._coeffs.items()})
-
-    def dominates(self, other: "LaurentPoly") -> bool:
-        """Support dominance: every exponent of self also appears in other.
-
-        This is the relation written p preceq q: p_i nonzero implies
-        q_i nonzero. Reflexive and transitive, not antisymmetric.
-        """
-        oc = other._coeffs
-        return all(e in oc for e in self._coeffs)
 
     def render(self, var: str = "v") -> str:
         """Human-readable text, exponents descending, e.g. 'v^2 + 3*v^-1'."""

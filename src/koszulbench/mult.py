@@ -222,11 +222,6 @@ class MultiplicityMatrix:
     labels: list
     entries: list
 
-    def entry(self, a, b) -> LaurentPoly:
-        ia = self.labels.index(a)
-        ib = self.labels.index(b)
-        return self.entries[ia][ib]
-
     def render_label(self, label) -> str:
         if self.space.kind == "gr":
             return str(label)

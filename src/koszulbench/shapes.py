@@ -24,28 +24,29 @@ MAX_DEPTH_ROWS = 2048
 
 
 def _clean_parts(parts):
-    parts = tuple(parts)  # walked twice, so a generator is read once
-    out = []
-    prev = None
+    parts = tuple(parts)  # the messages quote a generator's parts too
+    prev = None  # the last nonzero part
+    zero = False
     for p in parts:
         if type(p) is not int:  # bool, float and str refused
             raise ValueError("part %r is not an integer" % (p,))
-        if p < 0:
+        if p > 0:
+            if prev is not None and p > prev:
+                raise ValueError("parts not weakly decreasing: %r"
+                                 % (parts,))
+            prev = p
+        elif p:
             raise ValueError("negative part %d" % p)
-        if p == 0:
-            continue
-        if prev is not None and p > prev:
-            raise ValueError("parts not weakly decreasing: %r" % (parts,))
-        out.append(p)
-        prev = p
-    # zeros are allowed only as trailing padding
-    seen_zero = False
-    for p in parts:
-        if p == 0:
-            seen_zero = True
-        elif seen_zero:
-            raise ValueError("interior zero part in %r" % (parts,))
-    return tuple(out)
+        else:
+            zero = True
+    if not zero:
+        return parts
+    # zeros are allowed only as trailing padding; any other bad part,
+    # even a later one, is reported first
+    cut = parts.index(0)
+    if any(parts[cut:]):
+        raise ValueError("interior zero part in %r" % (parts,))
+    return parts[:cut]
 
 
 class Partition:
@@ -152,12 +153,6 @@ class SkewShape:
 
     def cell_set(self):
         return frozenset(self.cells)
-
-    def width(self) -> int:
-        if not self.cells:
-            return 0
-        cols = [i for i, _ in self.cells]
-        return max(cols) - min(cols) + 1
 
     def __eq__(self, other):
         return (isinstance(other, SkewShape)

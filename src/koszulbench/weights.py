@@ -273,8 +273,9 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
 
     The matrix must be invertible mod l (an automorphism of the local
     lattice) and l must be prime and prime to q. The cost grows fast
-    with the size and the entries (docs/cli.md), so more than 16 rows or
-    an entry of absolute value 2^31 or more is refused at once.
+    with the size and the entries (docs/cli.md), so more than 16 rows, an
+    entry that is not an int (bool and float included) or one of absolute
+    value 2^31 or more is refused at once.
 
     One Faddeev-LeVerrier pass gives the characteristic polynomial, so
     the determinant and the weights, and the adjugate terms of tI - A.
@@ -286,9 +287,12 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     n = len(matrix)
     if n > 16:
         raise ValueError("matrix has %d rows, more than the limit of 16" % n)
-    for row in matrix:
+    for r, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
+        if not all(type(x) is int for x in row):  # bool and float refused
+            raise ValueError("matrix row %d has an entry that is not an "
+                             "integer: %r" % (r, row))
         if any(abs(x) >= 2 ** 31 for x in row):
             raise ValueError("matrix entries must lie between -2^31 and 2^31")
     if not _linalg.is_prime(l):

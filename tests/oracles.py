@@ -27,11 +27,28 @@ def from_pairs(pairs) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
+def involute(p) -> LaurentPoly:
+    """The bar involution of a LaurentPoly, exchanging v and v^-1."""
+    return LaurentPoly({-e: c for e, c in p.items()})
+
+
+def dominates(p, q) -> bool:
+    """Support dominance p preceq q: every exponent of p also appears
+    in q. Reflexive and transitive, not antisymmetric."""
+    return set(p.support()) <= set(q.support())
+
+
 def conjugate_partition(lam) -> Partition:
     """The conjugate (transposed) partition: part i counts the parts
     of lam that are at least i."""
     return Partition(sum(1 for p in lam.parts if p >= i)
                      for i in range(1, lam.part(1) + 1))
+
+
+def width(shape) -> int:
+    """The number of columns a SkewShape's cells span, 0 when empty."""
+    cols = [i for i, _ in shape.cells]
+    return max(cols) - min(cols) + 1 if cols else 0
 
 
 def oracle_depth(shape, memo=None):
@@ -557,6 +574,11 @@ def delta_ic(space, a, b):
     return delta_ic_flag(space.n, a, b)
 
 
+def entry(matrix, a, b) -> LaurentPoly:
+    """The entry of a mult.MultiplicityMatrix in row label a, column b."""
+    return matrix.entries[matrix.labels.index(a)][matrix.labels.index(b)]
+
+
 def proj_delta_vector(space, lam):
     """[P_lam : Delta_nu] for all nu, via BGG reciprocity equal to
     [Delta_nu : IC_lam]; only nonzero entries are returned."""
@@ -624,6 +646,12 @@ def phi_report_by_sweep(matrix, q: int, l: int):
     index = abs(_linalg.det_bareiss(columns))
     return weights.PhiReport(True, wts, index % l != 0, index,
                              tuple(pow(q, i, l) for i in sorted(wts)))
+
+
+def product(algebra, x, y):
+    """Structure constants of x * y as {name: int}, read off the
+    algebra's right-action table."""
+    return dict(algebra.right[y].get(x, ()))
 
 
 def product_by_rules(algebra, x, y):
@@ -769,7 +797,7 @@ def laurent_matrix_inverse(rows):
     entries: koszul.cartan_inverse by a second route, with no packing
     and no digit width, each division a LaurentPoly long division."""
     n = len(rows)
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    one, zero = LaurentPoly.monomial(0), LaurentPoly.zero()
     det, adj = _linalg.bareiss([list(row) + [one if c == r else zero
                                              for c in range(n)]
                                 for r, row in enumerate(rows)])
@@ -791,6 +819,21 @@ def graded_dims(algebra):
     for src, tgt, deg in algebra.basis.values():
         out[(src, tgt)] += LaurentPoly.monomial(deg)
     return out
+
+
+def euler_matrix(table):
+    """(lam, mu) -> sum_i (-1)^i sum_s dim * v^s over the resolutions
+    of a koszul.ExtTable: the inverse of the graded Cartan matrix, a
+    second route to koszul.cartan_inverse. Raises ValueError unless
+    every resolution terminated."""
+    if not all(r.finished for r in table.resolutions.values()):
+        raise ValueError("resolution did not terminate within i_max")
+    out = {}
+    for lam, res in table.resolutions.items():
+        for i, step in enumerate(res.steps):
+            for mu, s in step:
+                out.setdefault((lam, mu), []).append((s, -1 if i % 2 else 1))
+    return {key: from_pairs(pairs) for key, pairs in out.items()}
 
 
 def koszul_violation(table):

@@ -13,7 +13,8 @@ from koszulbench import hecke, koszul, mult, shapes, weights
 from koszulbench.laurent import LaurentPoly
 from koszulbench.mult import Space
 
-from oracles import box_shapes, delta_ic_flag, from_pairs, graded_dims
+from oracles import (box_shapes, delta_ic_flag, dominates, entry,
+                     euler_matrix, from_pairs, graded_dims, involute)
 
 
 def _all_perms(n):
@@ -72,22 +73,22 @@ def test_criterion_05_loewy_dominance_and_socle():
             assert socle, x
             for y in perms:
                 p = delta_ic_flag(n, x, y)
-                assert p.dominates(bound), (x, y)
+                assert dominates(p, bound), (x, y)
 
 
 def test_criterion_06_cartan_matches_graded_dims():
     C = mult.graded_cartan(Space.gr(1, 2))
     lam_empty, lam_box = C.labels
     v = LaurentPoly.monomial
-    assert C.entry(lam_empty, lam_empty) == v(0) + v(-2)
-    assert C.entry(lam_empty, lam_box) == v(-1)
-    assert C.entry(lam_box, lam_empty) == v(-1)
-    assert C.entry(lam_box, lam_box) == v(0)
+    assert entry(C, lam_empty, lam_empty) == v(0) + v(-2)
+    assert entry(C, lam_empty, lam_box) == v(-1)
+    assert entry(C, lam_box, lam_empty) == v(-1)
+    assert entry(C, lam_box, lam_box) == v(0)
     dims = graded_dims(koszul.builtin_algebra("p1"))
     pairing = {"b": lam_empty, "a": lam_box}
     for s in ("a", "b"):
         for t in ("a", "b"):
-            assert dims[(s, t)] == C.entry(pairing[s], pairing[t]), (s, t)
+            assert dims[(s, t)] == entry(C, pairing[s], pairing[t]), (s, t)
 
 
 def test_criterion_07_koszulity_battery():
@@ -167,7 +168,7 @@ def test_criterion_10_property_suites():
             [(rng.randint(-4, 4), rng.randint(-5, 5))
              for _ in range(rng.randint(0, 5))])
 
-    one = LaurentPoly.one()
+    one = LaurentPoly.monomial(0)
     zero = LaurentPoly.zero()
     for _ in range(200):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
@@ -175,12 +176,12 @@ def test_criterion_10_property_suites():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a + zero == a and a * one == a
-        assert (a * b).involute() == a.involute() * b.involute()
-        assert (a + b).involute() == a.involute() + b.involute()
-        assert a.involute().involute() == a
-        assert a.dominates(a)
-        if a.dominates(b) and b.dominates(c):
-            assert a.dominates(c)
+        assert involute(a * b) == involute(a) * involute(b)
+        assert involute(a + b) == involute(a) + involute(b)
+        assert involute(involute(a)) == a
+        assert dominates(a, a)
+        if dominates(a, b) and dominates(b, c):
+            assert dominates(a, c)
 
     for rows, cols in ((3, 3), (2, 4)):
         for shape in box_shapes(rows, cols):
@@ -190,7 +191,7 @@ def test_criterion_10_property_suites():
     for name in ("p1", "semisimple"):
         algebra = koszul.builtin_algebra(name)
         table = koszul.ext_table(algebra, "Q")
-        euler = table.euler_matrix()
+        euler = euler_matrix(table)
         inverse = koszul.cartan_inverse(algebra)
         for i, a in enumerate(algebra.vertices):
             for j, b in enumerate(algebra.vertices):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from koszulbench import cli, mult
+from koszulbench.laurent import LaurentPoly
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = sorted((REPO / "docs" / "golden").glob("*.txt"))
@@ -26,19 +27,52 @@ def test_golden_files_present():
     }
 
 
-@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
-def test_golden(path, capsys, monkeypatch):
+def transcript(path):
+    """(argv, exit code, stdout) of a docs/golden transcript."""
     lines = path.read_text().splitlines(keepends=True)
     assert lines[0].startswith("$ koszulbench ")
     assert lines[1].startswith("# exit ")
-    argv = shlex.split(lines[0][len("$ koszulbench "):])
-    want_code = int(lines[1].split()[2])
-    want_out = "".join(lines[2:])
+    return (shlex.split(lines[0][len("$ koszulbench "):]),
+            int(lines[1].split()[2]), "".join(lines[2:]))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_golden(path, capsys, monkeypatch):
+    argv, want_code, want_out = transcript(path)
     monkeypatch.chdir(REPO)
     code, out, err = run(argv, capsys)
     assert code == want_code
     assert out == want_out
     assert err == ""
+
+
+# LaurentPoly's ring operations and its division with remainder
+RING = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+        "__rmul__", "__divmod__")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_golden_commands_need_no_laurent_arithmetic(path, as_json, capsys,
+                                                    monkeypatch):
+    """Every golden command, as text and with --json, runs with
+    LaurentPoly's ring operations patched to raise: the library
+    computes on packed ints and builds a LaurentPoly only to print or
+    compare a result."""
+    argv, want_code, want_out = transcript(path)
+
+    def refuse(*args):
+        raise AssertionError("LaurentPoly arithmetic")
+
+    for attr in RING:
+        monkeypatch.setattr(LaurentPoly, attr, refuse)
+    monkeypatch.chdir(REPO)
+    code, out, err = run(argv + ["--json"] * as_json, capsys)
+    assert (code, err) == (want_code, "")
+    if as_json:
+        assert json.loads(out)
+    else:
+        assert out == want_out
 
 
 def test_dyck_depth_text(capsys):

@@ -22,10 +22,11 @@ from koszulbench.koszul import (
     minimal_resolution,
 )
 from koszulbench.laurent import LaurentPoly
-from oracles import (PlainEchelon, cartan_inverse_by_laurent, from_pairs,
-                     graded_dims, koszul_violation, laurent_matrix_inverse,
-                     plain_kernel_basis, plain_kernel_echelon,
-                     product_by_rules, quadratic_dual_dims, sparse)
+from oracles import (PlainEchelon, cartan_inverse_by_laurent, entry,
+                     euler_matrix, from_pairs, graded_dims, koszul_violation,
+                     laurent_matrix_inverse, plain_kernel_basis,
+                     plain_kernel_echelon, product, product_by_rules,
+                     quadratic_dual_dims, sparse)
 
 
 
@@ -52,14 +53,14 @@ def test_builtin_names():
 
 def test_product_rules():
     A = builtin_algebra("p1")
-    assert A.product("e_a", "u") == {"u": 1}
-    assert A.product("u", "e_b") == {"u": 1}
-    assert A.product("u", "e_a") == {}
-    assert A.product("v", "u") == {"vu": 1}
-    assert A.product("u", "v") == {}
-    assert A.product("vu", "v") == {}
-    assert A.product("e_a", "e_a") == {"e_a": 1}
-    assert A.product("e_a", "e_b") == {}
+    assert product(A, "e_a", "u") == {"u": 1}
+    assert product(A, "u", "e_b") == {"u": 1}
+    assert product(A, "u", "e_a") == {}
+    assert product(A, "v", "u") == {"vu": 1}
+    assert product(A, "u", "v") == {}
+    assert product(A, "vu", "v") == {}
+    assert product(A, "e_a", "e_a") == {"e_a": 1}
+    assert product(A, "e_a", "e_b") == {}
 
 
 def test_load_rejects_positive_degree():
@@ -329,7 +330,7 @@ def test_euler_equals_cartan_inverse():
     for name in ("p1", "semisimple"):
         A = builtin_algebra(name)
         table = ext_table(A, "Q")
-        E = table.euler_matrix()
+        E = euler_matrix(table)
         Cinv = cartan_inverse(A)
         for i, a in enumerate(A.vertices):
             for j, b in enumerate(A.vertices):
@@ -340,11 +341,11 @@ def test_euler_equals_cartan_inverse():
 def test_euler_requires_finite_resolution():
     table = ext_table(builtin_algebra("dual_numbers"), "Q")
     with pytest.raises(ValueError):
-        table.euler_matrix()
+        euler_matrix(table)
 
 
 def test_laurent_matrix_inverse():
-    one = LaurentPoly.one()
+    one = LaurentPoly.monomial(0)
     vm1 = v_poly((-1, 1))
     C = [[one, vm1], [vm1, v_poly((0, 1), (-2, 1))]]
     Cinv = laurent_matrix_inverse(C)
@@ -363,10 +364,10 @@ def test_p1_graded_dims_match_gr12_cartan():
     dims = graded_dims(A)
     C = mult.graded_cartan(mult.Space.gr(1, 2))
     lam_empty, lam_box = C.labels
-    assert dims[("b", "b")] == C.entry(lam_empty, lam_empty)
-    assert dims[("b", "a")] == C.entry(lam_empty, lam_box)
-    assert dims[("a", "b")] == C.entry(lam_box, lam_empty)
-    assert dims[("a", "a")] == C.entry(lam_box, lam_box)
+    assert dims[("b", "b")] == entry(C, lam_empty, lam_empty)
+    assert dims[("b", "a")] == entry(C, lam_empty, lam_box)
+    assert dims[("a", "b")] == entry(C, lam_box, lam_empty)
+    assert dims[("a", "a")] == entry(C, lam_box, lam_box)
 
 
 def test_report_rendering():
@@ -835,7 +836,7 @@ def test_product_table_matches_the_rules(algebra):
     """Every product, terms in the order mult lists them."""
     names = algebra.basis_order
     for x, y in itertools.product(names, repeat=2):
-        assert (list(algebra.product(x, y).items())
+        assert (list(product(algebra, x, y).items())
                 == list(product_by_rules(algebra, x, y).items()))
     # right holds exactly the nonzero products
     assert sum(map(len, algebra.right.values())) == sum(
@@ -961,7 +962,7 @@ def round_trip_docs(draw):
 def algebra_facts(algebra):
     names = algebra.basis_order
     return (algebra.basis,
-            {(x, y): algebra.product(x, y) for x in names for y in names},
+            {(x, y): product(algebra, x, y) for x in names for y in names},
             is_koszul(algebra, "Q"))
 
 
@@ -1316,7 +1317,7 @@ def test_echelon_keeps_primitive_integer_rows_over_q():
 def cofactor_det(rows):
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
+        return LaurentPoly.monomial(0)
     total = LaurentPoly.zero()
     for j in range(n):
         if rows[0][j]:
@@ -1378,7 +1379,8 @@ def test_cartan_inverse_matches_cofactor_oracle(name):
     n = len(rows)
     det = cofactor_det(rows)
     assert _linalg.det_bareiss(rows) == det
-    if len(det.items()) != 1 or det.coeff(det.support()[0]) not in (1, -1):
+    items = list(det.items())
+    if len(items) != 1 or items[0][1] not in (1, -1):
         with pytest.raises(ValueError, match="not a unit"):
             cartan_inverse(algebra)
         return
@@ -1526,7 +1528,7 @@ def test_cartan_inverse_refuses_past_the_bit_budget(monkeypatch):
         return load_algebra(quiver_doc(2, [(0, 1, -d)]))
 
     d = koszul.MAX_CARTAN_BITS // 3 - 1
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    one, zero = LaurentPoly.monomial(0), LaurentPoly.zero()
     assert cartan_inverse(chain(d)) == [[one, LaurentPoly.monomial(-d, -1)],
                                         [zero, one]]
 

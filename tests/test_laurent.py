@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszulbench.laurent import LaurentPoly, digits, unpack
 
-from oracles import from_pairs
+from oracles import dominates, from_pairs, involute
 
 
 def rand_poly(rng, span=6, terms=4):
@@ -16,10 +16,10 @@ def rand_poly(rng, span=6, terms=4):
 
 def test_zero_one_monomial():
     assert not LaurentPoly.zero()
-    assert LaurentPoly.one() == 1
+    assert LaurentPoly.monomial(0) == 1
     m = LaurentPoly.monomial(-3, 2)
-    assert m.coeff(-3) == 2
-    assert m.coeff(0) == 0
+    assert dict(m.items()).get(-3, 0) == 2
+    assert dict(m.items()).get(0, 0) == 0
     assert m.support() == [-3]
 
 
@@ -41,7 +41,7 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + LaurentPoly.zero() == a
-        assert a * LaurentPoly.one() == a
+        assert a * LaurentPoly.monomial(0) == a
         assert a - a == LaurentPoly.zero()
 
 
@@ -60,7 +60,7 @@ def test_divmod_is_division_with_remainder(a, b):
 
 def test_divmod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        divmod(LaurentPoly.one(), LaurentPoly.zero())
+        divmod(LaurentPoly.monomial(0), LaurentPoly.zero())
 
 
 def test_int_coercion_both_sides():
@@ -72,12 +72,12 @@ def test_int_coercion_both_sides():
 
 
 def test_shift_and_inflate():
-    """shift multiplies by a power of v. Of the substitutions v -> v^k
-    the library keeps one, the bar involution (k = -1)."""
+    """A monomial v^k shifts every exponent by k. Of the substitutions
+    v -> v^k the tests keep one, the bar involution (k = -1)."""
     p = from_pairs([(0, 1), (2, 1)])
-    assert p.shift(-1) == from_pairs([(-1, 1), (1, 1)])
-    assert p.shift(0) == p
-    assert p.involute() == from_pairs([(0, 1), (-2, 1)])
+    assert p * LaurentPoly.monomial(-1) == from_pairs([(-1, 1), (1, 1)])
+    assert p * LaurentPoly.monomial(0) == p
+    assert involute(p) == from_pairs([(0, 1), (-2, 1)])
 
 
 def test_digits_lowest_first():
@@ -112,30 +112,30 @@ def test_involution_is_ring_automorphism():
     for _ in range(200):
         a = rand_poly(rng)
         b = rand_poly(rng)
-        assert (a + b).involute() == a.involute() + b.involute()
-        assert (a * b).involute() == a.involute() * b.involute()
-        assert a.involute().involute() == a
+        assert involute(a + b) == involute(a) + involute(b)
+        assert involute(a * b) == involute(a) * involute(b)
+        assert involute(involute(a)) == a
 
 
 def test_dominates_is_a_preorder():
     rng = random.Random(303)
     polys = [rand_poly(rng) for _ in range(40)]
     for a in polys:
-        assert a.dominates(a)
+        assert dominates(a, a)
     for a in polys:
         for b in polys:
             for c in polys:
-                if a.dominates(b) and b.dominates(c):
-                    assert a.dominates(c)
+                if dominates(a, b) and dominates(b, c):
+                    assert dominates(a, c)
 
 
 def test_dominates_meaning():
     big = from_pairs([(0, 1), (-1, 2), (-2, 1)])
     small = from_pairs([(0, 5), (-2, 1)])
-    assert small.dominates(big)
-    assert not big.dominates(small)
-    assert LaurentPoly.zero().dominates(big)
-    assert not big.dominates(LaurentPoly.zero())
+    assert dominates(small, big)
+    assert not dominates(big, small)
+    assert dominates(LaurentPoly.zero(), big)
+    assert not dominates(big, LaurentPoly.zero())
 
 
 def test_render_descending():

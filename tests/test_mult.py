@@ -9,8 +9,8 @@ from koszulbench.laurent import LaurentPoly, unpack
 from koszulbench.shapes import Partition, enumerate_partitions_in_box
 
 from oracles import (conjugate_partition, cup_rows, delta_ic, delta_ic_flag,
-                     from_pairs, grassmannian_permutations, pair_scan_rows,
-                     proj_delta_vector)
+                     dominates, entry, from_pairs, grassmannian_permutations,
+                     pair_scan_rows, proj_delta_vector)
 
 
 def v_poly(*pairs):
@@ -92,7 +92,7 @@ def test_graded_cartan_symmetric_unitriangular():
         C = mult.graded_cartan(space)
         size = len(C.labels)
         for i in range(size):
-            assert C.entries[i][i].coeff(0) == 1
+            assert dict(C.entries[i][i].items()).get(0, 0) == 1
             for e in C.entries[i][i].support():
                 assert e <= 0
             for j in range(size):
@@ -103,17 +103,17 @@ def test_graded_cartan_symmetric_unitriangular():
 
 def test_graded_cartan_gr24_spot_values():
     C = mult.graded_cartan(mult.Space.gr(2, 4))
-    assert C.entry(P(), P()) == v_poly((0, 1), (-2, 1), (-4, 1))
-    assert C.entry(P(1), P(1)) == v_poly((0, 1), (-2, 3), (-4, 1))
-    assert C.entry(P(), P(1)) == v_poly((-1, 1), (-3, 1))
-    assert C.entry(P(), P(2, 2)) == v_poly((-2, 1))
-    assert C.entry(P(2, 2), P(2, 2)) == v_poly((0, 1))
+    assert entry(C, P(), P()) == v_poly((0, 1), (-2, 1), (-4, 1))
+    assert entry(C, P(1), P(1)) == v_poly((0, 1), (-2, 3), (-4, 1))
+    assert entry(C, P(), P(1)) == v_poly((-1, 1), (-3, 1))
+    assert entry(C, P(), P(2, 2)) == v_poly((-2, 1))
+    assert entry(C, P(2, 2), P(2, 2)) == v_poly((0, 1))
 
 
 def test_flag3_cartan_identity_entry():
     C = mult.graded_cartan(mult.Space.flag(3))
     e = (1, 2, 3)
-    assert C.entry(e, e) == v_poly((0, 1), (-2, 2), (-4, 2), (-6, 1))
+    assert entry(C, e, e) == v_poly((0, 1), (-2, 2), (-4, 2), (-6, 1))
 
 
 def test_delta_ic_flag_socle_and_loewy():
@@ -125,7 +125,7 @@ def test_delta_ic_flag_socle_and_loewy():
             assert delta_ic_flag(n, x, e)
             for y in itertools.permutations(range(1, n + 1)):
                 p = delta_ic_flag(n, x, y)
-                assert p.dominates(bound)
+                assert dominates(p, bound)
 
 
 def test_delta_ic_flag_values():
@@ -158,7 +158,7 @@ def test_transpose_box_invariance():
         mapping = {lam: conjugate_partition(lam) for lam in a.labels}
         for lam in a.labels:
             for mu in a.labels:
-                assert a.entry(lam, mu) == b.entry(mapping[lam], mapping[mu])
+                assert entry(a, lam, mu) == entry(b, mapping[lam], mapping[mu])
 
 
 def test_multiplicity_matrix_json_schema():
@@ -260,7 +260,8 @@ def test_packed_arithmetic_matches_laurent(a, b, c, d, shift):
     assert unpacked(packed(a) * packed(c) + packed(b) * packed(d)) \
         == a * c + b * d
     # with the offset, v-exponents run up to shift
-    A, B = a.shift(shift), b.shift(shift)
+    up = LaurentPoly.monomial(shift)
+    A, B = a * up, b * up
     assert unpacked(packed(A, shift) - packed(B, shift), shift) \
         == A - B
     assert unpacked(packed(c) * packed(A, shift)

@@ -76,11 +76,7 @@ def test_library_keeps_no_module_level_state():
 # with the reason it stays. Item 1 of ROADMAP.md moves the perfbench
 # ones out of src/ together with the benchmark that imports them.
 KEPT = {
-    "LaurentPoly.involute": "README: the bar involution v -> 1/v",
-    "LaurentPoly.dominates": "README: support-dominance comparison",
-    "KLTable.inverse_kl": "README: inverse polynomials",
-    "ExtTable.euler_matrix": "README: the Euler/Cartan inversion identity",
-    "GradedAlgebra.product": "README: algebras given by structure constants",
+    "KLTable.inverse_kl": "perfbench's tracer wraps it (hecke.inverse_kl)",
     "delta_ic_gr": "perfbench uses it (ROADMAP item 1)",
     "is_dyck_cbs": "perfbench uses it (ROADMAP item 1)",
     "outer_border_strip": "perfbench uses it (ROADMAP item 1)",
@@ -90,79 +86,97 @@ KEPT = {
 }
 
 
-def _names(nodes):
-    """Every name and attribute spelled anywhere inside nodes."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def _uses(nodes):
+    """(names, attributes) that the code inside nodes reads: each name
+    in load context, and each attribute x.name in load context. A store,
+    such as a local variable named like a method, is no use."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                attrs.add(n.attr)
+    return names, attrs
 
 
 def _library_definitions():
-    """(definitions, root names). The definitions are each top-level
+    """(definitions, roots). The definitions are each top-level
     function and class of src/, and each method of such a class, as
-    "file:line qualname" -> (qualname, the names it spells, whether it
+    "file:line qualname" -> (qualname, the uses inside it, whether it
     comes with its class: a dunder or a property). The roots are the
-    names that module-level code spells, imports aside, and the
-    strings of koszulbench.__all__."""
-    defs, roots = {}, set()
+    uses in module-level code, imports aside, with the strings of
+    koszulbench.__all__ added to its names."""
+    defs, names, attrs = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                roots |= _names([node])
-                if "__all__" in _names([node]):
-                    roots |= set(ast.literal_eval(node.value))
+                used = _uses([node])
+                names |= used[0]
+                attrs |= used[1]
+                if (isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets]
+                        == ["__all__"]):
+                    names |= set(ast.literal_eval(node.value))
                 continue
             where = "%s:%d " % (path.name, node.lineno)
             if isinstance(node, ast.FunctionDef):
-                defs[where + node.name] = (node.name, _names([node]), False)
+                defs[where + node.name] = (node.name, _uses([node]), False)
                 continue
             methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
             rest = [m for m in node.body if m not in methods]
             defs[where + node.name] = (
-                node.name, _names(rest + node.bases + node.decorator_list),
+                node.name, _uses(rest + node.bases + node.decorator_list),
                 False)
             for m in methods:
                 implicit = (m.name.startswith("__") and m.name.endswith("__")
-                            or "property" in _names(m.decorator_list))
+                            or "property" in _uses(m.decorator_list)[0])
                 defs["%s:%d %s.%s" % (path.name, m.lineno, node.name,
                                       m.name)] = (
-                    "%s.%s" % (node.name, m.name), _names([m]), implicit)
-    return defs, roots
+                    "%s.%s" % (node.name, m.name), _uses([m]), implicit)
+    return defs, (names, attrs)
 
 
-def _reach(defs, names, kept):
-    """The definitions reached from the root names and the kept
-    qualnames: a definition is reached when a reached one, or a root,
-    spells its name, and the dunders and properties of a reached class
-    come with it."""
+def _reach(defs, roots, kept):
+    """The definitions reached from the roots and the kept qualnames.
+    A method is reached when a reached definition, or module-level
+    code, reads an attribute of its name; a function or class when one
+    reads its name or an attribute of its name. The dunders and
+    properties of a reached class come with it."""
     reached = set()
     todo = [d for d, (qual, _, _) in defs.items() if qual in kept]
-    names = set(names)
+    names, attrs = set(roots[0]), set(roots[1])
     while todo:
         for d in todo:
             reached.add(d)
-            names |= defs[d][1]
+            names |= defs[d][1][0]
+            attrs |= defs[d][1][1]
         classes = {defs[d][0] for d in reached if "." not in defs[d][0]}
-        todo = [d for d, (qual, _, implicit) in defs.items()
-                if d not in reached
-                and (qual.rpartition(".")[2] in names
-                     or implicit and qual.partition(".")[0] in classes)]
+        todo = []
+        for d, (qual, _, implicit) in defs.items():
+            if d in reached:
+                continue
+            owner, dot, name = qual.rpartition(".")
+            if (name in attrs or not dot and name in names
+                    or implicit and owner in classes):
+                todo.append(d)
     return reached
 
 
 def test_every_definition_in_the_library_is_reached():
     """Each top-level function and class in src/, and each method of
-    such a class, is reached by name from the public surface: the
-    strings of koszulbench.__all__, cli.main, module-level code, or a
-    KEPT entry with its reason. Names match by spelling, so dead code
-    that shares a live name is missed, but live code is never flagged.
-    The private definitions are one case: bookkeeping that only the
-    tests call does not stay in the library."""
+    such a class, is used from the public surface: the strings of
+    koszulbench.__all__, cli.main, module-level code, or a KEPT entry
+    with its reason. Uses match by name, so dead code that shares its
+    name with a live attribute is missed, but live code is never
+    flagged; a local variable or any other store is no use. The
+    private definitions are one case: bookkeeping that only the tests
+    call does not stay in the library."""
     defs, roots = _library_definitions()
-    assert len(defs) > 100 and "LaurentPoly" in roots
+    assert len(defs) > 100 and "LaurentPoly" in roots[0]
     quals = {qual for qual, _, _ in defs.values()}
     assert sorted(k for k in KEPT if k not in quals) == []
     assert all(reason for reason in KEPT.values())

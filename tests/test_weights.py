@@ -267,6 +267,18 @@ def test_phi_validates_inputs():
         weights.is_phi_decomposable([[5, 0], [0, 1]], 1, 5)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1"])
+def test_phi_refuses_an_entry_that_is_not_an_int(bad):
+    """The library checks entry types, not only the CLI: [[0.5]] used to
+    raise ArithmeticError from the trace division, [[2.0]] and [[True]]
+    gave a report, and [["1"]] a TypeError from abs; in a larger matrix
+    the message names the row."""
+    for matrix, row in (([[bad]], 0), ([[1, 0], [bad, 3]], 1)):
+        with pytest.raises(ValueError, match="^matrix row %d has an entry "
+                           "that is not an integer" % row):
+            weights.is_phi_decomposable(matrix, 3, 5)
+
+
 def test_phi_separated_implies_decomposable_seeded():
     rng = random.Random(20260819)
     primes = [2, 3, 5, 7, 11]
