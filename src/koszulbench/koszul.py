@@ -604,9 +604,10 @@ def integral_koszul_check(algebra: GradedAlgebra, l: int,
     the dimensions compared, Koszul when every Ext^i sits in degree -i,
     so matching dimensions give matching verdicts; differing dimensions
     mean Ext has l-torsion and the rational verdict does not transfer
-    to characteristic l."""
+    to characteristic l. A bad l is refused before any resolution."""
+    field = FieldF(l)
     dims_q = ext_table(algebra, "Q", i_max).dims()
-    dims_f = ext_table(algebra, FieldF(l), i_max).dims()
+    dims_f = ext_table(algebra, field, i_max).dims()
     kq, kf = (all(s == -i for i, _, _, s in dims)
               for dims in (dims_q, dims_f))
     match = dims_q == dims_f

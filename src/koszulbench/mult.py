@@ -61,8 +61,11 @@ class Space:
         for head in ("gr", "flag"):
             for a, b in ((head + "(", ")"), (head + ":", "")):
                 if t.startswith(a) and t.endswith(b):
-                    body = t[len(a):len(t) - len(b) if b else len(t)]
-                    nums = [int(p) for p in body.split(",") if p]
+                    body = t[len(a):len(t) - len(b)]
+                    try:
+                        nums = [int(p) for p in body.split(",")]
+                    except ValueError:  # an empty or non-integer piece
+                        nums = []
                     if head == "gr" and len(nums) == 2:
                         return Space.gr(*nums)
                     if head == "flag" and len(nums) == 1:

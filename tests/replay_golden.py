@@ -4,13 +4,18 @@ The tier-1 tests replay the same transcripts through cli.main in the
 test process; this script runs each transcript's command as a separate
 process of the console script that `pip install -e .` puts on PATH, and
 compares its stdout and exit code with the transcript byte for byte.
+It then runs `EXECUTABLE <words> -h` for every entry of the COMMANDS
+table in src/koszulbench/cli.py: each must exit 0 with a first stdout
+line that starts `usage: koszulbench <words>`, so every subcommand's
+parser is reached through the executable.
 
     python tests/replay_golden.py [EXECUTABLE]
 
 EXECUTABLE defaults to `koszulbench`. Commands run from the repository
 root, as the transcripts' relative paths need. Exits 0 when every
-transcript matches, 1 otherwise, naming each mismatch on stderr. The
-file name has no `test_` prefix, so pytest does not collect it.
+transcript and every help text matches, 1 otherwise, naming each
+mismatch on stderr. The file name has no `test_` prefix, so pytest
+does not collect it.
 """
 
 import pathlib
@@ -20,6 +25,9 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 PROMPT = b"$ koszulbench "
+
+sys.path.insert(0, str(REPO / "src"))
+from koszulbench.cli import COMMANDS  # noqa: E402
 
 
 def replay(executable, path):
@@ -40,6 +48,18 @@ def replay(executable, path):
     return None
 
 
+def replay_help(executable, words):
+    """None when `executable <words> -h` prints its usage, else what
+    differs."""
+    done = subprocess.run([executable] + words.split() + ["-h"], cwd=REPO,
+                          capture_output=True)
+    if done.returncode != 0:
+        return "exit %d, want 0" % done.returncode
+    if not done.stdout.startswith(b"usage: koszulbench %s " % words.encode()):
+        return "stdout does not start with its usage line"
+    return None
+
+
 def main(argv):
     executable = argv[0] if argv else "koszulbench"
     paths = sorted((REPO / "docs" / "golden").glob("*.txt"))
@@ -50,6 +70,15 @@ def main(argv):
             failed += 1
             print("%s: %s" % (path.name, problem), file=sys.stderr)
     print("%d of %d transcripts match" % (len(paths) - failed, len(paths)))
+    helps = 0
+    for words, _, _, _ in COMMANDS:
+        problem = replay_help(executable, words)
+        if problem:
+            failed += 1
+            print("%s -h: %s" % (words, problem), file=sys.stderr)
+        else:
+            helps += 1
+    print("%d of %d help texts match" % (helps, len(COMMANDS)))
     return 1 if failed or not paths else 0
 
 

@@ -19,12 +19,10 @@ def run(argv, capsys):
 
 
 def test_golden_files_present():
+    """One transcript per COMMANDS entry, named by its words."""
     names = {p.stem for p in GOLDEN}
-    assert names == {
-        "dyck-depth", "dyck-enumerate", "kl", "kl-invert-check",
-        "mult-gr", "mult-flag", "weights", "primes", "phidec",
-        "koszul", "koszul-integral",
-    }
+    assert names == {words.replace(" ", "-")
+                     for words, _, _, _ in cli.COMMANDS}
 
 
 def transcript(path):
@@ -585,9 +583,15 @@ def test_resource_errors_exit_one_without_traceback(exc, capsys,
 
 
 def test_unknown_subcommand_prints_usage(capsys):
-    code, out, err = run(["frobnicate"], capsys)
-    assert code == 1
-    assert "usage: koszulbench" in err
+    """No entry's words start argv, a bare prefix of two-word entries
+    included: the usage text lists every entry of the table."""
+    for argv in ([], ["dyck"], ["mult"], ["frobnicate"]):
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv
+        assert out == "", argv
+        assert err.startswith("usage: koszulbench"), argv
+        for words, synopsis, _, _ in cli.COMMANDS:
+            assert "  %s %s" % (words, synopsis) in err, argv
 
 
 def test_json_determinism(capsys):

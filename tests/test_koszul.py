@@ -656,6 +656,19 @@ def exterior_doc(d):
             "mult": mult}
 
 
+@pytest.mark.parametrize("l,reason", [(4, "4 is not prime"),
+                                      (2 ** 31, "primes must be below 2^31")],
+                         ids=["composite", "2^31"])
+def test_integral_check_refuses_a_bad_prime_before_resolving(l, reason):
+    """The exterior algebra on 5 generators passes the free-rank limit
+    at step 6 over Q; a bad l is named before that table is built."""
+    algebra = load_algebra(exterior_doc(5))
+    with mock.patch.object(koszul, "ext_table",
+                           side_effect=AssertionError("resolved")):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            integral_koszul_check(algebra, l, 10)
+
+
 def truncation_doc(n):
     """k[x]/(x^n)."""
     return {"vertices": ["pt"],

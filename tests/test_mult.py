@@ -1,12 +1,13 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulbench import hecke, mult
 from koszulbench.laurent import LaurentPoly, unpack
-from koszulbench.shapes import Partition, enumerate_partitions_in_box
+from koszulbench.shapes import Partition
 
 from oracles import (conjugate_partition, cup_rows, delta_ic, delta_ic_flag,
                      dominates, entry, from_pairs, grassmannian_permutations,
@@ -27,8 +28,10 @@ def test_space_parsing():
     assert mult.Space.parse("flag(3)") == mult.Space.flag(3)
     assert mult.Space.parse("flag:3") == mult.Space.flag(3)
     assert mult.Space.gr(2, 5).render() == "gr(2,5)"
-    with pytest.raises(ValueError):
-        mult.Space.parse("proj:3")
+    for text in ("proj:3", "gr(2,,4)", "gr:2,4,", "flag:3,", "gr:a,4"):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot parse space %r" % text)):
+            mult.Space.parse(text)
     with pytest.raises(ValueError):
         mult.Space.gr(3, 3)
 
