@@ -159,11 +159,9 @@ def _cmd_primes(parser, args):
     parser.add_argument("--bound", type=int, default=100)
     ns = parser.parse_args(args)
     try:
-        wt = [int(p) for p in ns.wt.split(",") if p.strip()]
+        wt = [int(p) for p in ns.wt.split(",")]
     except ValueError:
         raise ValueError("cannot parse weight list %r" % ns.wt)
-    if not wt:
-        raise ValueError("weight list is empty")
     return _report(weights_mod.find_separating_prime(wt, ns.l, ns.bound))
 
 

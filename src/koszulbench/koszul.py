@@ -62,7 +62,9 @@ class GradedAlgebra:
     def __init__(self, vertices, basis, mult, name="algebra"):
         """vertices: list of str. basis: list of (name, src, tgt, deg)
         including one degree-0 loop per vertex. mult: dict
-        (left, right) -> {name: int} for non-idempotent products.
+        (left, right) -> {name: int} for non-idempotent products. A
+        degree or coefficient that is not an int (a bool or a float) is
+        refused.
 
         leaving maps each vertex v to the (name, tgt, deg) of every
         basis element with source v, in basis order: the layout of a
@@ -89,6 +91,9 @@ class GradedAlgebra:
             if src not in self._vindex or tgt not in self._vindex:
                 raise ValueError("basis element %r uses an unknown vertex"
                                  % bname)
+            if type(deg) is not int:  # bool and float refused
+                raise ValueError("basis element %r has a degree that is not "
+                                 "an integer" % bname)
             if deg > 0:
                 raise ValueError("basis element %r has positive degree %d"
                                  % (bname, deg))
@@ -124,6 +129,9 @@ class GradedAlgebra:
                                  % (left, right))
             clean = {}
             for rname, coeff in result.items():
+                if type(coeff) is not int:  # bool and float refused
+                    raise ValueError("product %r * %r has a coefficient that "
+                                     "is not an integer" % (left, right))
                 if rname not in self.basis:
                     raise ValueError("product %r * %r mentions unknown %r"
                                      % (left, right, rname))
@@ -135,7 +143,7 @@ class GradedAlgebra:
                     raise ValueError("product %r * %r has result %r violating "
                                      "degree additivity" % (left, right, rname))
                 if coeff:
-                    clean[rname] = int(coeff)
+                    clean[rname] = coeff
             if clean:
                 self.mult[(left, right)] = clean
         self.right = {y: {self.idempotent[src]: ((y, 1),)}
@@ -179,9 +187,6 @@ class GradedAlgebra:
             index = {b: i for i, b in enumerate(self.basis_order)}
             first = min(failing, key=lambda t: [index[b] for b in t])
             raise ValueError("associativity fails at (%r, %r, %r)" % first)
-
-    def vertex_index(self, v: str) -> int:
-        return self._vindex[v]
 
 
 def load_algebra(doc: dict) -> GradedAlgebra:
@@ -260,13 +265,14 @@ def load_algebra(doc: dict) -> GradedAlgebra:
 
 def builtin_algebra(name: str) -> GradedAlgebra:
     """Named example algebras. 'torsion_p1:L' takes the torsion
-    constant after the colon."""
-    base, _, param = name.partition(":")
-    if base == "dual_numbers":
+    constant L, a string of decimal digits, after the colon (2 when
+    there is no colon); no other name takes one."""
+    base, colon, param = name.partition(":")
+    if name == "dual_numbers":
         return GradedAlgebra(
             ["pt"], [("e", "pt", "pt", 0), ("x", "pt", "pt", -1)], {},
             name="dual_numbers")
-    if base == "p1":
+    if name == "p1":
         return GradedAlgebra(
             ["a", "b"],
             [("e_a", "a", "a", 0), ("e_b", "b", "b", 0),
@@ -274,19 +280,22 @@ def builtin_algebra(name: str) -> GradedAlgebra:
              ("vu", "b", "b", -2)],
             {("v", "u"): {"vu": 1}},
             name="p1")
-    if base == "x3_truncation":
+    if name == "x3_truncation":
         return GradedAlgebra(
             ["pt"],
             [("e", "pt", "pt", 0), ("x", "pt", "pt", -1),
              ("x2", "pt", "pt", -2)],
             {("x", "x"): {"x2": 1}},
             name="x3_truncation")
-    if base == "semisimple":
+    if name == "semisimple":
         return GradedAlgebra(
             ["a", "b"], [("e_a", "a", "a", 0), ("e_b", "b", "b", 0)], {},
             name="semisimple")
     if base == "torsion_p1":
-        l = int(param) if param else 2
+        if colon and not (param.isascii() and param.isdigit()):
+            raise ValueError("builtin algebra %r needs a torsion constant "
+                             "of decimal digits after the colon" % name)
+        l = int(param) if colon else 2
         return GradedAlgebra(
             ["a", "b"],
             [("e_a", "a", "a", 0), ("e_b", "b", "b", 0),
@@ -305,10 +314,9 @@ def as_field(field):
         t = field.strip().upper()
         if t == "Q":
             return FieldQ()
-        if t.startswith("F"):
-            digits = t[1:].lstrip(":")
-            if digits.isdigit():
-                return FieldF(int(digits))
+        digits = t[2:] if t.startswith("F:") else t[1:]
+        if t.startswith("F") and digits.isascii() and digits.isdigit():
+            return FieldF(int(digits))
     raise ValueError("cannot interpret field %r; use Q or F:l" % (field,))
 
 
@@ -328,7 +336,7 @@ def _checked_imax(algebra: GradedAlgebra, i_max) -> int:
 
 
 def _block_order(algebra, keys):
-    return sorted(keys, key=lambda k: (-k[1], algebra.vertex_index(k[0])))
+    return sorted(keys, key=lambda k: (-k[1], algebra._vindex[k[0]]))
 
 
 def _act(algebra, p, fbasis, pos, key, vec, aname):

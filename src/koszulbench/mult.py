@@ -159,8 +159,7 @@ def dyck_rows(k: int, n: int):
 #     two: below 2^30;
 #   - kl_inversion_check: K has the coefficients of parabolic KL
 #     polynomials, below 2^dim = 2^(k(n-k)) <= 2^25 (the same rule),
-#     and a coefficient of D*K or K*D sums at most 252 of them: below
-#     2^33.
+#     and a coefficient of D*K sums at most 252 of them: below 2^33.
 # A flag entry v^(-d) q^e sits at digit d - 2e, which the KL degree
 # bound keeps >= 0; kl_inversion_check multiplies K by u^S to keep
 # that true for whatever its table holds.
@@ -323,15 +322,16 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
 
     D_{lam,mu} = v^(-dp) on Dyck shapes; K_{lam,mu} =
     (-1)^(|lam|-|mu|) v^(-(|lam|-|mu|)) Q_{x_mu,x_lam}(v^2). The
-    report asserts D*K = K*D = identity, and names the first entry
-    of D*K, then of K*D, in row-major order that differs from it.
+    report asserts D*K = identity, and names the first entry of D*K in
+    row-major order that differs from it. D and K are square, so
+    D*K = identity makes them two-sided inverses (see _first_defect).
 
     Q_{x_mu,x_lam} = P_{w0 x_lam, w0 x_mu}, and w0 x_lam is the maximal
     representative of its coset of S_k x S_{n-k}, so K comes from
     hecke.parabolic_kl (Deodhar's parabolic recursion), which stays
     inside the C(n, k) cosets; D comes from dyck_rows. K is held as
     sparse rows of packed entries and D as the shifts of its monomials,
-    so both products are sums of shifts. K is packed times u^S,
+    so the product is a sum of shifts. K is packed times u^S,
     with S the least shift that leaves no positive power of v in it
     (S = 0 when the KL degree bound holds), and compared with u^S.
     """
@@ -350,26 +350,24 @@ def kl_inversion_check(k: int, n: int) -> InversionReport:
                                          unpack(x, _BITS, shift)))
 
 
+# One product decides. D and K are square int matrices and one is a
+# nonzero int (2^(_BITS S) in kl_inversion_check). If D*K = one*I, then
+# D is invertible over Q with inverse K/one, so K*D = one*I too: K*D
+# has no defect unless D*K has one.
 def _first_defect(D, K, one):
-    """The first (i, j, entry) of D*K, and then of K*D, in row-major
-    order that differs from one times the identity matrix, or None. K
-    is a list of sparse rows {column: packed entry}; D one of shifts
-    {column: e} for its monomial entries u^d = 2^e, e = _BITS d, so
-    each product with one of them is a shift."""
+    """The first (i, j, entry) of D*K in row-major order that differs
+    from one times the identity matrix, or None. K is a list of sparse
+    rows {column: packed entry}; D one of shifts {column: e} for its
+    monomial entries u^d = 2^e, e = _BITS d, so each product with one
+    of them is a shift."""
     n = len(K)
-    for left in (True, False):
-        for i in range(n):
-            acc = [0] * n
-            if left:
-                for t, e in D[i].items():
-                    for j, b in K[t].items():
-                        acc[j] += b << e
-            else:
-                for t, a in K[i].items():
-                    for j, e in D[t].items():
-                        acc[j] += a << e
-            acc[i] -= one
-            for j, x in enumerate(acc):
-                if x:
-                    return i, j, x + one if j == i else x
+    for i in range(n):
+        acc = [0] * n
+        for t, e in D[i].items():
+            for j, b in K[t].items():
+                acc[j] += b << e
+        acc[i] -= one
+        for j, x in enumerate(acc):
+            if x:
+                return i, j, x + one if j == i else x
     return None

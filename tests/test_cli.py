@@ -428,6 +428,52 @@ def test_non_integer_numbers_exit_one(case, capsys, tmp_path):
     assert reason in err
 
 
+# Each command is malformed; its error line must hold the given text. A
+# document goes to --matrix.
+MALFORMED = {
+    "primes-empty-pieces": (["primes", "--l", "5", "--wt", "0,,1,"], None,
+                            "cannot parse weight list '0,,1,'"),
+    "primes-leading-comma": (["primes", "--l", "5", "--wt", ",0"], None,
+                             "cannot parse weight list ',0'"),
+    "primes-empty-list": (["primes", "--l", "5", "--wt", ""], None,
+                          "cannot parse weight list ''"),
+    "box-3by4": (["dyck", "enumerate", "--box", "3by4"], None,
+                 "cannot parse box '3by4'; expected KxM"),
+    "koszul-both-sources": (["koszul", "--builtin", "p1", "--algebra",
+                             "algebra.json"], None,
+                            "give either --algebra or --builtin, not both"),
+    "koszul-no-source": (["koszul"], None,
+                         "one of --algebra or --builtin is required"),
+    "builtin-p1:7": (["koszul", "--builtin", "p1:7"], None,
+                     "unknown builtin algebra 'p1:7'"),
+    "builtin-dual_numbers:zzz": (["koszul", "--builtin", "dual_numbers:zzz"],
+                                 None, "'dual_numbers:zzz'"),
+    "builtin-torsion_p1:abc": (["koszul", "--builtin", "torsion_p1:abc"],
+                               None, "'torsion_p1:abc' needs a torsion "
+                               "constant of decimal digits"),
+    "field-F::5": (["koszul", "--builtin", "p1", "--field", "F::5"], None,
+                   "cannot interpret field 'F::5'"),
+    "phidec-object": (["phidec", "--q", "3", "--l", "5"], {},
+                      "matrix file must hold a JSON array of rows"),
+    "phidec-flat-list": (["phidec", "--q", "3", "--l", "5"], [1, 2],
+                         "matrix file must hold a JSON array of rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_commands_exit_one(case, capsys, tmp_path):
+    argv, doc, reason = MALFORMED[case]
+    if doc is not None:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--matrix", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert reason in err
+
+
 # Each document names a basis element, a vertex or a factor by a list,
 # which is unhashable; the error names the record instead.
 LIST_NAMES = {

@@ -47,6 +47,8 @@ def test_builtin_names():
                  "torsion_p1:3"):
         algebra = builtin_algebra(name)
         assert algebra.name == name or algebra.name.startswith("torsion")
+    assert builtin_algebra("torsion_p1").name == "torsion_p1:2"
+    assert builtin_algebra("torsion_p1:0").name == "torsion_p1:0"
     with pytest.raises(ValueError):
         builtin_algebra("p2")
 
@@ -93,6 +95,136 @@ def test_load_rejects_bad_idempotents():
     with pytest.raises(ValueError, match="not a loop"):
         GradedAlgebra(["a", "b"],
                       [("e", "a", "b", 0), ("f", "b", "b", 0)], {})
+
+
+# Basis records on one vertex a: the idempotent e, x and x2 = x * x;
+# and on two vertices a and b.
+IDEM, LOOP = ("e", "a", "a", 0), ("x", "a", "a", -1)
+TRUNCATION = [IDEM, LOOP, ("x2", "a", "a", -2)]
+QUIVER = [("e_a", "a", "a", 0), ("e_b", "b", "b", 0), ("u", "a", "b", -1),
+          ("v", "b", "a", -1), ("w", "b", "b", -2)]
+
+
+def loop_document(**changes):
+    """The document of x with x * x = x2 on one vertex, with changes."""
+    doc = {"vertices": ["a"],
+           "basis": [{"name": "x", "src": "a", "tgt": "a", "deg": -1},
+                     {"name": "x2", "src": "a", "tgt": "a", "deg": -2}],
+           "mult": [{"left": "x", "right": "x", "result": {"x2": 1}}]}
+    doc.update(changes)
+    return doc
+
+
+# Each case calls one koszul function on input it must refuse, with the
+# text its ValueError must hold.
+REFUSALS = {
+    "algebra-no-vertex": (
+        GradedAlgebra, ([], [], {}), "algebra needs at least one vertex"),
+    "algebra-duplicate-vertex": (
+        GradedAlgebra, (["a", "a"], [IDEM], {}), "duplicate vertex names"),
+    "algebra-duplicate-element": (
+        GradedAlgebra, (["a"], [IDEM, LOOP, LOOP], {}),
+        "duplicate basis element 'x'"),
+    "algebra-unknown-vertex": (
+        GradedAlgebra, (["a"], [IDEM, ("x", "a", "b", -1)], {}),
+        "basis element 'x' uses an unknown vertex"),
+    "algebra-float-degree": (
+        GradedAlgebra, (["a"], [IDEM, ("x", "a", "a", -1.0)], {}),
+        "basis element 'x' has a degree that is not an integer"),
+    "algebra-bool-degree": (
+        GradedAlgebra, (["a"], [IDEM, ("x", "a", "a", True)], {}),
+        "basis element 'x' has a degree that is not an integer"),
+    "algebra-unknown-factor": (
+        GradedAlgebra, (["a"], TRUNCATION, {("x", "y"): {"x2": 1}}),
+        "product 'x' * 'y' uses an unknown element"),
+    "algebra-idempotent-factor": (
+        GradedAlgebra, (["a"], TRUNCATION, {("e", "x"): {"x": 1}}),
+        "products with idempotents are implicit; remove 'e' * 'x'"),
+    "algebra-unknown-result": (
+        GradedAlgebra, (["a"], TRUNCATION, {("x", "x"): {"y": 1}}),
+        "product 'x' * 'x' mentions unknown 'y'"),
+    "algebra-mismatched-endpoints": (
+        GradedAlgebra, (["a", "b"], QUIVER, {("u", "v"): {"w": 1}}),
+        "product 'u' * 'v' has result 'w' with mismatched endpoints"),
+    # int() would store 0.5 as a zero, and judge another algebra
+    "algebra-float-coefficient": (
+        GradedAlgebra, (["a"], TRUNCATION, {("x", "x"): {"x2": 0.5}}),
+        "product 'x' * 'x' has a coefficient that is not an integer"),
+    "algebra-bool-coefficient": (
+        GradedAlgebra, (["a"], TRUNCATION, {("x", "x"): {"x2": True}}),
+        "product 'x' * 'x' has a coefficient that is not an integer"),
+    "load-not-an-object": (
+        load_algebra, ([],), "algebra document must be a JSON object"),
+    "load-vertex-not-a-string": (
+        load_algebra, (loop_document(vertices=["a", 1]),),
+        "'vertices' must be a list of strings"),
+    "load-no-vertices": (
+        load_algebra, ({"basis": []},),
+        "'vertices' must be a list of strings"),
+    "load-basis-not-a-list": (
+        load_algebra, (loop_document(basis={}),), "'basis' must be a list"),
+    "load-mult-not-a-list": (
+        load_algebra, (loop_document(mult="x"),), "'mult' must be a list"),
+    "load-basis-record-without-deg": (
+        load_algebra,
+        (loop_document(basis=[{"name": "x", "src": "a", "tgt": "a"}]),),
+        "basis record {'name': 'x', 'src': 'a', 'tgt': 'a'} needs "
+        "name/src/tgt/deg"),
+    "load-basis-record-not-an-object": (
+        load_algebra, (loop_document(basis=[3]),),
+        "basis record 3 needs name/src/tgt/deg"),
+    "load-mult-record-without-result": (
+        load_algebra, (loop_document(mult=[{"left": "x", "right": "x"}]),),
+        "mult record {'left': 'x', 'right': 'x'} needs left/right/result"),
+    "load-mult-result-not-an-object": (
+        load_algebra,
+        (loop_document(mult=[{"left": "x", "right": "x", "result": [1]}]),),
+        "needs left/right/result"),
+    # the document's own check names the record, before the constructor
+    "load-float-coefficient": (
+        load_algebra,
+        (loop_document(mult=[{"left": "x", "right": "x",
+                              "result": {"x2": 0.5}}]),),
+        "mult record {'left': 'x', 'right': 'x', 'result': {'x2': 0.5}} "
+        "has a coefficient that is not an integer"),
+    "load-idempotent-name-taken": (
+        load_algebra,
+        (loop_document(basis=[{"name": "e_a", "src": "a", "tgt": "a",
+                               "deg": -1}], mult=[]),),
+        "cannot synthesize idempotent 'e_a': name already in use"),
+    "load-product-listed-twice": (
+        load_algebra,
+        (loop_document(mult=[{"left": "x", "right": "x",
+                              "result": {"x2": 1}}] * 2),),
+        "product 'x' * 'x' listed twice"),
+    "resolution-unknown-vertex": (
+        minimal_resolution, (builtin_algebra("p1"), "c", "Q"),
+        "unknown vertex 'c'"),
+    "builtin-p1:7": (
+        builtin_algebra, ("p1:7",), "unknown builtin algebra 'p1:7'"),
+    "builtin-dual_numbers:zzz": (
+        builtin_algebra, ("dual_numbers:zzz",),
+        "unknown builtin algebra 'dual_numbers:zzz'"),
+    "builtin-torsion_p1:abc": (
+        builtin_algebra, ("torsion_p1:abc",),
+        "builtin algebra 'torsion_p1:abc' needs a torsion constant of "
+        "decimal digits"),
+    "builtin-torsion_p1:": (
+        builtin_algebra, ("torsion_p1:",),
+        "builtin algebra 'torsion_p1:' needs a torsion constant of "
+        "decimal digits"),
+    "field-F::5": (
+        koszul.as_field, ("F::5",), "cannot interpret field 'F::5'"),
+    "field-F": (koszul.as_field, ("F",), "cannot interpret field 'F'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_input_is_refused_with_its_reason(case):
+    func, args, reason = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert reason in str(info.value)
 
 
 def test_load_rejects_associativity_failure():
@@ -263,6 +395,7 @@ def test_field_parsing():
     assert koszul.as_field("Q").name == "Q"
     assert koszul.as_field("F:7").name == "F7"
     assert koszul.as_field("f5").name == "F5"
+    assert koszul.as_field("F5").name == "F5"
     with pytest.raises(ValueError):
         koszul.as_field("R")
     with pytest.raises(ValueError):

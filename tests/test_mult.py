@@ -187,6 +187,15 @@ def test_kl_inversion_check_small():
         "space": "gr(1,2)", "ok": True}
 
 
+def test_kl_inversion_check_passes_past_the_acceptance_range():
+    """The acceptance criterion checks n <= 7, (2,8) and gr(k,9); this
+    covers the rest of n = 8 and all of n = 10, the largest CLI case."""
+    for k, n in [(k, 8) for k in range(1, 8) if k != 2] + \
+            [(k, 10) for k in range(1, 10)]:
+        report = mult.kl_inversion_check(k, n)
+        assert report.ok, (k, n, report.first_failure)
+
+
 def test_kl_inversion_check_preconditions():
     with pytest.raises(ValueError):
         mult.kl_inversion_check(2, 11)
@@ -321,12 +330,13 @@ def unitriangular_inverse(D):
 @given(st.data(), st.sampled_from([1, 1 << 64]))
 def test_first_defect_matches_the_dense_product(monomial, data, one):
     """D given as shifts e, for its entries 2^e, and K as packed ints:
-    the first entry of D*K, and then of K*D, off one times the
-    identity, as dense products find it. monomial = (triangular,
-    inverse): whether D is upper unitriangular, as the Dyck matrices
-    are, and then whether K is one times its inverse with at most one
-    entry changed, so that both products are checked in full; K is any
-    matrix otherwise."""
+    the first entry of D*K off one times the identity, as the dense
+    product finds it. monomial = (triangular, inverse): whether D is
+    upper unitriangular, as the Dyck matrices are, and then whether K
+    is one times its inverse with at most one entry changed, so that
+    the product is checked in full; K is any matrix otherwise. Whenever
+    D*K is one times the identity, so is K*D, which _first_defect
+    therefore does not form."""
     triangular, inverse = monomial
     n = data.draw(st.integers(1, 4))
     if triangular:
@@ -349,8 +359,10 @@ def test_first_defect_matches_the_dense_product(monomial, data, one):
         K[i][j] = K[i].get(j, 0) + delta
     else:
         K = data.draw(sparse_rows(n, st.integers(-50, 50)))
-    want = dense_defect(D, K, one) or dense_defect(K, D, one)
+    want = dense_defect(D, K, one)
     assert mult._first_defect(shifts, K, one) == want
+    if want is None:
+        assert dense_defect(K, D, one) is None
 
 
 # -- sparse Dyck rows and the coset-sized inversion check -------------------
@@ -443,6 +455,7 @@ def test_matrices_render_like_the_per_pair_path(space, build, oracle):
     (2, 4, (1, 1), (2,)),
     (3, 6, (3, 2, 1), (1,)),
     (4, 8, (4, 3, 3, 1), (2, 1)),
+    (5, 10, (5, 4, 2, 2, 1), (3, 1)),
 ])
 def test_kl_inversion_check_reports_a_corrupted_entry(k, n, lam, mu,
                                                       monkeypatch):
