@@ -63,8 +63,9 @@ class GradedAlgebra:
         """vertices: list of str. basis: list of (name, src, tgt, deg)
         including one degree-0 loop per vertex. mult: dict
         (left, right) -> {name: int} for non-idempotent products. A
-        degree or coefficient that is not an int (a bool or a float) is
-        refused.
+        vertex, name, src or tgt that is not a str, and a degree or
+        coefficient that is not an int (a bool or a float), is refused;
+        of two defective records, the first is reported.
 
         leaving maps each vertex v to the (name, tgt, deg) of every
         basis element with source v, in basis order: the layout of a
@@ -73,19 +74,27 @@ class GradedAlgebra:
         right maps each basis element y to {x: ((z, k), ...)} for every
         x with x * y nonzero, the terms of x * y in result order: the
         listed products and the implicit ones with idempotents
-        (e_src(y) * y = y, x * e_tgt(x) = x). product, the resolutions'
-        right action and the associativity check all read it."""
+        (e_src(y) * y = y, x * e_tgt(x) = x). The resolutions' right
+        action and the associativity check read it."""
         self.name = name
         if not vertices:
             raise ValueError("algebra needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex names")
         self.vertices = list(vertices)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        self._vindex = {}
+        for v in self.vertices:
+            if type(v) is not str:
+                raise ValueError("vertex %r is not a string" % (v,))
+            if v in self._vindex:
+                raise ValueError("duplicate vertex names")
+            self._vindex[v] = len(self._vindex)
         self.basis = {}
-        self.basis_order = []
         self.leaving = {v: [] for v in self.vertices}
+        self.idempotent = {}
+        self.neg_names = []
         for bname, src, tgt, deg in basis:
+            if not (type(bname) is type(src) is type(tgt) is str):
+                raise ValueError("basis element %r has a name/src/tgt that "
+                                 "is not a string" % (bname,))
             if bname in self.basis:
                 raise ValueError("duplicate basis element %r" % bname)
             if src not in self._vindex or tgt not in self._vindex:
@@ -97,22 +106,24 @@ class GradedAlgebra:
             if deg > 0:
                 raise ValueError("basis element %r has positive degree %d"
                                  % (bname, deg))
-            self.basis[bname] = (src, tgt, deg)
-            self.basis_order.append(bname)
-            self.leaving[src].append((bname, tgt, deg))
-        self.idempotent = {}
-        for bname, (src, tgt, deg) in self.basis.items():
-            if deg == 0:
-                if src != tgt:
-                    raise ValueError("degree-0 element %r is not a loop"
-                                     % bname)
-                if src in self.idempotent:
-                    raise ValueError("vertex %r has two degree-0 elements"
-                                     % src)
+            if deg < 0:
+                self.neg_names.append(bname)
+            elif src != tgt:
+                raise ValueError("degree-0 element %r is not a loop" % bname)
+            elif src in self.idempotent:
+                raise ValueError("vertex %r has two degree-0 elements" % src)
+            else:
                 self.idempotent[src] = bname
+            self.basis[bname] = (src, tgt, deg)
+            self.leaving[src].append((bname, tgt, deg))
         for v in self.vertices:
             if v not in self.idempotent:
                 raise ValueError("vertex %r has no degree-0 idempotent" % v)
+        self.basis_order = list(self.basis)
+        self.right = {y: {self.idempotent[src]: ((y, 1),)}
+                      for y, (src, _, _) in self.basis.items()}
+        for x, (_, tgt, _) in self.basis.items():
+            self.right[self.idempotent[tgt]][x] = ((x, 1),)
         idem_names = set(self.idempotent.values())
         self.mult = {}
         for (left, right), result in mult.items():
@@ -146,13 +157,7 @@ class GradedAlgebra:
                     clean[rname] = coeff
             if clean:
                 self.mult[(left, right)] = clean
-        self.right = {y: {self.idempotent[src]: ((y, 1),)}
-                      for y, (src, _, _) in self.basis.items()}
-        for x, (_, tgt, _) in self.basis.items():
-            self.right[self.idempotent[tgt]][x] = ((x, 1),)
-        for (x, y), result in self.mult.items():
-            self.right[y][x] = tuple(result.items())
-        self.neg_names = [b for b in self.basis_order if self.basis[b][2] < 0]
+                self.right[right][left] = tuple(clean.items())
         self._check_associativity()
 
     def _check_associativity(self):
@@ -265,45 +270,39 @@ def load_algebra(doc: dict) -> GradedAlgebra:
 
 def builtin_algebra(name: str) -> GradedAlgebra:
     """Named example algebras. 'torsion_p1:L' takes the torsion
-    constant L, a string of decimal digits, after the colon (2 when
-    there is no colon); no other name takes one."""
+    constant L, a string of decimal digits below 2^31, after the colon
+    (2 when there is no colon); no other name takes one."""
+    point = [("e", "pt", "pt", 0), ("x", "pt", "pt", -1)]
+    loops = [("e_a", "a", "a", 0), ("e_b", "b", "b", 0)]
+    # the quiver a <-> b of p1 and torsion_p1, with its loops
+    quiver = loops + [("u", "a", "b", -1), ("v", "b", "a", -1)]
+    specs = {
+        "dual_numbers": (["pt"], point, {}),
+        "p1": (["a", "b"], quiver + [("vu", "b", "b", -2)],
+               {("v", "u"): {"vu": 1}}),
+        "x3_truncation": (["pt"], point + [("x2", "pt", "pt", -2)],
+                          {("x", "x"): {"x2": 1}}),
+        "semisimple": (["a", "b"], loops, {}),
+    }
+    spec = specs.get(name)
     base, colon, param = name.partition(":")
-    if name == "dual_numbers":
-        return GradedAlgebra(
-            ["pt"], [("e", "pt", "pt", 0), ("x", "pt", "pt", -1)], {},
-            name="dual_numbers")
-    if name == "p1":
-        return GradedAlgebra(
-            ["a", "b"],
-            [("e_a", "a", "a", 0), ("e_b", "b", "b", 0),
-             ("u", "a", "b", -1), ("v", "b", "a", -1),
-             ("vu", "b", "b", -2)],
-            {("v", "u"): {"vu": 1}},
-            name="p1")
-    if name == "x3_truncation":
-        return GradedAlgebra(
-            ["pt"],
-            [("e", "pt", "pt", 0), ("x", "pt", "pt", -1),
-             ("x2", "pt", "pt", -2)],
-            {("x", "x"): {"x2": 1}},
-            name="x3_truncation")
-    if name == "semisimple":
-        return GradedAlgebra(
-            ["a", "b"], [("e_a", "a", "a", 0), ("e_b", "b", "b", 0)], {},
-            name="semisimple")
     if base == "torsion_p1":
         if colon and not (param.isascii() and param.isdigit()):
             raise ValueError("builtin algebra %r needs a torsion constant "
                              "of decimal digits after the colon" % name)
-        l = int(param) if colon else 2
-        return GradedAlgebra(
-            ["a", "b"],
-            [("e_a", "a", "a", 0), ("e_b", "b", "b", 0),
-             ("u", "a", "b", -1), ("v", "b", "a", -1),
-             ("w", "a", "a", -2), ("z", "b", "b", -2)],
-            {("u", "v"): {"w": l}, ("v", "u"): {"z": 1}},
-            name="torsion_p1:%d" % l)
-    raise ValueError("unknown builtin algebra %r" % name)
+        # counting digits first keeps int() off a string of any length
+        digits = (param if colon else "2").lstrip("0") or "0"
+        l = int(digits) if len(digits) <= 10 else 2 ** 31
+        if l >= 2 ** 31:
+            raise ValueError("builtin algebra 'torsion_p1' needs a torsion "
+                             "constant below 2^31")
+        name = "torsion_p1:%d" % l
+        spec = (["a", "b"],
+                quiver + [("w", "a", "a", -2), ("z", "b", "b", -2)],
+                {("u", "v"): {"w": l}, ("v", "u"): {"z": 1}})
+    if spec is None:
+        raise ValueError("unknown builtin algebra %r" % name)
+    return GradedAlgebra(*spec, name=name)
 
 
 def as_field(field):
@@ -463,7 +462,8 @@ class Resolution:
 def _resolve(algebra, lam, field, i_max):
     """Steps 1, 2, ... of the minimal resolution of the simple at lam,
     at most i_max of them: yields each step's summands (vertex, shift)
-    and returns whether the kernel vanished. A caller may stop early."""
+    and whether its kernel vanished. A simple with zero radical yields
+    nothing; a caller may stop early."""
     # P_lam lays out (0, b) for each b leaving lam; M is its radical,
     # spanned by every (0, b) but the idempotent's, the one b of degree 0
     fbasis, blocks = {}, {}
@@ -476,10 +476,9 @@ def _resolve(algebra, lam, field, i_max):
         if not blocks:
             break
         # the kernel of the last step is only tested for zero
-        new_summands, fbasis, blocks = _advance(
+        summands, fbasis, blocks = _advance(
             algebra, field, fbasis, blocks, step, step == i_max)
-        yield new_summands
-    return not blocks
+        yield summands, not blocks
 
 
 def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
@@ -488,13 +487,11 @@ def minimal_resolution(algebra: GradedAlgebra, lam: str, field,
     if lam not in algebra.idempotent:
         raise ValueError("unknown vertex %r" % lam)
     i_max = _checked_imax(algebra, i_max)
-    steps = [[(lam, 0)]]
-    resolving = _resolve(algebra, lam, field, i_max)
-    while True:
-        try:
-            steps.append(next(resolving))
-        except StopIteration as end:
-            return Resolution(lam, steps, end.value, i_max)
+    # a simple with zero radical is its own resolution
+    steps, finished = [[(lam, 0)]], True
+    for summands, finished in _resolve(algebra, lam, field, i_max):
+        steps.append(summands)
+    return Resolution(lam, steps, finished, i_max)
 
 
 @dataclass
@@ -571,7 +568,8 @@ def is_koszul(algebra: GradedAlgebra, field,
     first = None
     for lam in algebra.vertices:
         limit = i_max if first is None else first[0] - 1
-        for i, summands in enumerate(_resolve(algebra, lam, field, limit), 1):
+        for i, (summands, _) in enumerate(
+                _resolve(algebra, lam, field, limit), 1):
             bad = [(i, lam, mu, s) for mu, s in summands if s != -i]
             if bad:
                 first = bad[0]

@@ -67,12 +67,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def part(self, j: int) -> int:
         """1-based part access, zero beyond the last part."""
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0

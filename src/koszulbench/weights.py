@@ -43,7 +43,7 @@ def wt_from_blocks(blocks):
     """
     # a Cartan matrix repeats a few blocks over many cells
     norm = sorted({_normalize_block(b) for b in set(map(tuple, blocks))},
-                  key=lambda b: (-len(b), -(b[-1] if b else 0), b))
+                  key=lambda b: (-len(b), -b[-1], b))
     keep = []
     for b in norm:
         covered = False
@@ -62,8 +62,6 @@ def wt_from_blocks(blocks):
 
     def place(idx, current):
         nonlocal best
-        if best is not None and len(current) > best[0]:
-            return
         if idx == len(keep):
             base = min(current)
             found = (len(current), tuple(sorted(x - base for x in current)))

@@ -187,6 +187,17 @@ def test_primes_statuses(capsys):
         capsys)
     assert code == 0
     assert json.loads(out) == {"status": "bound_too_small"}
+    # 2 = l is skipped, and 3 separates
+    code, out, _ = run(["primes", "--l", "2", "--wt", "0"], capsys)
+    assert (code, out) == (0, "p = 3\n")
+    # residues mod 6 differ, but 2 = 2^3 mod 7 fails and the bound is 2
+    argv = ["primes", "--l", "7", "--wt", "0,1,2,3", "--bound", "2"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (0, "no separating prime up to the bound "
+                              "(raise it)\n")
+    code, out, _ = run(argv + ["--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"status": "bound_too_small"}
 
 
 def test_phidec_exit_codes(tmp_path, capsys):
@@ -457,6 +468,12 @@ MALFORMED = {
                       "matrix file must hold a JSON array of rows"),
     "phidec-flat-list": (["phidec", "--q", "3", "--l", "5"], [1, 2],
                          "matrix file must hold a JSON array of rows"),
+    "phidec-ragged": (["phidec", "--q", "3", "--l", "5"], [[1, 0], [0]],
+                      "matrix is not square"),
+    # past Python's own 4,300-digit limit on int(str)
+    "builtin-torsion_p1-4400-digits": (
+        ["koszul", "--builtin", "torsion_p1:" + "7" * 4400], None,
+        "builtin algebra 'torsion_p1' needs a torsion constant below 2^31"),
 }
 
 
@@ -568,6 +585,8 @@ PAST_LIMITS = {
                   "4097 basis vectors; the limit is 4096"),
     "prime-2^31": (["primes", "--l", str(2 ** 31), "--wt", "0,1"], None,
                    "below 2^31"),
+    "torsion-2^31": (["koszul", "--builtin", "torsion_p1:%d" % 2 ** 31],
+                     None, "torsion constant below 2^31"),
     "mult-flag-6": (["mult", "flag", "--n", "6"], None, "n <= 5"),
     "mult-gr-11": (["mult", "gr", "--k", "1", "--n", "11"], None,
                    "n <= 10"),
@@ -638,6 +657,25 @@ def test_unknown_subcommand_prints_usage(capsys):
         assert err.startswith("usage: koszulbench"), argv
         for words, synopsis, _, _ in cli.COMMANDS:
             assert "  %s %s" % (words, synopsis) in err, argv
+
+
+# argparse reports each through _Parser.error: every entry's required
+# arguments left out (koszul has none; its source is checked after
+# parsing), an unknown option on every entry, and an --n that is no int.
+USAGE_ERRORS = ([(words, []) for words, *_ in cli.COMMANDS
+                 if words != "koszul"]
+                + [(words, ["--frob"]) for words, *_ in cli.COMMANDS]
+                + [("kl", ["--n", "x", "--x", "21", "--w", "12"])])
+
+
+@pytest.mark.parametrize("words, args", USAGE_ERRORS,
+                         ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_usage_errors_exit_one(words, args, capsys):
+    code, out, err = run(words.split() + args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("koszulbench %s: error: " % words), err
+    assert err.count("\n") == 1
 
 
 def test_json_determinism(capsys):

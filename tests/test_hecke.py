@@ -213,6 +213,8 @@ def test_bruhat_order():
         assert hecke.bruhat_leq(w, w)
     assert hecke.bruhat_leq((2, 1, 3, 4), (3, 1, 2, 4))
     assert not hecke.bruhat_leq((3, 4, 1, 2), (4, 1, 2, 3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        hecke.bruhat_leq((1, 2, 3), (1, 2, 3, 4))
 
 
 def test_smoothness_pattern_avoidance():

@@ -49,6 +49,9 @@ def test_builtin_names():
         assert algebra.name == name or algebra.name.startswith("torsion")
     assert builtin_algebra("torsion_p1").name == "torsion_p1:2"
     assert builtin_algebra("torsion_p1:0").name == "torsion_p1:0"
+    assert builtin_algebra("torsion_p1:003").name == "torsion_p1:3"
+    largest = builtin_algebra("torsion_p1:%d" % (2 ** 31 - 1))
+    assert largest.mult[("u", "v")] == {"w": 2 ** 31 - 1}
     with pytest.raises(ValueError):
         builtin_algebra("p2")
 
@@ -128,6 +131,27 @@ REFUSALS = {
     "algebra-unknown-vertex": (
         GradedAlgebra, (["a"], [IDEM, ("x", "a", "b", -1)], {}),
         "basis element 'x' uses an unknown vertex"),
+    "algebra-list-vertex": (
+        GradedAlgebra, ([["a"]], [IDEM], {}), "vertex ['a'] is not a string"),
+    "algebra-int-vertex": (
+        GradedAlgebra, (["a", 1], [IDEM], {}), "vertex 1 is not a string"),
+    "algebra-list-name": (
+        GradedAlgebra, (["a"], [IDEM, (["x"], "a", "a", -1)], {}),
+        "basis element ['x'] has a name/src/tgt that is not a string"),
+    "algebra-int-name": (
+        GradedAlgebra, (["a"], [IDEM, (1, "a", "a", -1)], {}),
+        "basis element 1 has a name/src/tgt that is not a string"),
+    "algebra-list-src": (
+        GradedAlgebra, (["a"], [IDEM, ("x", ["a"], "a", -1)], {}),
+        "basis element 'x' has a name/src/tgt that is not a string"),
+    "algebra-int-tgt": (
+        GradedAlgebra, (["a"], [IDEM, ("x", "a", 0, -1)], {}),
+        "basis element 'x' has a name/src/tgt that is not a string"),
+    # each record is checked whole before the next is read
+    "algebra-first-defective-record": (
+        GradedAlgebra, (["a"], [("e", "a", "a", 0), ("f", "a", "a", 0),
+                                ("x", "a", "b", -1)], {}),
+        "vertex 'a' has two degree-0 elements"),
     "algebra-float-degree": (
         GradedAlgebra, (["a"], [IDEM, ("x", "a", "a", -1.0)], {}),
         "basis element 'x' has a degree that is not an integer"),
@@ -213,6 +237,13 @@ REFUSALS = {
         builtin_algebra, ("torsion_p1:",),
         "builtin algebra 'torsion_p1:' needs a torsion constant of "
         "decimal digits"),
+    "builtin-torsion_p1:2^31": (
+        builtin_algebra, ("torsion_p1:%d" % 2 ** 31,),
+        "builtin algebra 'torsion_p1' needs a torsion constant below 2^31"),
+    # past Python's 4,300-digit limit on int(str)
+    "builtin-torsion_p1:4400-digits": (
+        builtin_algebra, ("torsion_p1:" + "7" * 4400,),
+        "builtin algebra 'torsion_p1' needs a torsion constant below 2^31"),
     "field-F::5": (
         koszul.as_field, ("F::5",), "cannot interpret field 'F::5'"),
     "field-F": (koszul.as_field, ("F",), "cannot interpret field 'F'"),

@@ -104,8 +104,9 @@ def _library_definitions():
     """(definitions, roots). The definitions are each top-level
     function and class of src/, and each method of such a class, as
     "file:line qualname" -> (qualname, the uses inside it, whether it
-    comes with its class: a dunder or a property). The roots are the
-    uses in module-level code, imports aside, with the strings of
+    comes with its class: a dunder, which Python calls by itself; a
+    property is read as x.name, a use like any other). The roots are
+    the uses in module-level code, imports aside, with the strings of
     koszulbench.__all__ added to its names."""
     defs, names, attrs = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -132,8 +133,7 @@ def _library_definitions():
                 node.name, _uses(rest + node.bases + node.decorator_list),
                 False)
             for m in methods:
-                implicit = (m.name.startswith("__") and m.name.endswith("__")
-                            or "property" in _uses(m.decorator_list)[0])
+                implicit = m.name.startswith("__") and m.name.endswith("__")
                 defs["%s:%d %s.%s" % (path.name, m.lineno, node.name,
                                       m.name)] = (
                     "%s.%s" % (node.name, m.name), _uses([m]), implicit)
@@ -144,8 +144,8 @@ def _reach(defs, roots, kept):
     """The definitions reached from the roots and the kept qualnames.
     A method is reached when a reached definition, or module-level
     code, reads an attribute of its name; a function or class when one
-    reads its name or an attribute of its name. The dunders and
-    properties of a reached class come with it."""
+    reads its name or an attribute of its name. The dunders of a
+    reached class come with it."""
     reached = set()
     todo = [d for d, (qual, _, _) in defs.items() if qual in kept]
     names, attrs = set(roots[0]), set(roots[1])

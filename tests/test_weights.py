@@ -98,6 +98,9 @@ def test_is_separated():
     assert weights.separation_residues([0, 1, 2], 2, 5) == [1, 2, 4]
     with pytest.raises(ValueError):
         weights.is_separated([0, 1], 10, 5)
+    for l in (1, 0, -3):
+        with pytest.raises(ValueError, match="l must be at least 2"):
+            weights.is_separated([0, 1], 2, l)
 
 
 def test_find_separating_prime_found():
