@@ -4,9 +4,19 @@ Three layers:
 
 * wt_from_blocks / wt_space: the minimal weight support of a graded
   Cartan matrix. Each nonzero entry contributes its exponent support
-  as a block; wt is a minimum-cardinality integer set containing 0
-  such that every block embeds by translation, with ties broken by
-  the lexicographically smallest normalized solution.
+  as a block; wt is the smallest integer set containing 0 such that
+  every block embeds by translation, which is the one block that
+  covers all the others, or ValueError when none does. On every
+  Space it is {0, ..., m}, the block of the diagonal entry at
+  labels()[0]. On gr(k, n), m = min(k, n-k): a D entry is v^-d with d
+  the number of reversed cups, at most m, so every entry of
+  C = D^T D has v-exponents of one parity in [-2m, 0], a q-span of
+  at most m; C at the empty partition sums v^(-2 depth(lam)), and
+  the d x d square has depth d, so its block is all of 0..m. On
+  flag(n), m = n(n-1)/2: every D entry lies in N[v^-1] with
+  exponents in [-m, 0], and D[x][e] = v^-l(x), so C[e][e] is the
+  Poincare polynomial, 0..m. Lascoux-Schutzenberger 1981 and
+  Brundan-Stroppel I 2011 give the cup diagrams behind D.
 
 * separation: whether the residues q^e mod l are pairwise distinct
   for e in a weight set, and the search for a separating prime q.
@@ -35,50 +45,27 @@ def _normalize_block(block):
 
 def wt_from_blocks(blocks):
     """Smallest set of integers (up to translation, reported with min
-    0) admitting a translated copy of every block.
+    0) admitting a translated copy of every block: the block that
+    covers every other one.
 
-    Exhaustive branch and bound. Any optimal solution can be slid so
-    that the placed copies form one overlapping chain, so offsets are
-    searched within the total span of all blocks.
+    This is exact. If a block B of greatest size holds a translate of
+    every block, every such set has at least |B| elements, B is one,
+    and one of |B| elements is a translate of B, so B is the unique
+    answer. If no block covers the others, a set of max |B| elements
+    would be a translate of a largest block, which would then cover
+    them; so the minimum is larger, and ValueError is raised. No Space
+    reaches that error (see the module docstring).
     """
-    # a Cartan matrix repeats a few blocks over many cells
-    norm = sorted({_normalize_block(b) for b in set(map(tuple, blocks))},
-                  key=lambda b: (-len(b), -b[-1], b))
-    keep = []
-    for b in norm:
-        covered = False
-        for big in keep:
-            bigset = set(big)
-            if any(all(x + off in bigset for x in b)
-                   for off in range(0, big[-1] - b[-1] + 1)):
-                covered = True
-                break
-        if not covered:
-            keep.append(b)
-    if not keep:
+    norm = {_normalize_block(b) for b in blocks}
+    if not norm:
         return (0,)
-    span = sum(b[-1] for b in keep) + 1
-    best = None  # (size, least normalized solution of that size)
-
-    def place(idx, current):
-        nonlocal best
-        if idx == len(keep):
-            base = min(current)
-            found = (len(current), tuple(sorted(x - base for x in current)))
-            if best is None or found < best:
-                best = found
-            return
-        block = keep[idx]
-        lo = min(current) - span
-        hi = max(current) + span
-        for off in range(lo, hi + 1):
-            trial = current | {x + off for x in block}
-            if best is not None and len(trial) > best[0]:
-                continue
-            place(idx + 1, trial)
-
-    place(1, set(keep[0]))
-    return best[1]
+    top = max(norm, key=len)
+    cover = set(top)
+    for b in norm:
+        if not any(all(x + off in cover for x in b)
+                   for off in range(top[-1] - b[-1] + 1)):
+            raise ValueError("no single block covers the others")
+    return top
 
 
 def cartan_blocks(space) -> list:

@@ -591,9 +591,10 @@ def proj_delta_vector(space, lam):
 
 
 def wt_brute(blocks):
-    """weights.wt_from_blocks by exhaustion, without its pruning or its
-    search over offsets: the first set containing 0, by size and then
-    lexicographically, that holds a translate of every block.
+    """The minimal weight support of any block set, by exhaustion: the
+    first set containing 0, by size and then lexicographically, that
+    holds a translate of every block. weights.wt_from_blocks answers
+    only the sets in which one block covers the others.
 
     The search stays inside 0..span - 1, span the sum of w + 1 over the
     distinct normalized blocks of width w. If a set's copies left an

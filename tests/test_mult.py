@@ -11,7 +11,8 @@ from koszulbench.shapes import Partition
 
 from oracles import (conjugate_partition, cup_rows, delta_ic, delta_ic_flag,
                      dominates, entry, from_pairs, grassmannian_permutations,
-                     pair_scan_rows, proj_delta_vector)
+                     inverse, laurent_matrix_inverse, pair_scan_rows,
+                     proj_delta_vector)
 
 
 def v_poly(*pairs):
@@ -117,6 +118,21 @@ def test_flag3_cartan_identity_entry():
     C = mult.graded_cartan(mult.Space.flag(3))
     e = (1, 2, 3)
     assert entry(C, e, e) == v_poly((0, 1), (-2, 2), (-4, 2), (-6, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flag_cartan_is_its_own_koszul_dual(n):
+    """A second route to the flag Cartan matrix that needs no KL
+    polynomial: C(-v)^-1 is C relabelled by x -> w0 x^-1 (Koszul
+    self-duality of O_0, BGS 1996), and the relabelling matters."""
+    C = mult.graded_cartan(mult.Space.flag(n))
+    w0 = hecke.longest_element(n)
+    dual = laurent_matrix_inverse(
+        [[from_pairs([(e, -c if e % 2 else c) for e, c in p.items()])
+          for p in row] for row in C.entries])
+    pos = [C.labels.index(hecke.compose(w0, inverse(x))) for x in C.labels]
+    assert dual == [[C.entries[i][j] for j in pos] for i in pos]
+    assert dual != C.entries
 
 
 def test_delta_ic_flag_socle_and_loewy():

@@ -17,13 +17,17 @@ def test_wt_from_blocks_single():
 
 def test_wt_from_blocks_merges_translates():
     assert weights.wt_from_blocks([[0, 1], [0, 1, 2]]) == (0, 1, 2)
-    assert weights.wt_from_blocks([[0, 2], [0, 1]]) == (0, 1, 2)
-    assert weights.wt_from_blocks([[0, 3], [0, 1]]) == (0, 1, 3)
+    assert weights.wt_from_blocks([[1, 3], [0, 1, 2, 4]]) == (0, 1, 2, 4)
+    for blocks in ([[0, 2], [0, 1]], [[0, 3], [0, 1]]):
+        with pytest.raises(ValueError, match="no single block covers"):
+            weights.wt_from_blocks(blocks)
 
 
-def test_wt_from_blocks_prefers_smallest_lex():
-    got = weights.wt_from_blocks([[0, 2], [0, 4]])
-    assert got == (0, 2, 4)
+def test_wt_from_blocks_refuses_when_no_block_covers():
+    # the brute-force answer, (0, 2, 4), has more elements than any block
+    with pytest.raises(ValueError, match="no single block covers"):
+        weights.wt_from_blocks([[0, 2], [0, 4]])
+    assert wt_brute([[0, 2], [0, 4]]) == (0, 2, 4)
     assert weights.wt_from_blocks([[0], [0], [0]]) == (0,)
 
 
@@ -64,20 +68,55 @@ def test_wt_space_flag4_range():
     assert wt == tuple(range(7))
 
 
+# every space the CLI accepts, with m, the top of its wt = {0, ..., m}
+SPACES = ([(mult.Space.gr(k, n), min(k, n - k))
+           for n in range(2, 11) for k in range(1, n)]
+          + [(mult.Space.flag(n), n * (n - 1) // 2) for n in range(1, 6)])
+
+
 def test_wt_matches_the_brute_force_route_on_every_small_space():
-    spaces = [mult.Space.gr(k, n) for n in range(2, 9) for k in range(1, n)]
-    spaces += [mult.Space.flag(n) for n in range(1, 5)]
-    assert len(spaces) == 32
-    for space in spaces:
-        blocks = weights.cartan_blocks(space)
-        assert weights.wt_from_blocks(blocks) == wt_brute(blocks), space
+    """wt is the interval 0..m, the block of the diagonal Cartan entry
+    at the first label (the closed form proved in weights' docstring)."""
+    assert len(SPACES) == 50
+    for space, m in SPACES:
+        wt = weights.wt_space(space)
+        assert wt == tuple(range(m + 1)), space
+        assert wt == wt_brute(weights.cartan_blocks(space)), space
+        corner = mult.graded_cartan(space).entries[0][0]
+        assert tuple(sorted(-e // 2 for e in corner.support())) == wt, space
+
+
+def test_a_space_has_a_separating_prime_exactly_when_l_exceeds_m_plus_one():
+    """By the Fermat argument of find_separating_prime, 0..m has a
+    separating prime mod l exactly when no two of its exponents agree
+    mod l - 1, that is when m < l - 1; otherwise none exists."""
+    primes = [l for l in range(2, 200) if _linalg.is_prime(l)]
+    assert len(primes) == 46
+    for space, m in SPACES:
+        for l in primes:
+            status = weights.find_separating_prime(range(m + 1), l).status
+            want = "found" if l >= m + 2 else "none_exists"
+            assert status == want, (space, l)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4),
                 max_size=5))
+@example([[0, 1], [0, 1, 2]])
+@example([[0, 2], [0, 1]])
 def test_wt_from_blocks_matches_the_brute_force_route(blocks):
-    assert weights.wt_from_blocks(blocks) == wt_brute(blocks)
+    """Either one block covers the others and is the brute-force
+    answer, or none does, and that answer is larger than every block."""
+    brute = wt_brute(blocks)
+    largest = max((len(set(b)) for b in blocks), default=1)
+    try:
+        got = weights.wt_from_blocks(blocks)
+    except ValueError as exc:
+        assert str(exc) == "no single block covers the others"
+        assert len(brute) > largest
+    else:
+        assert got == brute
+        assert len(got) == largest
 
 
 def test_wt_space_preconditions():
