@@ -44,6 +44,8 @@ def _parse_partition(text: str) -> Partition:
     if t in ("", "0"):
         return Partition(())
     try:
+        if "_" in t or not t.isascii():
+            raise ValueError  # int() reads 1_0 and non-ASCII digits
         parts = tuple(int(p) for p in t.split(","))
     except ValueError:
         raise ValueError("cannot parse partition %r" % text)
@@ -92,6 +94,8 @@ def _cmd_dyck_enumerate(parser, args):
     parser.add_argument("--box", required=True)
     box = parser.parse_args(args).box
     try:
+        if "_" in box or not box.isascii():
+            raise ValueError  # int() reads 1_0 and non-ASCII digits
         rows_text, cols_text = box.lower().split("x", 1)
         rows, cols = int(rows_text), int(cols_text)
     except ValueError:
@@ -159,6 +163,8 @@ def _cmd_primes(parser, args):
     parser.add_argument("--bound", type=int, default=100)
     ns = parser.parse_args(args)
     try:
+        if "_" in ns.wt or not ns.wt.isascii():
+            raise ValueError  # int() reads 1_0 and non-ASCII digits
         wt = [int(p) for p in ns.wt.split(",")]
     except ValueError:
         raise ValueError("cannot parse weight list %r" % ns.wt)

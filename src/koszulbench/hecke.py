@@ -23,11 +23,13 @@ from .laurent import LaurentPoly, digits
 
 def parse_permutation(text: str, n=None):
     """Parse one-line notation, either '3412' or '3,4,1,2'."""
-    text = text.strip()
-    if "," in text:
-        images = tuple(int(p) for p in text.split(","))
-    else:
-        images = tuple(int(ch) for ch in text)
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError  # int() reads 1_0 and non-ASCII digits
+        t = text.strip()
+        images = tuple(map(int, t.split(",") if "," in t else t))
+    except ValueError:
+        raise ValueError("cannot parse permutation %r" % text)
     check_permutation(images, n)
     return images
 

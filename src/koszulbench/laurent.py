@@ -43,10 +43,6 @@ class LaurentPoly:
         """coeff * v^exponent"""
         return LaurentPoly({exponent: coeff})
 
-    def support(self):
-        """Sorted exponents carrying a nonzero coefficient."""
-        return sorted(self._coeffs)
-
     def items(self):
         return self._coeffs.items()
 

@@ -62,7 +62,9 @@ class Space:
             for a, b in ((head + "(", ")"), (head + ":", "")):
                 if t.startswith(a) and t.endswith(b):
                     body = t[len(a):len(t) - len(b)]
-                    try:
+                    try:  # int() also reads 1_0 and non-ASCII digits
+                        if "_" in body or not body.isascii():
+                            raise ValueError
                         nums = [int(p) for p in body.split(",")]
                     except ValueError:  # an empty or non-integer piece
                         nums = []

@@ -35,7 +35,7 @@ def involute(p) -> LaurentPoly:
 def dominates(p, q) -> bool:
     """Support dominance p preceq q: every exponent of p also appears
     in q. Reflexive and transitive, not antisymmetric."""
-    return set(p.support()) <= set(q.support())
+    return dict(p.items()).keys() <= dict(q.items()).keys()
 
 
 def conjugate_partition(lam) -> Partition:
@@ -588,6 +588,23 @@ def proj_delta_vector(space, lam):
         if p:
             out[nu] = p
     return out
+
+
+def cartan_blocks(space) -> list:
+    """The exponent-support blocks of the distinct nonzero entries of
+    the graded Cartan matrix, sorted, in q-degrees: each entry is
+    parity-pure, so its v-degrees are shifted to even and halved. The
+    whole-matrix route to weights.wt_space, through wt_brute."""
+    blocks = []
+    for p in set().union(*mult.graded_cartan(space).entries):
+        if not p:
+            continue
+        exps = sorted(-e for e, _ in p.items())
+        parity = exps[0] % 2
+        if any(e % 2 != parity for e in exps):
+            raise ValueError("mixed-parity Cartan entry %s" % p.render())
+        blocks.append(tuple((e - parity) // 2 for e in exps))
+    return sorted(blocks)
 
 
 def wt_brute(blocks):

@@ -450,6 +450,27 @@ MALFORMED = {
                           "cannot parse weight list ''"),
     "box-3by4": (["dyck", "enumerate", "--box", "3by4"], None,
                  "cannot parse box '3by4'; expected KxM"),
+    # int() reads 1_0 as 10 and non-ASCII decimal digits as digits
+    "box-underscore": (["dyck", "enumerate", "--box", "3x1_0"], None,
+                       "cannot parse box '3x1_0'; expected KxM"),
+    "depth-underscore": (["dyck", "depth", "1_0/1"], None,
+                         "cannot parse partition '1_0'"),
+    "depth-negative": (["dyck", "depth", "-1"], None, "negative part -1"),
+    "primes-underscore": (["primes", "--l", "5", "--wt", "0,1_0"], None,
+                          "cannot parse weight list '0,1_0'"),
+    "primes-arabic-indic": (["primes", "--l", "5", "--wt", "\u0660,\u0661"],
+                            None, "cannot parse weight list '\u0660,\u0661'"),
+    "weights-underscore": (["weights", "--space", "gr:2,1_0"], None,
+                           "cannot parse space 'gr:2,1_0'"),
+    "weights-arabic-indic": (["weights", "--space", "gr:\u0662,4"], None,
+                             "cannot parse space 'gr:\u0662,4'"),
+    "kl-letter": (["kl", "--n", "4", "--x", "12a4", "--w", "4321"], None,
+                  "cannot parse permutation '12a4'"),
+    "kl-empty-piece": (["kl", "--n", "4", "--x", "1,2,,3", "--w", "4321"],
+                       None, "cannot parse permutation '1,2,,3'"),
+    "kl-arabic-indic": (["kl", "--n", "4", "--x", "\u0661\u0662\u0663\u0664",
+                         "--w", "4321"], None, "cannot parse permutation "
+                        "'\u0661\u0662\u0663\u0664'"),
     "koszul-both-sources": (["koszul", "--builtin", "p1", "--algebra",
                              "algebra.json"], None,
                             "give either --algebra or --builtin, not both"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,6 +186,11 @@ def test_parse_and_render():
         hecke.parse_permutation("3411")
     with pytest.raises(ValueError):
         hecke.parse_permutation("340")
+    # int() alone would read 1_0 as 10 and Arabic-Indic digits as 1234
+    for text in ("12a4", "1,2,,3", "1,2,1_0", "\u0661\u0662\u0663\u0664"):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot parse permutation %r" % text)):
+            hecke.parse_permutation(text)
 
 
 def test_length_compose_inverse():
@@ -289,7 +295,7 @@ def test_degree_bound_and_constant_term():
             continue
         assert dict(p.items()).get(0, 0) == 1
         gap = hecke.length(w) - hecke.length(x)
-        for e in p.support():
+        for e in dict(p.items()):
             assert 0 <= 2 * e <= max(gap - 1, 0)
 
 

@@ -20,12 +20,12 @@ def test_zero_one_monomial():
     m = LaurentPoly.monomial(-3, 2)
     assert dict(m.items()).get(-3, 0) == 2
     assert dict(m.items()).get(0, 0) == 0
-    assert m.support() == [-3]
+    assert sorted(dict(m.items())) == [-3]
 
 
 def test_canonical_no_zero_coeffs():
     p = from_pairs([(1, 1), (1, -1), (0, 3)])
-    assert p.support() == [0]
+    assert sorted(dict(p.items())) == [0]
     assert p == 3
 
 

@@ -82,6 +82,7 @@ KEPT = {
     "outer_border_strip": "perfbench uses it (ROADMAP item 1)",
     "transpose": "perfbench uses it (ROADMAP item 1)",
     "SkewShape.is_empty": "perfbench uses it (ROADMAP item 1)",
+    "wt_from_blocks": "perfbench's tracer wraps it (weights.wt_from_blocks)",
     "_Parser.error": "argparse calls it on a usage error",
 }
 

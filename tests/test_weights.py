@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from koszulbench import _linalg, mult, weights
-from oracles import has_weights_in, phi_report_by_sweep, sparse, wt_brute
+from oracles import (cartan_blocks, has_weights_in, phi_report_by_sweep,
+                     sparse, wt_brute)
 
 
 def test_wt_from_blocks_single():
@@ -38,7 +39,7 @@ def test_wt_from_blocks_empty_cases():
 
 
 def test_cartan_blocks_parity():
-    blocks = weights.cartan_blocks(mult.Space.gr(1, 2))
+    blocks = cartan_blocks(mult.Space.gr(1, 2))
     assert (0, 1) in blocks
     assert all(b[0] == 0 for b in blocks)
     # one block per distinct entry (1, v^-1, 1 + v^-2), sorted
@@ -76,14 +77,27 @@ SPACES = ([(mult.Space.gr(k, n), min(k, n - k))
 
 def test_wt_matches_the_brute_force_route_on_every_small_space():
     """wt is the interval 0..m, the block of the diagonal Cartan entry
-    at the first label (the closed form proved in weights' docstring)."""
+    at the first label (the closed form proved in weights' docstring),
+    by three routes: the library's packed corner, the corner of
+    graded_cartan, and the brute-force cover of every entry's block."""
     assert len(SPACES) == 50
     for space, m in SPACES:
         wt = weights.wt_space(space)
         assert wt == tuple(range(m + 1)), space
-        assert wt == wt_brute(weights.cartan_blocks(space)), space
+        assert wt == wt_brute(cartan_blocks(space)), space
         corner = mult.graded_cartan(space).entries[0][0]
-        assert tuple(sorted(-e // 2 for e in corner.support())) == wt, space
+        assert tuple(sorted(-e // 2 for e, _ in corner.items())) == wt, space
+
+
+def test_wt_space_reads_no_whole_cartan_matrix(monkeypatch):
+    """wt_space reads one Cartan entry off D's rows; it never builds the
+    matrix."""
+    def refuse(space):
+        raise AssertionError("graded_cartan(%s) was built" % space.render())
+
+    monkeypatch.setattr(mult, "graded_cartan", refuse)
+    for space, m in SPACES:
+        assert weights.wt_space(space) == tuple(range(m + 1)), space
 
 
 def test_a_space_has_a_separating_prime_exactly_when_l_exceeds_m_plus_one():
