@@ -41,12 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_partition(text: str) -> Partition:
     t = text.strip()
-    if t in ("", "0"):
+    if not t:
         return Partition(())
     try:
-        if "_" in t or not t.isascii():
-            raise ValueError  # int() reads 1_0 and non-ASCII digits
-        parts = tuple(int(p) for p in t.split(","))
+        parts = tuple(map(hecke.integer, t.split(",")))
     except ValueError:
         raise ValueError("cannot parse partition %r" % text)
     return Partition(parts)
@@ -94,10 +92,7 @@ def _cmd_dyck_enumerate(parser, args):
     parser.add_argument("--box", required=True)
     box = parser.parse_args(args).box
     try:
-        if "_" in box or not box.isascii():
-            raise ValueError  # int() reads 1_0 and non-ASCII digits
-        rows_text, cols_text = box.lower().split("x", 1)
-        rows, cols = int(rows_text), int(cols_text)
+        rows, cols = map(hecke.integer, box.lower().split("x", 1))
     except ValueError:
         raise ValueError("cannot parse box %r; expected KxM" % box)
     scan = scan_box(rows, cols)
@@ -114,7 +109,7 @@ def _cmd_dyck_enumerate(parser, args):
 
 
 def _cmd_kl(parser, args):
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--n", type=hecke.integer, required=True)
     parser.add_argument("--x", required=True)
     parser.add_argument("--w", required=True)
     ns = parser.parse_args(args)
@@ -129,8 +124,8 @@ def _cmd_kl(parser, args):
 
 
 def _cmd_kl_invert_check(parser, args):
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=hecke.integer, required=True)
+    parser.add_argument("--n", type=hecke.integer, required=True)
     ns = parser.parse_args(args)
     report = mult.kl_inversion_check(ns.k, ns.n)
     return _report(report, 0 if report.ok else 2)
@@ -138,8 +133,8 @@ def _cmd_kl_invert_check(parser, args):
 
 def _cmd_mult(kind: str, parser, args):
     if kind == "gr":
-        parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
+        parser.add_argument("--k", type=hecke.integer, required=True)
+    parser.add_argument("--n", type=hecke.integer, required=True)
     parser.add_argument("--tag", choices=["delta_ic", "cartan"],
                         default="delta_ic")
     ns = parser.parse_args(args)
@@ -158,14 +153,12 @@ def _cmd_weights(parser, args):
 
 
 def _cmd_primes(parser, args):
-    parser.add_argument("--l", type=int, required=True)
+    parser.add_argument("--l", type=hecke.integer, required=True)
     parser.add_argument("--wt", required=True)
-    parser.add_argument("--bound", type=int, default=100)
+    parser.add_argument("--bound", type=hecke.integer, default=100)
     ns = parser.parse_args(args)
     try:
-        if "_" in ns.wt or not ns.wt.isascii():
-            raise ValueError  # int() reads 1_0 and non-ASCII digits
-        wt = [int(p) for p in ns.wt.split(",")]
+        wt = [hecke.integer(p) for p in ns.wt.split(",")]
     except ValueError:
         raise ValueError("cannot parse weight list %r" % ns.wt)
     return _report(weights_mod.find_separating_prime(wt, ns.l, ns.bound))
@@ -173,8 +166,8 @@ def _cmd_primes(parser, args):
 
 def _cmd_phidec(parser, args):
     parser.add_argument("--matrix", required=True)
-    parser.add_argument("--q", type=int, required=True)
-    parser.add_argument("--l", type=int, required=True)
+    parser.add_argument("--q", type=hecke.integer, required=True)
+    parser.add_argument("--l", type=hecke.integer, required=True)
     ns = parser.parse_args(args)
     with open(ns.matrix, "r", encoding="utf-8") as handle:
         rows = json.load(handle)
@@ -194,7 +187,7 @@ def _koszul_args(parser, args, *field, **field_options):
     parser.add_argument("--algebra")
     parser.add_argument("--builtin")
     parser.add_argument(*field, **field_options)
-    parser.add_argument("--imax", type=int, default=None)
+    parser.add_argument("--imax", type=hecke.integer, default=None)
     ns = parser.parse_args(args)
     if ns.imax is not None and not 1 <= ns.imax <= koszul_mod.MAX_IMAX:
         raise ValueError("--imax must lie in 1..%d, got %d"
@@ -216,7 +209,8 @@ def _cmd_koszul(parser, args):
 
 
 def _cmd_koszul_integral(parser, args):
-    ns, algebra = _koszul_args(parser, args, "--l", type=int, required=True)
+    ns, algebra = _koszul_args(parser, args, "--l", type=hecke.integer,
+                               required=True)
     report = koszul_mod.integral_koszul_check(algebra, ns.l, ns.imax)
     return _report(report, 0 if report.verdict == "koszul" else 2)
 

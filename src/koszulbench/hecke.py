@@ -21,13 +21,19 @@ from bisect import insort
 from .laurent import LaurentPoly, digits
 
 
+def integer(text: str) -> int:
+    """int(text), refusing text with '_' or a non-ASCII character:
+    int() alone reads 1_0 as 10 and any Unicode decimal digit."""
+    if "_" in text or not text.isascii():
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def parse_permutation(text: str, n=None):
     """Parse one-line notation, either '3412' or '3,4,1,2'."""
+    t = text.strip()
     try:
-        if "_" in text or not text.isascii():
-            raise ValueError  # int() reads 1_0 and non-ASCII digits
-        t = text.strip()
-        images = tuple(map(int, t.split(",") if "," in t else t))
+        images = tuple(map(integer, t.split(",") if "," in t else t))
     except ValueError:
         raise ValueError("cannot parse permutation %r" % text)
     check_permutation(images, n)
@@ -110,8 +116,8 @@ class KLTable:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= 9:
-            raise ValueError("rank %d is outside 1..9 (the limit 9)" % n)
+        if not (type(n) is int and 1 <= n <= 9):  # bool and float refused
+            raise ValueError("rank %r is outside 1..9 (the limit 9)" % (n,))
         self.n = n
         self._w0 = longest_element(n)
         self._queries = {}

@@ -44,13 +44,13 @@ class Space:
 
     @staticmethod
     def gr(k: int, n: int) -> "Space":
-        if not 1 <= k < n <= 10:
+        if not (type(k) is type(n) is int and 1 <= k < n <= 10):
             raise ValueError("gr(k,n) needs 1 <= k < n <= 10")
         return Space("gr", k, n)
 
     @staticmethod
     def flag(n: int) -> "Space":
-        if not 1 <= n <= 5:
+        if not (type(n) is int and 1 <= n <= 5):
             raise ValueError("flag(n) needs 1 <= n <= 5")
         return Space("flag", 0, n)
 
@@ -62,10 +62,8 @@ class Space:
             for a, b in ((head + "(", ")"), (head + ":", "")):
                 if t.startswith(a) and t.endswith(b):
                     body = t[len(a):len(t) - len(b)]
-                    try:  # int() also reads 1_0 and non-ASCII digits
-                        if "_" in body or not body.isascii():
-                            raise ValueError
-                        nums = [int(p) for p in body.split(",")]
+                    try:
+                        nums = [hecke.integer(p) for p in body.split(",")]
                     except ValueError:  # an empty or non-integer piece
                         nums = []
                     if head == "gr" and len(nums) == 2:

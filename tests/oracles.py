@@ -364,6 +364,35 @@ def cup_rows(k: int, n: int):
     return rows
 
 
+def cup_depth(shape):
+    """The depth of lam/mu by cup reversal, or None when it is not Dyck
+    (Lascoux-Schutzenberger 1981; Brundan-Stroppel, Khovanov's diagram
+    algebra I, 2011; Shigechi-Zinn-Justin 2012). Only the parts are
+    read, neither the strip criteria nor the cells. With k = len(lam),
+    walk lam's boundary from the bottom left to the top right: part t
+    (from the top, zero-based) closes with the north step at
+    lam_t + k - 1 - t, and the other steps go east. An east step opens a
+    cup, and each north step closes the nearest open one. lam/mu is
+    Dyck when mu's boundary, mu padded to k parts, is lam's with some
+    cups reversed: each north step lam loses moves back to its cup's
+    east step. The depth is the number of reversed cups."""
+    lam, mu = shape.outer.parts, shape.inner.parts
+    k = len(lam)
+    mu = mu + (0,) * (k - len(mu))
+    north = {part + k - 1 - t for t, part in enumerate(lam)}
+    closes, open_ = {}, []
+    for p in range(lam[0] + k if lam else 0):
+        if p not in north:
+            open_.append(p)
+        elif open_:
+            closes[p] = open_.pop()
+    moved = {part + k - 1 - t for t, part in enumerate(mu)}
+    lost = north - moved
+    if {closes.get(p) for p in lost} != moved - north:
+        return None
+    return len(lost)
+
+
 def grassmannian_permutations(k: int, n: int):
     """Ordered (partition, permutation) pairs for the k x (n-k) box.
 

@@ -682,11 +682,31 @@ def test_unknown_subcommand_prints_usage(capsys):
 
 # argparse reports each through _Parser.error: every entry's required
 # arguments left out (koszul has none; its source is checked after
-# parsing), an unknown option on every entry, and an --n that is no int.
+# parsing), an unknown option on every entry, an --n that is no int,
+# and each integer option given 1_0 or the Arabic-Indic three, which
+# int() alone reads as 10 and 3.
 USAGE_ERRORS = ([(words, []) for words, *_ in cli.COMMANDS
                  if words != "koszul"]
                 + [(words, ["--frob"]) for words, *_ in cli.COMMANDS]
-                + [("kl", ["--n", "x", "--x", "21", "--w", "12"])])
+                + [("kl", ["--n", "x", "--x", "21", "--w", "12"]),
+                   ("kl", ["--n", "1_0", "--x", "21", "--w", "12"]),
+                   ("kl invert-check", ["--k", "\u0663", "--n", "4"]),
+                   ("kl invert-check", ["--k", "1", "--n", "1_0"]),
+                   ("mult gr", ["--k", "\u0663", "--n", "4"]),
+                   ("mult gr", ["--k", "1", "--n", "1_0"]),
+                   ("mult flag", ["--n", "\u0663"]),
+                   ("primes", ["--l", "1_0", "--wt", "0,1"]),
+                   ("primes", ["--l", "5", "--wt", "0,1", "--bound",
+                               "\u0663"]),
+                   ("phidec", ["--matrix", "m.json", "--q", "1_0",
+                               "--l", "5"]),
+                   ("phidec", ["--matrix", "m.json", "--q", "3",
+                               "--l", "\u0663"]),
+                   ("koszul", ["--builtin", "p1", "--imax", "1_0"]),
+                   ("koszul integral", ["--builtin", "p1", "--l",
+                                        "\u0663"]),
+                   ("koszul integral", ["--builtin", "p1", "--l", "5",
+                                        "--imax", "1_0"])])
 
 
 @pytest.mark.parametrize("words, args", USAGE_ERRORS,

@@ -193,6 +193,15 @@ def test_parse_and_render():
             hecke.parse_permutation(text)
 
 
+def test_integer_reads_ascii_text_without_underscores():
+    for text in (" 4 ", "+2", "-1", "007"):
+        assert hecke.integer(text) == int(text)
+    # int() alone reads 1_0 as 10 and the Arabic-Indic two as 2
+    for text in ("1_0", "\u0662", "", "4.0", "0x10", "1e3"):
+        with pytest.raises(ValueError):
+            hecke.integer(text)
+
+
 def test_length_compose_inverse():
     w0 = hecke.longest_element(4)
     assert w0 == (4, 3, 2, 1)
@@ -354,9 +363,12 @@ def test_mu_values():
 
 
 def test_rank_caps():
-    for n in (0, 10):
+    for n in (0, 10, True):  # bool refused
         with pytest.raises(ValueError, match="limit 9"):
             KLTable(n)
+    with pytest.raises(ValueError, match=re.escape("rank 4.0 is outside "
+                                                   "1..9 (the limit 9)")):
+        KLTable(4.0)
     assert KLTable(8).n == 8
     table = KLTable(3)
     with pytest.raises(ValueError):

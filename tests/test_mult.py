@@ -36,6 +36,13 @@ def test_space_parsing():
             mult.Space.parse(text)
     with pytest.raises(ValueError):
         mult.Space.gr(3, 3)
+    # bool and float sizes are refused, not passed on to range()
+    for k, n in ((True, 4), (2.0, 4), (2, 4.0)):
+        with pytest.raises(ValueError, match=re.escape("n <= 10")):
+            mult.Space.gr(k, n)
+    for n in (True, 3.0):
+        with pytest.raises(ValueError, match=re.escape("n <= 5")):
+            mult.Space.flag(n)
 
 
 def test_space_labels_order():

@@ -24,7 +24,7 @@ from koszulbench.shapes import (
 from koszulbench import shapes
 
 from oracles import (box_encodings, box_shapes, conjugate_partition,
-                     encode_shape, encoding_parts, eval_encoded,
+                     cup_depth, encode_shape, encoding_parts, eval_encoded,
                      oracle_depth, scan_box_by_lists, width)
 
 
@@ -37,11 +37,12 @@ def levels(enc):
     return _depth_by_levels(*encoding_parts(enc))
 
 
-def assert_matches_both_routes(shape):
-    """dyck_depth against the stack of row lists and the object-level
-    recursion."""
+def assert_matches_every_route(shape):
+    """dyck_depth against the stack of row lists, the object-level
+    recursion and cup reversal."""
     want = eval_encoded(encode_shape(shape))
     assert oracle_depth(shape) == (want if want >= 0 else None), shape
+    assert cup_depth(shape) == (want if want >= 0 else None), shape
     v = dyck_depth(shape)
     assert (v.is_dyck, v.depth) == (want >= 0, max(want, 0)), shape
 
@@ -509,7 +510,22 @@ def test_dyck_depth_matches_oracle_on_every_skew_pair(k, m):
     for lam in parts:
         for mu in parts:
             if lam.contains(mu):
-                assert_matches_both_routes(SkewShape(lam, mu))
+                assert_matches_every_route(SkewShape(lam, mu))
+
+
+def test_cup_reversal_matches_dyck_depth_on_every_small_box():
+    """Every pair lam >= mu in every box with k + m <= 9: each such box
+    lies in the k x (9 - k) box."""
+    pairs = {(lam, mu) for k in range(1, 9)
+             for lam in enumerate_partitions_in_box(k, 9 - k)
+             for mu in enumerate_partitions_in_box(k, 9 - k)
+             if lam.contains(mu)}
+    assert len(pairs) == 11934
+    for lam, mu in pairs:
+        shape = SkewShape(lam, mu)
+        verdict = dyck_depth(shape)
+        assert cup_depth(shape) == (verdict.depth if verdict.is_dyck
+                                    else None), shape
 
 
 @st.composite
@@ -619,7 +635,7 @@ def tall_shapes(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(tall_shapes())
 def test_levels_match_both_routes_on_tall_shapes(shape):
-    assert_matches_both_routes(shape)
+    assert_matches_every_route(shape)
 
 
 def test_dyck_depth_refuses_more_rows_than_the_limit(monkeypatch):
@@ -644,7 +660,7 @@ def test_dyck_depth_refuses_more_rows_than_the_limit(monkeypatch):
 @given(st.one_of(wide_skew_shapes(), wide_assembled_shapes()))
 def test_dyck_depth_matches_oracle_on_wide_shapes(shape):
     assert 16 <= width(shape) <= 24
-    assert_matches_both_routes(shape)
+    assert_matches_every_route(shape)
 
 
 CONNECTED_SHAPES = [s for s in box_shapes(4, 4)
@@ -700,7 +716,7 @@ def test_dyck_depth_sums_over_separated_pieces(drawn):
     against the sum of the pieces' oracle depths."""
     shape, pieces = drawn
     assert len(connected_components(shape)) == len(pieces)
-    assert_matches_both_routes(shape)
+    assert_matches_every_route(shape)
     depths = [oracle_depth(shape_from_cells(p)) for p in pieces]
     v = dyck_depth(shape)
     if None in depths:

@@ -72,6 +72,33 @@ def test_library_keeps_no_module_level_state():
     assert not fresh._queries and not fresh._quotients
 
 
+def _underscore_tests(node):
+    """The comparisons inside node whose left side is the string '_'."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Compare)
+            and isinstance(n.left, ast.Constant) and n.left.value == "_"]
+
+
+def test_integers_in_text_are_read_one_way():
+    """hecke.integer alone says what an integer in user text is (ASCII,
+    no '_'): no option is declared with type=int, which reads 1_0 and
+    any Unicode digit, and no other code tests for '_' in a string."""
+    type_int, underscore = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        type_int += ["%s:%d" % (path.name, kw.value.lineno)
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     for kw in node.keywords if kw.arg == "type"
+                     and isinstance(kw.value, ast.Name)
+                     and kw.value.id == "int"]
+        underscore += _underscore_tests(tree)
+        if path.name == "hecke.py":
+            integer, = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "integer"]
+    assert type_int == []
+    assert len(underscore) == 1 and _underscore_tests(integer) == underscore
+
+
 # Definitions in src/ that no root of the public surface reaches, each
 # with the reason it stays. Item 1 of ROADMAP.md moves the perfbench
 # ones out of src/ together with the benchmark that imports them.
