@@ -190,8 +190,11 @@ def _koszul_args(parser, args, *field, **field_options):
     parser.add_argument("--imax", type=hecke.integer, default=None)
     ns = parser.parse_args(args)
     if ns.imax is not None and not 1 <= ns.imax <= koszul_mod.MAX_IMAX:
-        raise ValueError("--imax must lie in 1..%d, got %d"
-                         % (koszul_mod.MAX_IMAX, ns.imax))
+        got = str(ns.imax)
+        if len(got) > 20:  # a long number is cut short
+            got = "%s... (%d digits)" % (got[:12], len(got.lstrip("-")))
+        raise ValueError("--imax must lie in 1..%d, got %s"
+                         % (koszul_mod.MAX_IMAX, got))
     if ns.builtin and ns.algebra:
         raise ValueError("give either --algebra or --builtin, not both")
     if ns.builtin:

@@ -17,6 +17,7 @@ columns of that quotient are stored. Smooth w take the same route.
 from __future__ import annotations
 
 from bisect import insort
+from operator import getitem
 
 from .laurent import LaurentPoly, digits
 
@@ -104,10 +105,10 @@ class KLTable:
     the Young subgroup of the composition formed by w's runs of
     descents, and projects x onto its coset word (see coset_word). The
     table keeps one _Quotient per composition it met, each with the
-    columns its recursions reached, and per w its quotient and column,
-    so a warm query costs one dict lookup and one word. A smooth w
-    (avoiding 3412 and 4231) takes the same route; its column is all
-    ones.
+    columns its recursions reached, per w its quotient and column, and
+    one LaurentPoly per distinct value, so a warm query costs the check
+    of x, one word and three dict lookups. A smooth w (avoiding 3412
+    and 4231) takes the same route; its column is all ones.
 
     Nothing is precomputed, so building a table is O(1). Growth is
     bounded by the rank limit 9. Confine one table to one thread; every
@@ -122,13 +123,25 @@ class KLTable:
         self._w0 = longest_element(n)
         self._queries = {}
         self._quotients = {}
+        self._polys = {}
 
     # -- public API ------------------------------------------------------
 
     def kl_polynomial(self, x, w) -> LaurentPoly:
-        """P_{x,w} as a polynomial in q (exponents are q powers)."""
-        p = self._value(x, w)
-        return LaurentPoly(dict(enumerate(digits(p, _BITS))))
+        """P_{x,w} as a polynomial in q (exponents are q powers), one
+        shared LaurentPoly per distinct value; 0 off [e, w]."""
+        check_permutation(x, self.n)
+        query = self._queries.get(w)
+        if query is None:
+            query = self._queries[w] = self._query(
+                check_permutation(w, self.n))
+        quotient, col = query
+        p = col.get(quotient.word(x), 0)
+        poly = self._polys.get(p)
+        if poly is None:
+            poly = self._polys[p] = LaurentPoly(
+                dict(enumerate(digits(p, _BITS))))
+        return poly
 
     def inverse_kl(self, y, w) -> LaurentPoly:
         """Q_{y,w} := P_{w0 w, w0 y}, the inverse KL polynomial."""
@@ -138,16 +151,6 @@ class KLTable:
         return self.kl_polynomial(compose(w0, w), compose(w0, y))
 
     # -- engine ----------------------------------------------------------
-
-    def _value(self, x, w):
-        """P_{x,w} packed into one int (see _BITS); 0 off [e, w]."""
-        check_permutation(x, self.n)
-        query = self._queries.get(w)
-        if query is None:
-            query = self._queries[w] = self._query(
-                check_permutation(w, self.n))
-        quotient, col = query
-        return col.get(quotient.word(x), 0)
 
     def _query(self, w):
         """(quotient, column of w)."""
@@ -209,18 +212,20 @@ class _Quotient:
         if dim >= _BITS:
             raise ValueError("dim G/P = %d is too large to pack" % dim)
         self.n = n
-        self.width = max(1, (len(comp) - 1).bit_length())
-        # the letter of each position: r - 1 minus its block
-        self.letters = tuple(len(comp) - 1 - i
-                             for i, p in enumerate(comp) for _ in range(p))
+        self.width = width = max(1, (len(comp) - 1).bit_length())
+        # bits[i][j]: the letter of position i (r - 1 minus its block) in
+        # bits [W (j-1), W j), where the value j = 1..n puts it; a table
+        # lookup per position is cheaper than a shift
+        self.bits = tuple((None, *((len(comp) - 1 - i) << width * j
+                                   for j in range(n)))
+                          for i, p in enumerate(comp) for _ in range(p))
         low = self.word(range(1, n + 1))
         self.cols = {low: {low: 1}}
         self.length = {low: 0}
 
     def word(self, x):
         """The word of the coset x W_J of the permutation x."""
-        width = self.width
-        return sum(a << width * (j - 1) for a, j in zip(self.letters, x))
+        return sum(map(getitem, self.bits, x))
 
     def column(self, w):
         col = self.cols.get(w)

@@ -315,6 +315,11 @@ def as_field(field):
             return FieldQ()
         digits = t[2:] if t.startswith("F:") else t[1:]
         if t.startswith("F") and digits.isascii() and digits.isdigit():
+            # counting digits first keeps int() off a string of any length
+            size = len(digits.lstrip("0"))
+            if size > 10:
+                raise ValueError("field characteristic of %d digits is too "
+                                 "large; primes must be below 2^31" % size)
             return FieldF(int(digits))
     raise ValueError("cannot interpret field %r; use Q or F:l" % (field,))
 

@@ -177,23 +177,27 @@ def _mat_pow(matrix, e):
 def _split(rem, q: int):
     """Whether the monic polynomial with coefficients rem (ascending)
     splits as a product of (t - q^i) with i >= 0. Returns
-    (True, {i: multiplicity}) or (False, None)."""
+    (True, {i: multiplicity}) or (False, None). Each power q^i is tested
+    as a root by Horner's rule, and divided out only when it is one."""
     if q < 1:
         raise ValueError("q must be a positive integer")
     cauchy = 1 + max(abs(c) for c in rem)  # every root lies below it
     weights = {}
-    i = 0
+    i, root = 0, 1  # root = q^i
     # a quotient has no root that rem lacks, so i never goes back; an
     # integer root divides rem[0], so once q^i does not, no later one does
-    while len(rem) > 1 and q ** i <= cauchy and rem[0] % q ** i == 0:
-        quot, r = _linalg.poly_div_linear(rem, q ** i)
-        if r == 0:
-            rem = quot
+    while len(rem) > 1 and root <= cauchy and rem[0] % root == 0:
+        value = 0
+        for c in reversed(rem):
+            value = value * root + c
+        if value == 0:
+            rem = _linalg.poly_div_linear(rem, root)[0]
             weights[i] = weights.get(i, 0) + 1
         elif q == 1:
             break  # q^i is 1 for every i
         else:
             i += 1
+            root *= q
     if len(rem) > 1:
         return False, None
     return True, weights
@@ -228,15 +232,20 @@ class PhiReport:
 def _simple_kernel(terms, lam):
     """The primitive vector spanning the kernel of A - lam I when lam is
     a simple eigenvalue of A. Then adj(lam I - A) = sum_k M_k
-    lam^(n-k) has rank 1 and its columns span the kernel, so the first
-    nonzero one, found by Horner's rule column by column and divided by
-    the gcd of its entries, is the kernel's generator up to sign."""
+    lam^(n-k) has rank 1 and its columns span the kernel. Its trace is
+    p'(lam) != 0, so some diagonal entry adj[j][j] is nonzero; the first
+    one is found by Horner's rule, and its column j, by Horner's rule
+    too and divided by the gcd of its entries, is the kernel's
+    generator up to sign."""
     n = len(terms)
     for j in range(n):
-        col = [0] * n
+        d = 0
         for M in terms:
-            col = [c * lam + row[j] for c, row in zip(col, M)]
-        if any(col):
+            d = d * lam + M[j][j]
+        if d:
+            col = [0] * n
+            for M in terms:
+                col = [c * lam + row[j] for c, row in zip(col, M)]
             g = gcd(*col)
             return [c // g for c in col]
     raise RuntimeError("the adjugate vanishes at the simple eigenvalue %d"
@@ -266,10 +275,10 @@ def is_phi_decomposable(matrix, q: int, l: int) -> PhiReport:
     for r, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        if not all(type(x) is int for x in row):  # bool and float refused
+        if {*map(type, row)} != {int}:  # bool and float refused
             raise ValueError("matrix row %d has an entry that is not an "
                              "integer: %r" % (r, row))
-        if any(abs(x) >= 2 ** 31 for x in row):
+        if max(map(abs, row)) >= 2 ** 31:
             raise ValueError("matrix entries must lie between -2^31 and 2^31")
     if not _linalg.is_prime(l):
         raise ValueError("l = %d is not prime" % l)

@@ -667,8 +667,32 @@ def wt_brute(blocks):
 def has_weights_in(matrix, q: int):
     """Whether the characteristic polynomial splits as a product of
     (t - q^i) with i >= 0. Returns (True, {i: multiplicity}) or
-    (False, None)."""
-    return weights._split(_linalg.char_poly(matrix)[0], q)
+    (False, None).
+
+    Found without the characteristic polynomial, so it is a second
+    route to weights._split: every eigenvalue lies within the largest
+    absolute row sum of A (an induced norm), so only the q^i up to it
+    are tried. q^i is an eigenvalue when det(A - q^i) = 0, and then its
+    algebraic multiplicity is the nullity of (A - q^i)^n. The
+    polynomial splits into powers of q exactly when the multiplicities
+    sum to n."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    n = len(matrix)
+    norm = max((sum(map(abs, row)) for row in matrix), default=0)
+    found = {}
+    i, root = 0, 1  # root = q^i
+    while root <= norm:
+        shifted = weights._mat_sub_scalar(matrix, root)
+        if _linalg.det_bareiss(shifted) == 0:
+            found[i] = len(_linalg.smith_kernel_basis(
+                weights._mat_pow(shifted, n), n))
+        if q == 1:
+            break  # q^i is 1 for every i
+        i, root = i + 1, root * q
+    if sum(found.values()) != n:
+        return False, None
+    return True, found
 
 
 def phi_report_by_sweep(matrix, q: int, l: int):

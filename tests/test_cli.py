@@ -371,6 +371,20 @@ def test_imax_out_of_range_exits_one_at_once(argv, capsys):
     assert "--imax must lie in 1..32" in err
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_imax_error_cuts_a_long_value_short(sign, capsys):
+    """A 4,000-digit --imax, which int() still reads, is named by its
+    first digits and its length, not printed in full."""
+    for argv in (["koszul", "--builtin", "p1"],
+                 ["koszul", "integral", "--builtin", "p1", "--l", "5"]):
+        code, out, err = run(argv + ["--imax", sign + "7" * 4000], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --imax must lie in 1..32, got %s... "
+                       "(4000 digits)\n" % (sign + "7" * 12)[:12])
+        assert len(err) < 200
+
+
 def test_imax_bounds_are_accepted(capsys):
     for imax in (1, 32):
         code, out, _ = run(["koszul", "--builtin", "p1", "--field", "Q",
@@ -495,6 +509,10 @@ MALFORMED = {
     "builtin-torsion_p1-4400-digits": (
         ["koszul", "--builtin", "torsion_p1:" + "7" * 4400], None,
         "builtin algebra 'torsion_p1' needs a torsion constant below 2^31"),
+    "field-F-4400-digits": (
+        ["koszul", "--builtin", "p1", "--field", "F:" + "7" * 4400], None,
+        "field characteristic of 4400 digits is too large; primes must be "
+        "below 2^31"),
 }
 
 
@@ -606,6 +624,8 @@ PAST_LIMITS = {
                   "4097 basis vectors; the limit is 4096"),
     "prime-2^31": (["primes", "--l", str(2 ** 31), "--wt", "0,1"], None,
                    "below 2^31"),
+    "field-F:2^31": (["koszul", "--builtin", "p1", "--field",
+                      "F:%d" % 2 ** 31], None, "primes must be below 2^31"),
     "torsion-2^31": (["koszul", "--builtin", "torsion_p1:%d" % 2 ** 31],
                      None, "torsion constant below 2^31"),
     "mult-flag-6": (["mult", "flag", "--n", "6"], None, "n <= 5"),

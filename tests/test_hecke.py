@@ -610,3 +610,49 @@ def test_coset_word():
     assert hecke.coset_word([(2,), (1,), (3,), (5,), (4,)]) == (
         3 | 4 << 3 | 2 << 6 | 0 << 9 | 1 << 12)
     assert hecke.coset_word([(1, 3), (2,)]) == 0b101
+
+
+def test_kl_polynomial_refuses_what_is_not_a_permutation_of_its_rank():
+    """x is checked on every query, w when its column is first read: a
+    warm w does not let a bad x through."""
+    table = KLTable(4)
+    w = (4, 2, 3, 1)
+    assert table.kl_polynomial((1, 2, 3, 4), w) == q_poly(1, 1)
+    for x, wrong, message in (
+            ((1, 2, 3), w, "expected a permutation of rank 4, got (1, 2, 3)"),
+            ((1, 1, 2, 3), w, "(1, 1, 2, 3) is not a permutation of 1..4"),
+            ((1, 2, 3, 4), (1, 2, 2, 4),
+             "(1, 2, 2, 4) is not a permutation of 1..4"),
+            ((1, 2, 3, 4), (0, 1, 2, 3),
+             "(0, 1, 2, 3) is not a permutation of 1..4")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            table.kl_polynomial(x, wrong)
+    assert table.kl_polynomial((1, 2, 3, 4), w) == q_poly(1, 1)
+
+
+def test_kl_polynomial_values_are_equal_across_tables_and_repeats():
+    """Each table shares one LaurentPoly per distinct value, so a
+    repeated query returns the same object; a second table, built
+    cold, returns equal ones, in another order of queries."""
+    pairs = [(x, w) for w in itertools.permutations(range(1, 6))
+             for x in itertools.permutations(range(1, 6))
+             if hecke.bruhat_leq(x, w)]
+    first, second = KLTable(5), KLTable(5)
+    got = [first.kl_polynomial(x, w) for x, w in pairs]
+    assert [second.kl_polynomial(x, w) for x, w in reversed(pairs)] == got[::-1]
+    assert all(first.kl_polynomial(x, w) is p for (x, w), p in zip(pairs, got))
+    assert len({id(p) for p in got}) == len(set(got)) > 1
+
+
+def test_quotient_word_is_the_coset_word():
+    """_Quotient.word reads a word off a table of shifted letters; it
+    agrees with coset_word on every permutation of S_5 for every
+    composition of 5."""
+    for size in range(1, 6):
+        for cuts in itertools.combinations(range(1, 5), size - 1):
+            ends = list(cuts) + [5]
+            comp = tuple(b - a for a, b in zip([0] + ends, ends))
+            quotient = hecke._Quotient(comp)
+            for x in itertools.permutations(range(1, 6)):
+                blocks = [x[a:b] for a, b in zip([0] + ends, ends)]
+                assert quotient.word(x) == hecke.coset_word(blocks), (comp, x)

@@ -246,6 +246,13 @@ REFUSALS = {
         "builtin algebra 'torsion_p1' needs a torsion constant below 2^31"),
     "field-F::5": (
         koszul.as_field, ("F::5",), "cannot interpret field 'F::5'"),
+    # past Python's 4,300-digit limit on int(str), leading zeros uncounted
+    "field-F:4400-digits": (
+        koszul.as_field, ("F:00" + "7" * 4400,),
+        "field characteristic of 4400 digits is too large; primes must be "
+        "below 2^31"),
+    "field-F:2^31": (koszul.as_field, ("F%d" % 2 ** 31,),
+                     "2147483648 is too large; primes must be below 2^31"),
     "field-F": (koszul.as_field, ("F",), "cannot interpret field 'F'"),
 }
 

@@ -498,6 +498,54 @@ def _outcome(route, matrix, q, l):
         return "ValueError", str(exc)
 
 
+# Matrices where a simple weight's adjugate adj(q^i - A) has a zero
+# first column: upper triangular, lower triangular with a row that is
+# zero left of the diagonal, and not triangular at all (dense blocks
+# whose left eigenvectors vanish on the first coordinates).
+ADJUGATE_BASES = {
+    "upper": ([[1, 2, -1], [0, 3, 1], [0, 0, 9]], 3),
+    "lower": ([[1, 0, 0], [0, 3, 0], [1, 2, 9]], 3),
+    "block": ([[16, 1, 2], [0, 0, 1], [0, -4, 5]], 4),
+    "two-blocks": ([[0, 1, 1, -1], [-4, 5, 2, 0], [0, 0, 0, 1],
+                    [0, 0, -1024, 80]], 4),
+}
+
+
+def _first_column_vanishes(matrix, q):
+    """Whether column 0 of adj(q^i - A) is zero at some simple weight
+    i, the adjugate summed from char_poly's terms."""
+    _, terms = _linalg.char_poly(matrix)
+    _, found = has_weights_in(matrix, q)
+    for i in [i for i, m in found.items() if m == 1]:
+        col = [0] * len(matrix)
+        for M in terms:
+            col = [c * q ** i + row[0] for c, row in zip(col, M)]
+        if not any(col):
+            return True
+    return False
+
+
+def test_phi_report_matches_the_sweep_where_first_adjugate_columns_vanish():
+    """A simple weight takes its kernel vector from the adjugate column
+    at its first nonzero diagonal entry, not from the first nonzero
+    column. Every permuted conjugate P A P^-1 of the bases above whose
+    first adjugate column vanishes at a simple weight, with every l in
+    2..7 prime to q, gives the sweep's PhiReport or refusal."""
+    cases = []
+    for name, (matrix, q) in ADJUGATE_BASES.items():
+        found = 0
+        for perm in itertools.permutations(range(len(matrix))):
+            conj = [[matrix[a][b] for b in perm] for a in perm]
+            if _first_column_vanishes(conj, q):
+                found += 1
+                cases += [(conj, q, l) for l in (2, 3, 5, 7) if q % l]
+        assert _first_column_vanishes(matrix, q) and found > 1, name
+    got = [_outcome(weights.is_phi_decomposable, *case) for case in cases]
+    assert got == [_outcome(phi_report_by_sweep, *case) for case in cases]
+    assert {report.decomposable for report in got
+            if isinstance(report, weights.PhiReport)} == {True, False}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(phi_inputs())
 @example(([[1, 1], [0, 4]], 4, 3))
